@@ -83,4 +83,26 @@ from .gadget import (
 )
 from . import oracle
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "WILDCARD", "DTable", "IntervalSet", "PenaltyMatrix", "Text", "Violation",
+    "build_d_table", "edit_distance", "hamming_distance",
+    "interval_union_size", "pad_for_seed", "symbols_match",
+    "validate_penalty_matrix",
+    "ExactLce", "LcpKTable", "PrefKTable", "kangaroo_lcp_k", "lcp_k_all_pairs",
+    "pref_k",
+    "CoverageReport", "EnhancedCover", "border_lengths",
+    "enhanced_cover_approx_border", "enhanced_cover_exact_border",
+    "factor_coverage_all", "factor_occurrences", "k_restricted_covers",
+    "k_restricted_seeds", "prefix_coverage",
+    "WAVE_SENTINEL", "HWaves", "LevPrefixTable", "ParetoList",
+    "SpecialPointIndex", "block_size", "factor_coverage", "h_wave_build",
+    "h_wave_prepend", "p_ed_entry", "p_lev_table", "pareto_list_build",
+    "pareto_list_from_row", "precompute_special",
+    "IncrementalRangeMin", "QTable", "RestrictedReport", "q_table_fast",
+    "q_table_quadratic", "restricted_covers_ed", "restricted_seeds_ed",
+    "ConsensusInstance", "GadgetEncoding", "ScanVerdict", "ReductionVerdict",
+    "build_cover_instance", "build_seed_instance", "format_instance", "gamma",
+    "parse_instance", "phi", "psi", "reduction_forward_check",
+    "validate_phi_density", "validate_prefix_suffix_overlaps",
+    "oracle",
+]

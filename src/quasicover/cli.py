@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
 from . import bench as bench_mod
 from . import editcover, gadget, hamcover
-from .lcpk import lcp_k_all_pairs
-from .hamcover import coverage_sweep
 from .restricted import restricted_covers_ed, restricted_seeds_ed
 from .textcore import DEFAULT_WILDCARD_CHAR, PenaltyMatrix, Text
 
@@ -153,9 +150,6 @@ _format_opt = click.option(
 _wildcard_opt = click.option(
     "--wildcard", default=DEFAULT_WILDCARD_CHAR, show_default=True,
     help="Byte standing for the wildcard symbol.")
-_threads_opt = click.option(
-    "--threads", type=click.IntRange(min=1), default=1, show_default=True,
-    help="Worker pool size for per-factor work items.")
 
 
 def _prepare(path, distance, penalty, wildcard):
@@ -185,8 +179,7 @@ def cli():
 @_penalty_opt
 @_format_opt
 @_wildcard_opt
-@_threads_opt
-def coverage(input, distance, k, mode, penalty, fmt, wildcard, threads):
+def coverage(input, distance, k, mode, penalty, fmt, wildcard):
     """k-coverage of every prefix (rows: ell, coverage) or factor (a, b, coverage)."""
     t, matrix = _prepare(input, distance, penalty, wildcard)
     n = len(t)
@@ -196,13 +189,7 @@ def coverage(input, distance, k, mode, penalty, fmt, wildcard, threads):
             rows = [[ell, cov[ell - 1]] for ell in range(1, n + 1)]
             _emit(["ell", "coverage"], rows, fmt)
             return
-        if distance == "hamming" and threads > 1 and n:
-            table = lcp_k_all_pairs(t, k)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                per_start = list(pool.map(
-                    lambda a: coverage_sweep(table.row(a), n, n - a), range(n)))
-        else:
-            per_start = editcover.factor_coverage(t, distance, k, matrix)
+        per_start = editcover.factor_coverage(t, distance, k, matrix)
         rows = [[a, a + off, val]
                 for a, row in enumerate(per_start) for off, val in enumerate(row)]
         _emit(["a", "b", "coverage"], rows, fmt)
@@ -213,16 +200,6 @@ def coverage(input, distance, k, mode, penalty, fmt, wildcard, threads):
 def _threshold_rows(result: dict[str, int | None]) -> list[list]:
     keys = sorted(result, key=lambda s: (len(s), s))
     return [[key, "none" if result[key] is None else result[key]] for key in keys]
-
-
-def _escalate(t: Text, fn, max_len: int) -> dict[str, int]:
-    """Raise the budget until every candidate resolves; thresholds are <= |C|."""
-    level = 0
-    while True:
-        result = fn(t, level)
-        if all(v is not None for v in result.values()) or level > max_len:
-            return result
-        level += 1
 
 
 def _edit_threshold_rows(report) -> list[list]:
@@ -240,8 +217,7 @@ def _edit_threshold_rows(report) -> list[list]:
 @_penalty_opt
 @_format_opt
 @_wildcard_opt
-@_threads_opt
-def covers(input, distance, k, escalate, penalty, fmt, wildcard, threads):
+def covers(input, distance, k, escalate, penalty, fmt, wildcard):
     """Restricted approximate covers.
 
     Hamming: rows (factor, minimal level or 'none') for levels <= k.
@@ -252,13 +228,12 @@ def covers(input, distance, k, escalate, penalty, fmt, wildcard, threads):
                                "(levenshtein is unit-cost edit)")
     t, matrix = _prepare(input, distance, penalty, wildcard)
     if distance == "hamming":
-        if escalate:
-            result = _escalate(t, hamcover.k_restricted_covers, len(t))
-        else:
-            result = hamcover.k_restricted_covers(t, k)
+        # Thresholds are <= |C| < |T|, and the search stops once every
+        # candidate resolves, so this budget acts as "unbounded".
+        result = hamcover.k_restricted_covers(t, len(t) + 1 if escalate else k)
         _emit(["factor", "min_level"], _threshold_rows(result), fmt)
         return
-    report = restricted_covers_ed(t, matrix, threads=threads)
+    report = restricted_covers_ed(t, matrix)
     _emit(["factor", "threshold", "minimal"], _edit_threshold_rows(report), fmt)
 
 
@@ -271,21 +246,17 @@ def covers(input, distance, k, escalate, penalty, fmt, wildcard, threads):
 @_penalty_opt
 @_format_opt
 @_wildcard_opt
-@_threads_opt
-def seeds(input, distance, k, escalate, penalty, fmt, wildcard, threads):
+def seeds(input, distance, k, escalate, penalty, fmt, wildcard):
     """Restricted approximate seeds (candidates with 2|C| <= |T|)."""
     if distance == "levenshtein":
         raise click.UsageError("seeds supports --distance hamming or edit "
                                "(levenshtein is unit-cost edit)")
     t, matrix = _prepare(input, distance, penalty, wildcard)
     if distance == "hamming":
-        if escalate:
-            result = _escalate(t, hamcover.k_restricted_seeds, len(t) // 2)
-        else:
-            result = hamcover.k_restricted_seeds(t, k)
+        result = hamcover.k_restricted_seeds(t, len(t) // 2 + 1 if escalate else k)
         _emit(["factor", "min_level"], _threshold_rows(result), fmt)
         return
-    report = restricted_seeds_ed(t, matrix, threads=threads)
+    report = restricted_seeds_ed(t, matrix)
     _emit(["factor", "threshold", "minimal"], _edit_threshold_rows(report), fmt)
 
 

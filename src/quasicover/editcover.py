@@ -5,9 +5,9 @@ largest b' with d(T[a,b], T[a',b']) <= k):
 
 * unit costs: diagonal h-waves of the edit DP, advanced by a two-pointer
   over diagonals per factor row, O(n^3) overall;
-* weighted costs: precomputed Pareto lists anchored at special points
-  (multiples of M = floor(sqrt(n / log2 n))) plus small DP blocks, giving
-  O(sqrt(n log n)) per entry.
+* weighted costs: Pareto lists anchored at special points (multiples of
+  M = floor(sqrt(n / log2 n))), built on demand, plus small DP blocks,
+  giving O(sqrt(n log n)) per entry.
 
 Factor coverage is then the size of an interval union per factor.
 """
@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import log2, sqrt
+from itertools import accumulate, islice
+from math import inf, log2, sqrt
+from typing import Iterator
 
 from . import hamcover
 from .lcpk import ExactLce
@@ -253,20 +255,19 @@ class ParetoList:
 
 
 def pareto_list_build(costs: list[int], first_end: int) -> ParetoList:
-    """Stack filter keeping the maximal (cost, end) pairs of one row.
+    """Maximal (cost, end) pairs of one row, by a right-to-left scan.
 
     ``costs[t]`` is the distance for end position ``first_end + t``; a pair
-    survives iff no later pair has an equal or smaller cost.
+    survives iff its cost is strictly below every later cost.
     """
-    dists: list[int] = []
-    ends: list[int] = []
-    for offset, d in enumerate(costs):
-        while dists and dists[-1] >= d:
-            dists.pop()
-            ends.pop()
-        dists.append(d)
-        ends.append(first_end + offset)
-    return ParetoList(tuple(dists), tuple(ends))
+    dists, ends = [], []
+    best = inf
+    for offset in range(len(costs) - 1, -1, -1):
+        if costs[offset] < best:
+            best = costs[offset]
+            dists.append(best)
+            ends.append(first_end + offset)
+    return ParetoList(tuple(reversed(dists)), tuple(reversed(ends)))
 
 
 def pareto_list_from_row(dt: DTable, b: int) -> ParetoList:
@@ -280,95 +281,121 @@ def block_size(n: int) -> int:
     return max(1, int(sqrt(n / log2(n))))
 
 
-class SpecialPointIndex:
-    """Precomputed structures for sub-quartic weighted-edit prefix queries.
+class _EditCosts:
+    """Edit costs at every position of one text under one penalty matrix.
 
-    Holds (a) Pareto lists of every D-table row whose suffix pair touches a
-    special point (a multiple of M), and (b) the M x M leading block of
-    every D-table, boundary row and column included.
+    ``ins[j]`` and ``dele[j]`` cost inserting and deleting T[j];
+    ``sub[x][j]`` costs substituting symbol x by T[j].  The wildcard row is
+    last and all zero, so ``sub[WILDCARD]`` (index -1) reads it.
+    """
+
+    __slots__ = ("symbols", "ins", "dele", "sub")
+
+    def __init__(self, t: Text, p: PenaltyMatrix):
+        syms = t.symbols
+        self.symbols = syms
+        self.ins = [p.ins_cost(y) for y in syms]
+        self.dele = [p.del_cost(y) for y in syms]
+        self.sub = [[p.sub_cost(x, y) for y in syms] for x in range(len(p.alphabet))]
+        self.sub.append([0] * len(syms))
+
+
+def _dp_rows(costs: _EditCosts, a: int, ap: int, height: int | None = None,
+             width: int | None = None):
+    """Yield rows b = a-1, a, ... of D_{a,ap} one at a time.
+
+    Each row holds the costs for bp = ap-1 .. ap+width-2.  ``height`` caps
+    the number of rows, the boundary row b = a-1 included; both default to
+    the full table.  This is the one edit-DP kernel of the fast side;
+    ``textcore.build_d_table`` and ``edit_distance`` stay separate as the
+    references it is tested against.
+    """
+    n = len(costs.symbols)
+    height = n - a + 1 if height is None else height
+    width = n - ap + 1 if width is None else width
+    ins = costs.ins[ap:ap + width - 1]
+    row = list(accumulate(ins, initial=0))
+    yield row
+    for b in range(a, a + height - 1):
+        dl = costs.dele[b]
+        sub = costs.sub[costs.symbols[b]][ap:ap + width - 1]
+        left = row[0] + dl
+        new = [left]
+        append = new.append
+        for diag, up, sc, ic in zip(row, islice(row, 1, None), sub, ins):
+            left += ic
+            diag += sc
+            if diag < left:
+                left = diag
+            up += dl
+            if up < left:
+                left = up
+            append(left)
+        row = new
+        yield row
+
+
+class SpecialPointIndex:
+    """Structures for sub-quartic weighted-edit prefix queries.
+
+    Holds (a) the M x M leading block of every D-table, boundary row and
+    column included, built up front, and (b) Pareto lists of the D-table
+    rows whose suffix pair touches a special point (a multiple of M), built
+    on first use: list (c, c') grows, row by row, only as far as the largest
+    row b asked of it.  ``lists`` maps each pair to the rows built so far.
+    The lists built are a subset of those the paper precomputes, so its
+    worst-case bound holds unchanged.  Not safe to share between threads.
     """
 
     def __init__(self, text: Text, penalty: PenaltyMatrix, m: int,
-                 blocks: list[list[list[list[int]]]],
-                 lists: dict[tuple[int, int], list[ParetoList]]):
+                 blocks: list[list[list[list[int]]]], costs: _EditCosts):
         self.text = text
         self.penalty = penalty
         self.M = m
         self.blocks = blocks
-        self.lists = lists
+        self.lists: dict[tuple[int, int], list[ParetoList]] = {}
+        self._costs = costs
+        self._pending: dict[tuple[int, int], Iterator[list[int]]] = {}
 
     def block_entry(self, a: int, ap: int, b: int, bp: int) -> int:
         """D_{a,ap}[b, bp] for -1 <= b-a, bp-ap < M-1."""
         return self.blocks[a][ap][b - a + 1][bp - ap + 1]
 
     def pareto(self, c: int, cp: int, b: int) -> ParetoList | None:
-        """L_{c,cp}[b], or None when the list is empty or not stored."""
-        rows = self.lists.get((c, cp))
-        if rows is None or b < c - 1:
+        """L_{c,cp}[b], or None when the row or the list does not exist.
+
+        Lists exist for 0 <= c, c' <= n with c or c' a multiple of M; sides
+        equal to n hold their boundary content (the empty-suffix column or
+        row), since splits ed(X, eps) + ed(eps, Y) land exactly there.
+        """
+        i = b - c + 1
+        if i < 0:
             return None
-        return rows[b - c + 1]
-
-
-def _dp_rows(t: Text, a: int, ap: int, p: PenaltyMatrix):
-    """Yield rows b = a-1 .. n-1 of D_{a,ap} one at a time."""
-    n = len(t)
-    width = n - ap + 1
-    row = [0] * width
-    for j in range(1, width):
-        row[j] = row[j - 1] + p.ins_cost(t[ap + j - 1])
-    yield row
-    for b in range(a, n):
-        tb = t[b]
-        new = [row[0] + p.del_cost(tb)] + [0] * (width - 1)
-        for j in range(1, width):
-            tj = t[ap + j - 1]
-            new[j] = min(row[j - 1] + p.sub_cost(tb, tj),
-                         new[j - 1] + p.ins_cost(tj),
-                         row[j] + p.del_cost(tb))
-        row = new
-        yield row
+        rows = self.lists.get((c, cp))
+        if rows is None:
+            n, m = len(self.text), self.M
+            if not (0 <= c <= n and 0 <= cp <= n) or (c % m and cp % m):
+                return None
+            rows = self.lists[(c, cp)] = []
+            self._pending[(c, cp)] = _dp_rows(self._costs, c, cp)
+        if i >= len(rows):
+            rows.extend(pareto_list_build(row, cp - 1)
+                        for row in islice(self._pending[(c, cp)], i + 1 - len(rows)))
+        return rows[i]
 
 
 def precompute_special(t: Text, p: PenaltyMatrix) -> SpecialPointIndex:
-    """Build the special-point index: O(n^4 / M) list work, O(n^2 M^2) blocks."""
+    """Build the special-point index: O(n^2 M^2) block work up front.
+
+    Pareto lists are built on first use by :meth:`SpecialPointIndex.pareto`;
+    at most O(n^4 / M) list work when every list is asked for in full.
+    """
     n = len(t)
     m = block_size(n)
-    # (b) leading blocks of every D_{a, ap}, boundary row/column included.
-    blocks: list[list[list[list[int]]]] = []
-    for a in range(n + 1):
-        per_a = []
-        for ap in range(n + 1):
-            rows: list[list[int]] = []
-            width = min(m, n - ap + 1)
-            height = min(m, n - a + 1)
-            row = [0] * width
-            for j in range(1, width):
-                row[j] = row[j - 1] + p.ins_cost(t[ap + j - 1])
-            rows.append(row)
-            for i in range(1, height):
-                tb = t[a + i - 1]
-                new = [rows[i - 1][0] + p.del_cost(tb)] + [0] * (width - 1)
-                for j in range(1, width):
-                    tj = t[ap + j - 1]
-                    new[j] = min(rows[i - 1][j - 1] + p.sub_cost(tb, tj),
-                                 new[j - 1] + p.ins_cost(tj),
-                                 rows[i - 1][j] + p.del_cost(tb))
-                rows.append(new)
-            per_a.append(rows)
-        blocks.append(per_a)
-    # (a) Pareto lists for pairs touching a special point.  Sides equal to n
-    # are stored with their boundary content (the empty-suffix column/row):
-    # splits of the form ed(X, eps) + ed(eps, Y) land exactly there, so
-    # treating those lists as empty loses last-position answers.
-    lists: dict[tuple[int, int], list[ParetoList]] = {}
-    for c in range(n + 1):
-        for cp in range(n + 1):
-            if c % m != 0 and cp % m != 0:
-                continue
-            plists = [pareto_list_build(row, cp - 1)
-                      for row in _dp_rows(t, c, cp, p)]
-            lists[(c, cp)] = plists
-    return SpecialPointIndex(t, p, m, blocks, lists)
+    costs = _EditCosts(t, p)
+    blocks = [[list(_dp_rows(costs, a, ap, min(m, n - a + 1), min(m, n - ap + 1)))
+               for ap in range(n + 1)] for a in range(n + 1)]
+    return SpecialPointIndex(t, p, m, blocks, costs)
 
 
 def _check_index(idx: SpecialPointIndex, t: Text, p: PenaltyMatrix) -> None:
@@ -475,23 +502,6 @@ def factor_coverage(t: Text, metric: str, k: int, p: PenaltyMatrix | None = None
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def _p_row_direct(t: Text, a: int, b_max: int, ap: int, p: PenaltyMatrix,
-                  k: int) -> list[int]:
-    """P_k[a, b, ap] for b = a..b_max by one DP pass; O(n^2) per pair."""
-    out = []
-    for b, row in enumerate(_dp_rows(t, a, ap, p)):
-        if b == 0:
-            continue  # boundary row b = a-1
-        best = -1
-        for j, val in enumerate(row):
-            if val <= k:
-                best = ap - 1 + j
-        out.append(best)
-        if a + b - 1 >= b_max:
-            break
-    return out
-
-
 def prefix_coverage(t: Text, metric: str, k: int,
                     p: PenaltyMatrix | None = None) -> list[int]:
     """k-coverage of every prefix; entry ell-1 is for length ell.
@@ -519,9 +529,13 @@ def prefix_coverage(t: Text, metric: str, k: int,
     elif metric == "edit":
         if p is None:
             raise ValueError("edit metric requires a penalty matrix")
+        costs = _EditCosts(t, p)
         for ap in range(n):
-            for b, bp in enumerate(_p_row_direct(t, 0, n - 1, ap, p, k)):
-                _union_accumulate(acc[b], ap, bp)
+            for b, row in enumerate(islice(_dp_rows(costs, 0, ap), 1, None)):
+                j = len(row) - 1  # P_k[0, b, ap] is ap - 1 + j
+                while j >= 0 and row[j] > k:
+                    j -= 1
+                _union_accumulate(acc[b], ap, ap - 1 + j)
     else:
         raise ValueError(f"unknown metric {metric!r}")
     return [size for size, _ in acc]

@@ -5,17 +5,17 @@ which the factor is a k-approximate cover of T[i, n-1]; the factors with
 minimal Q_{a,b}[0] are the restricted approximate covers of T.  Two engines
 compute the table: a quadratic reference recurrence, and the special-point
 variant that answers each entry in O(sqrt(n log n)) with binary searches on
-precomputed Pareto lists plus on-line range minima over the table itself.
+the index's Pareto lists plus on-line range minima over the table itself.
 Seeds reduce to covers of the wildcard-padded text.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import inf
 
-from .editcover import SpecialPointIndex, _check_index, _dp_rows, precompute_special
+from .editcover import (SpecialPointIndex, _check_index, _dp_rows, _EditCosts,
+                        precompute_special)
 from .textcore import PenaltyMatrix, Text, pad_for_seed
 
 
@@ -76,14 +76,10 @@ def q_table_quadratic(t: Text, a: int, b: int, p: PenaltyMatrix) -> QTable:
     rows given, the double loop is quadratic.
     """
     n = len(t)
+    costs = _EditCosts(t, p)
     values: list[int] = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        row_b = None
-        for bi, row in enumerate(_dp_rows(t, a, i, p)):
-            if bi == b - a + 1:
-                row_b = row
-                break
-        assert row_b is not None
+        *_, row_b = _dp_rows(costs, a, i, b - a + 2)
         best = inf
         min_q = inf
         for j in range(i, n):
@@ -182,13 +178,11 @@ class RestrictedReport:
 
 def _report_for_candidates(target: Text, p: PenaltyMatrix,
                            candidates: list[tuple[int, int]],
-                           label_at: int = 0, threads: int = 1) -> RestrictedReport:
+                           label_at: int = 0) -> RestrictedReport:
     """Q[0]-thresholds for candidate factors of ``target``.
 
     ``label_at`` shifts reported occurrence coordinates (used by the seed
     reduction, whose candidates live in the middle of the padded text).
-    Per-factor tables are independent given the shared read-only index, so
-    ``threads`` may fan them out; assembly order stays deterministic.
     """
     occurrences: dict[str, list[tuple[int, int]]] = {}
     canonical: dict[str, tuple[int, int]] = {}
@@ -197,32 +191,23 @@ def _report_for_candidates(target: Text, p: PenaltyMatrix,
         occurrences.setdefault(key, []).append((a - label_at, b - label_at))
         canonical.setdefault(key, (a, b))
     idx = precompute_special(target, p) if canonical else None
-
-    def threshold(pair: tuple[int, int]) -> int:
-        return q_table_fast(target, pair[0], pair[1], p, idx)[0]
-
-    keys = list(canonical)
-    if threads > 1 and keys:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(threshold, (canonical[k] for k in keys)))
-    else:
-        values = [threshold(canonical[k]) for k in keys]
-    thresholds = dict(zip(keys, values))
+    thresholds = {key: q_table_fast(target, a, b, p, idx)[0]
+                  for key, (a, b) in canonical.items()}
     minimal = min(thresholds.values(), default=None)
     return RestrictedReport(thresholds, occurrences, minimal)
 
 
-def restricted_covers_ed(t: Text, p: PenaltyMatrix, threads: int = 1) -> RestrictedReport:
+def restricted_covers_ed(t: Text, p: PenaltyMatrix) -> RestrictedReport:
     """Minimal cover threshold for every proper factor; argmin set reported.
 
     O(n sqrt(n log n)) per factor after the shared index build.
     """
     n = len(t)
     candidates = [(a, b) for a in range(n) for b in range(a, n) if b - a + 1 < n]
-    return _report_for_candidates(t, p, candidates, threads=threads)
+    return _report_for_candidates(t, p, candidates)
 
 
-def restricted_seeds_ed(t: Text, p: PenaltyMatrix, threads: int = 1) -> RestrictedReport:
+def restricted_seeds_ed(t: Text, p: PenaltyMatrix) -> RestrictedReport:
     """Minimal seed threshold for every factor with 2|C| <= |T|.
 
     Runs the cover machinery on the wildcard-padded text, with candidates
@@ -232,4 +217,4 @@ def restricted_seeds_ed(t: Text, p: PenaltyMatrix, threads: int = 1) -> Restrict
     padded = pad_for_seed(t)
     candidates = [(a + n, b + n) for a in range(n) for b in range(a, n)
                   if 2 * (b - a + 1) <= n]
-    return _report_for_candidates(padded, p, candidates, label_at=n, threads=threads)
+    return _report_for_candidates(padded, p, candidates, label_at=n)

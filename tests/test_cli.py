@@ -1,9 +1,14 @@
 import json
+import random
 
 import pytest
 
 from quasicover.cli import main, parse_penalty_file
 from quasicover.cli import InputDataError
+from quasicover.hamcover import k_restricted_covers, k_restricted_seeds
+from quasicover.textcore import Text
+
+from conftest import random_text_str
 
 
 def run(capsys, monkeypatch, argv, stdin=""):
@@ -78,6 +83,33 @@ def test_covers_escalate(capsys, monkeypatch):
     rows = dict(line.split("\t") for line in out.splitlines())
     assert "none" not in rows.values()
     assert rows["aba"] == "3"
+
+
+def test_escalate_equals_level_by_level_search(capsys, monkeypatch):
+    """--escalate gives what raising the budget one level at a time gives."""
+    rng = random.Random(7)
+
+    def level_by_level(t, fn, max_len):
+        level = 0
+        while True:
+            result = fn(t, level)
+            if all(v is not None for v in result.values()) or level > max_len:
+                return result
+            level += 1
+
+    for trial in range(12):
+        raw = random_text_str(rng, rng.randint(1, 9), rng.randint(1, 3),
+                              0.2 if trial % 3 == 0 else 0.0)
+        t = Text.from_str(raw)
+        for cmd, fn, max_len in [("covers", k_restricted_covers, len(t)),
+                                 ("seeds", k_restricted_seeds, len(t) // 2)]:
+            want = level_by_level(t, fn, max_len)
+            code, out, _ = run(capsys, monkeypatch, [cmd, "--escalate"],
+                               stdin=raw + "\n")
+            assert code == 0
+            got = dict(line.split("\t") for line in out.splitlines())
+            assert got == {key: "none" if v is None else str(v)
+                           for key, v in want.items()}, (cmd, raw)
 
 
 def test_covers_edit_example(capsys, monkeypatch):
@@ -183,23 +215,6 @@ def test_wildcard_option(capsys, monkeypatch):
                         "--mode", "prefix"], stdin="a_b\n")
     assert code == 0
     assert out.splitlines()[0] == "1\t2"  # "a" also matches the wildcard position
-
-
-def test_threads_match_single_threaded(capsys, monkeypatch):
-    for args, stdin in [
-        (["coverage", "--mode", "factor", "--k", "1"], "abaabab\n"),
-        (["covers", "--distance", "edit", "--penalty", "unit"], "abaabab\n"),
-        (["seeds", "--distance", "edit", "--penalty", "unit"], "abaabaab\n"),
-    ]:
-        base = None
-        for threads in ("1", "3"):
-            code, out, _ = run(capsys, monkeypatch,
-                               args + ["--threads", threads], stdin=stdin)
-            assert code == 0
-            if base is None:
-                base = out
-            else:
-                assert out == base
 
 
 def test_gadget_commands(capsys, monkeypatch, tmp_path):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 from quasicover import oracle
 from quasicover.editcover import (
     WAVE_SENTINEL,
+    _dp_rows,
+    _EditCosts,
     block_size,
     factor_coverage,
     h_wave_build,
@@ -16,7 +20,14 @@ from quasicover.editcover import (
     precompute_special,
     prefix_coverage,
 )
-from quasicover.textcore import PenaltyMatrix, Text, build_d_table, edit_distance
+from quasicover.restricted import q_table_fast
+from quasicover.textcore import (
+    PenaltyMatrix,
+    Text,
+    build_d_table,
+    edit_distance,
+    pad_for_seed,
+)
 
 from conftest import full_unit_dp, random_metric, random_text_str
 
@@ -181,9 +192,10 @@ def test_block_size():
 
 
 def test_special_index_contents(rng):
-    for _ in range(8):
-        n = rng.randint(1, 9)
-        t = Text.from_str(random_text_str(rng, n, 2), "ab")
+    for trial in range(8):
+        # sizes past 16 make M > 1, so some pairs hold no list
+        n = rng.randint(1, 9) if trial % 2 else rng.randint(16, 18)
+        t = Text.from_str(random_text_str(rng, n, 2, 0.2 if trial % 3 == 0 else 0.0), "ab")
         p = random_metric("ab", rng)
         idx = precompute_special(t, p)
         m = idx.M
@@ -193,12 +205,21 @@ def test_special_index_contents(rng):
                     for bp in range(ap - 1, min(ap + m - 1, n)):
                         want = edit_distance(t.factor(a, b), t.factor(ap, bp), p)
                         assert idx.block_entry(a, ap, b, bp) == want
-        # stored lists equal the Pareto filter of the full D-table rows
+        # ask for every row of every special pair, then check what is stored
+        # against the Pareto filter of the full D-table rows
+        special = [(c, cp) for c in range(n + 1) for cp in range(n + 1)
+                   if c % m == 0 or cp % m == 0]
+        for c, cp in special:
+            for b in range(c - 1, n):
+                assert idx.pareto(c, cp, b) is not None
+        assert sorted(idx.lists) == special
         for (c, cp), rows in idx.lists.items():
-            assert c % m == 0 or cp % m == 0
             dt = build_d_table(t, c, cp, p)
+            assert len(rows) == n - c + 1
             for b in range(c - 1, n):
                 assert rows[b - c + 1] == pareto_list_from_row(dt, b)
+        if m > 1:
+            assert idx.pareto(1, 1, n - 1) is None  # neither side special
         # boundary lists (one side at n) hold the empty-suffix column; only
         # rows that exist are served
         pl = idx.pareto(0, n, n - 1)
@@ -208,6 +229,51 @@ def test_special_index_contents(rng):
         if n >= 2:
             assert idx.pareto(n, 0, 0) is None  # row 0 does not exist for c = n
         assert idx.pareto(n + 1, 0, n) is None  # beyond the text: absent
+
+
+def test_special_index_builds_only_queried_rows(rng):
+    """Seed queries touch lists starting in the original region, up to the
+    rows asked for."""
+    for trial in range(4):
+        n = rng.randint(4, 9)
+        t = Text.from_str(random_text_str(rng, n, 2), "ab")
+        p = PenaltyMatrix.unit("ab") if trial % 2 else random_metric("ab", rng)
+        padded = pad_for_seed(t)
+        idx = precompute_special(padded, p)
+        assert idx.lists == {}
+        largest: dict[tuple[int, int], int] = {}
+        pareto = idx.pareto
+
+        def recording(c, cp, b):
+            largest[(c, cp)] = max(largest.get((c, cp), b), b)
+            return pareto(c, cp, b)
+
+        idx.pareto = recording
+        for a in range(n):
+            for b in range(a, n):
+                if 2 * (b - a + 1) <= n:
+                    q_table_fast(padded, a + n, b + n, p, idx)
+        assert idx.lists
+        for (c, cp), rows in idx.lists.items():
+            assert c >= n
+            assert len(rows) == largest[(c, cp)] - c + 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.text("abc?", max_size=10), st.integers(0, 2 ** 16), st.data())
+def test_dp_rows_match_d_table(raw, seed, data):
+    t = Text.from_str(raw, "abc")
+    p = random_metric("abc", random.Random(seed)) if seed % 4 else PenaltyMatrix.unit("abc")
+    n = len(t)
+    a = data.draw(st.integers(0, n))
+    ap = data.draw(st.integers(0, n))
+    height = data.draw(st.integers(1, n - a + 1))
+    width = data.draw(st.integers(1, n - ap + 1))
+    costs = _EditCosts(t, p)
+    want = build_d_table(t, a, ap, p).rows
+    assert list(_dp_rows(costs, a, ap)) == want
+    assert list(_dp_rows(costs, a, ap, height, width)) == \
+        [row[:width] for row in want[:height]]
 
 
 def test_p_ed_matches_brute_and_lev(rng):

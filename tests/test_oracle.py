@@ -1,5 +1,8 @@
+import types
+
 import pytest
 
+import quasicover
 from quasicover import oracle
 from quasicover.textcore import (
     IntervalSet,
@@ -130,3 +133,10 @@ def test_edit_metric_occurrences(rng):
         for (i, j) in occ:
             assert edit_distance(s, t.factor(i, j), p) <= k
         assert oracle.brute_coverage(s, t, "edit", k, p) == interval_union_size(occ)
+
+
+def test_package_exports_no_module_but_oracle():
+    modules = [name for name in quasicover.__all__
+               if isinstance(getattr(quasicover, name), types.ModuleType)]
+    assert modules == ["oracle"]
+    assert all(hasattr(quasicover, name) for name in quasicover.__all__)

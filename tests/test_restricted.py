@@ -191,15 +191,6 @@ def test_weighted_seeds_on_texts_with_wildcards(rng):
         assert rep.thresholds == dict(brute)
 
 
-def test_threads_do_not_change_reports(rng):
-    t = Text.from_str(random_text_str(rng, 9, 2), "ab")
-    p = PenaltyMatrix.unit("ab")
-    assert restricted_covers_ed(t, p).thresholds == \
-        restricted_covers_ed(t, p, threads=3).thresholds
-    assert restricted_seeds_ed(t, p).thresholds == \
-        restricted_seeds_ed(t, p, threads=3).thresholds
-
-
 def test_restricted_seed_occurrence_coordinates():
     rep = restricted_seeds_ed(Text.from_str("abab"), PenaltyMatrix.unit("ab"))
     assert rep.occurrences["ab"] == [(0, 1), (2, 3)]  # reported in t coordinates
