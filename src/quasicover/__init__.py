@@ -49,7 +49,6 @@ from .editcover import (
     block_size,
     factor_coverage,
     h_wave_build,
-    h_wave_prepend,
     p_ed_entry,
     p_lev_table,
     pareto_list_build,
@@ -96,8 +95,8 @@ __all__ = [
     "k_restricted_seeds", "prefix_coverage",
     "WAVE_SENTINEL", "HWaves", "LevPrefixTable", "ParetoList",
     "SpecialPointIndex", "block_size", "factor_coverage", "h_wave_build",
-    "h_wave_prepend", "p_ed_entry", "p_lev_table", "pareto_list_build",
-    "pareto_list_from_row", "precompute_special",
+    "p_ed_entry", "p_lev_table", "pareto_list_build", "pareto_list_from_row",
+    "precompute_special",
     "IncrementalRangeMin", "QTable", "RestrictedReport", "q_table_fast",
     "q_table_quadratic", "restricted_covers_ed", "restricted_seeds_ed",
     "ConsensusInstance", "GadgetEncoding", "ScanVerdict", "ReductionVerdict",

@@ -226,6 +226,8 @@ def covers(input, distance, k, escalate, penalty, fmt, wildcard):
     if distance == "levenshtein":
         raise click.UsageError("covers supports --distance hamming or edit "
                                "(levenshtein is unit-cost edit)")
+    if escalate and distance != "hamming":
+        raise click.UsageError("--escalate supports --distance hamming only")
     t, matrix = _prepare(input, distance, penalty, wildcard)
     if distance == "hamming":
         # Thresholds are <= |C| < |T|, and the search stops once every
@@ -251,6 +253,8 @@ def seeds(input, distance, k, escalate, penalty, fmt, wildcard):
     if distance == "levenshtein":
         raise click.UsageError("seeds supports --distance hamming or edit "
                                "(levenshtein is unit-cost edit)")
+    if escalate and distance != "hamming":
+        raise click.UsageError("--escalate supports --distance hamming only")
     t, matrix = _prepare(input, distance, penalty, wildcard)
     if distance == "hamming":
         result = hamcover.k_restricted_seeds(t, len(t) // 2 + 1 if escalate else k)

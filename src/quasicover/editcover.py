@@ -3,8 +3,9 @@
 Two engines fill the longest-approximate-prefix table P_k[a, b, a'] (the
 largest b' with d(T[a,b], T[a',b']) <= k):
 
-* unit costs: diagonal h-waves of the edit DP, advanced by a two-pointer
-  over diagonals per factor row, O(n^3) overall;
+* unit costs: per suffix pair (a, a'), the top furthest-reach h-wave of
+  the edit DP, built with O(k^2) LCE jumps, then one walk down its
+  diagonals that yields P_k[a, b, a'] for b = a, a+1, ...; O(n^3) overall;
 * weighted costs: Pareto lists anchored at special points (multiples of
   M = floor(sqrt(n / log2 n))), built on demand, plus small DP blocks,
   giving O(sqrt(n log n)) per entry.
@@ -45,7 +46,8 @@ class HWaves:
     prefix-indexed D-table (row -1 is the empty prefix), or
     :data:`WAVE_SENTINEL` when no cell on the diagonal holds that value.
     Internally the waves are kept in furthest-reach form (largest row with
-    value <= h), which is what the table queries need.
+    value <= h), the form the P_k engine builds for suffix pairs with LCE
+    jumps; these character-by-character waves are its reference.
     """
 
     def __init__(self, t1: Text, t2: Text, h: int, frontiers: list[list[int]]):
@@ -53,12 +55,6 @@ class HWaves:
         self.t2 = t2
         self.h = h
         self._frontiers = frontiers  # frontiers[g][d + g], length-based rows
-
-    def frontier(self, h: int, d: int) -> int:
-        """Furthest row (counted in consumed t1 symbols) with value <= h."""
-        if abs(d) > h:
-            raise IndexError(f"diagonal {d} outside wave {h}")
-        return self._frontiers[h][d + h]
 
     def entry(self, h: int, d: int) -> int:
         if abs(d) > h:
@@ -88,8 +84,11 @@ class HWaves:
         return self._frontiers[self.h][d + self.h] >= m
 
 
-def _build_frontiers(t1: Text, t2: Text, h: int, slide) -> list[list[int]]:
-    m, n2 = len(t1), len(t2)
+def _build_frontiers(m: int, n2: int, h: int, slide) -> list[list[int]]:
+    """Furthest-reach waves 0..h for strings of lengths m and n2.
+
+    ``slide(r, d)`` is how many symbols match from row r on diagonal d.
+    """
     frontiers: list[list[int]] = []
     for g in range(h + 1):
         wave = [_NO_DIAG] * (2 * g + 1)
@@ -143,43 +142,50 @@ def h_wave_build(t1: Text, t2: Text, h: int) -> HWaves:
     """
     if h < 0:
         raise ValueError("wave budget must be nonnegative")
-    return HWaves(t1, t2, h, _build_frontiers(t1, t2, h, _char_slide(t1, t2)))
+    return HWaves(t1, t2, h, _build_frontiers(len(t1), len(t2), h, _char_slide(t1, t2)))
 
 
-def h_wave_prepend(waves: HWaves, letter: int | str) -> HWaves:
-    """Waves for (t1, letter + t2).
-
-    Recomputes the wave set for the extended pair; output equality with a
-    from-scratch build is the contract, and the O(h)-per-prepend incremental
-    update is deliberately not implemented (see the build notes).
-    """
-    t2 = waves.t2
-    if isinstance(letter, str):
-        sym = (WILDCARD,) if letter == t2.wildcard_char else (t2.alphabet.index(letter),)
-    else:
-        sym = (letter,)
-    new_t2 = Text(sym + t2.symbols, t2.alphabet, t2.wildcard_char)
-    return h_wave_build(waves.t1, new_t2, waves.h)
-
-
-def _reject_wildcards(t: Text, what: str) -> None:
+def _lev_lce(t: Text, k: int, what: str) -> ExactLce:
+    """Check the inputs of the Levenshtein engine and build its LCE."""
     if WILDCARD in t.symbols:
         raise ValueError(
             f"{what} requires a wildcard-free text; use the weighted edit "
             "metric with unit costs for partial words")
+    if k < 0:
+        raise ValueError("budget must be nonnegative")
+    return ExactLce(t)
 
 
 def _suffix_pair_frontier(t: Text, a: int, ap: int, k: int,
                           lce: ExactLce) -> list[int]:
-    """Top (h=k) furthest-reach wave for the pair (T[a, n-1], T[ap, n-1])."""
+    """Top (h=k) furthest-reach wave for the pair (T[a, n-1], T[ap, n-1]).
+
+    Both suffixes end where T ends, so an LCE jump inside T never overruns
+    either of them.
+    """
     n = len(t)
-    m, n2 = n - a, n - ap
 
     def slide(r: int, d: int) -> int:
-        reach = min(m, n2 - d)
-        return min(lce.extension(a + r, ap + r + d), reach - r)
+        return lce.extension(a + r, ap + r + d)
 
-    return _build_frontiers(t.factor(a, n - 1), t.factor(ap, n - 1), k, slide)[k]
+    return _build_frontiers(n - a, n - ap, k, slide)[k]
+
+
+def _lev_ends(t: Text, a: int, ap: int, k: int, lce: ExactLce) -> Iterator[int]:
+    """Yield P_k[a, b, ap] under Levenshtein for b = a, a+1, ...
+
+    Stops where the value turns -1, which it then stays for every longer
+    factor.  The largest end for T[a, b] sits on the highest diagonal whose
+    frontier reaches row b-a+1, and that diagonal only moves down as b grows.
+    """
+    ft = _suffix_pair_frontier(t, a, ap, k, lce)
+    d = k
+    for i in range(1, len(t) - a + 1):
+        while ft[d + k] < i:  # an empty diagonal (-1) never reaches row i
+            d -= 1
+            if d < -k:
+                return
+        yield ap + i + d - 1
 
 
 class LevPrefixTable:
@@ -202,34 +208,16 @@ class LevPrefixTable:
 def p_lev_table(t: Text, k: int) -> LevPrefixTable:
     """P_k under Levenshtein for all (a, b, a'), O(n^3).
 
-    Outer loop over a', inner over a descending; the wave pair is stored in
-    the orientation that receives the prepended letter and queried through
-    the transposition identity F'(d) = F(-d) - d.
+    Each suffix pair (a, a') costs O(k^2) LCE-driven frontier work plus one
+    O(n) diagonal walk, which fills P_k[a, ., a'].
     """
-    _reject_wildcards(t, "the Levenshtein wave engine")
-    if k < 0:
-        raise ValueError("budget must be nonnegative")
+    lce = _lev_lce(t, k, "the Levenshtein wave engine")
     n = len(t)
     data = [[[-1] * n for _ in range(n - a)] for a in range(n)]
-    for ap in range(n - 1, -1, -1):
-        waves = h_wave_build(t.factor(ap, n - 1), t.factor(n - 1, n - 1), k)
-        for a in range(n - 1, -1, -1):
-            if a < n - 1:
-                waves = h_wave_prepend(waves, t[a])
-            # Transpose: stored pair is (T[ap..], T[a..]).
-            ft = [0] * (2 * k + 1)
-            for d in range(-k, k + 1):
-                src = waves._frontiers[k][-d + k] if abs(d) <= k else _NO_DIAG
-                ft[d + k] = src - d if src != _NO_DIAG else _NO_DIAG
-            d = k
-            row = data[a]
-            for b in range(a, n):
-                i = b - a + 1
-                while d >= -k and (ft[d + k] == _NO_DIAG or ft[d + k] < i):
-                    d -= 1
-                if d < -k:
-                    break  # stays -1 for this and all longer factors
-                row[b - a][ap] = ap + i + d - 1
+    for a, rows in enumerate(data):
+        for ap in range(n):
+            for row, bp in zip(rows, _lev_ends(t, a, ap, k, lce)):
+                row[ap] = bp
     return LevPrefixTable(n, k, data)
 
 
@@ -403,6 +391,18 @@ def _check_index(idx: SpecialPointIndex, t: Text, p: PenaltyMatrix) -> None:
         raise ValueError("special-point index was built for a different text or penalty matrix")
 
 
+def _split_pairs(m: int, a: int, ap: int) -> list[tuple[int, int]]:
+    """The 2M special split pairs (c, c') of an alignment from (a, ap).
+
+    c is the first special point >= a with c' free in [ap, ap+M), or c' the
+    first special point >= ap with c free in [a, a+M); an alignment that
+    leaves the leading M x M block passes through one of them.
+    """
+    s = a + (-a) % m
+    sp = ap + (-ap) % m
+    return [(s, cp) for cp in range(ap, ap + m)] + [(c, sp) for c in range(a, a + m)]
+
+
 def p_ed_entry(idx: SpecialPointIndex, a: int, b: int, ap: int, k: int) -> int:
     """P_k[a, b, ap] under the weighted edit metric, via the index.
 
@@ -418,11 +418,7 @@ def p_ed_entry(idx: SpecialPointIndex, a: int, b: int, ap: int, k: int) -> int:
         for bp in range(ap - 1, min(ap + m - 1, n)):
             if block_row[bp - ap + 1] <= k:
                 res = bp
-    s = a + (-a) % m
-    sp = ap + (-ap) % m
-    cands = [(s, cp) for cp in range(ap, ap + m)]
-    cands += [(c, sp) for c in range(a, a + m)]
-    for c, cp in cands:
+    for c, cp in _split_pairs(m, a, ap):
         plist = idx.pareto(c, cp, b)
         if plist is None:
             continue
@@ -442,26 +438,13 @@ def _union_accumulate(cov_reach: list[int], ap: int, bp: int) -> None:
             cov_reach[1] = bp
 
 
-def _factor_coverage_lev(t: Text, k: int, lce: ExactLce | None = None) -> list[list[int]]:
-    _reject_wildcards(t, "Levenshtein factor coverage")
-    n = len(t)
-    if lce is None:
-        lce = ExactLce(t)
-    rows: list[list[int]] = []
-    for a in range(n):
-        acc = [[0, -1] for _ in range(n - a)]  # per b: [union size, reach]
-        for ap in range(n):
-            ft = _suffix_pair_frontier(t, a, ap, k, lce)
-            d = k
-            for b in range(a, n):
-                i = b - a + 1
-                while d >= -k and (ft[d + k] == _NO_DIAG or ft[d + k] < i):
-                    d -= 1
-                if d < -k:
-                    break
-                _union_accumulate(acc[b - a], ap, ap + i + d - 1)
-        rows.append([size for size, _ in acc])
-    return rows
+def _lev_coverage_row(t: Text, a: int, k: int, lce: ExactLce) -> list[int]:
+    """Levenshtein k-coverage of T[a, b] for b = a, ..., n-1."""
+    acc = [[0, -1] for _ in range(len(t) - a)]  # per b: [union size, reach]
+    for ap in range(len(t)):
+        for cell, bp in zip(acc, _lev_ends(t, a, ap, k, lce)):
+            _union_accumulate(cell, ap, bp)
+    return [size for size, _ in acc]
 
 
 def _factor_coverage_edit(t: Text, k: int, p: PenaltyMatrix,
@@ -494,7 +477,8 @@ def factor_coverage(t: Text, metric: str, k: int, p: PenaltyMatrix | None = None
     if metric == "hamming":
         return hamcover.factor_coverage_all(t, k)
     if metric == "levenshtein":
-        return _factor_coverage_lev(t, k)
+        lce = _lev_lce(t, k, "Levenshtein factor coverage")
+        return [_lev_coverage_row(t, a, k, lce) for a in range(len(t))]
     if metric == "edit":
         if p is None:
             raise ValueError("edit metric requires a penalty matrix")
@@ -507,35 +491,22 @@ def prefix_coverage(t: Text, metric: str, k: int,
     """k-coverage of every prefix; entry ell-1 is for length ell.
 
     The prefix-only variants avoid the all-factors precomputation: direct
-    DP rows for weighted costs, per-pair waves for Levenshtein.
+    DP rows for weighted costs, row 0 of the factor walk for Levenshtein.
     """
-    n = len(t)
     if metric == "hamming":
         return hamcover.prefix_coverage(t, k)
-    acc = [[0, -1] for _ in range(n)]
     if metric == "levenshtein":
-        _reject_wildcards(t, "Levenshtein prefix coverage")
-        lce = ExactLce(t)
-        for ap in range(n):
-            ft = _suffix_pair_frontier(t, 0, ap, k, lce)
-            d = k
-            for b in range(n):
-                i = b + 1
-                while d >= -k and (ft[d + k] == _NO_DIAG or ft[d + k] < i):
-                    d -= 1
-                if d < -k:
-                    break
-                _union_accumulate(acc[b], ap, ap + i + d - 1)
-    elif metric == "edit":
-        if p is None:
-            raise ValueError("edit metric requires a penalty matrix")
-        costs = _EditCosts(t, p)
-        for ap in range(n):
-            for b, row in enumerate(islice(_dp_rows(costs, 0, ap), 1, None)):
-                j = len(row) - 1  # P_k[0, b, ap] is ap - 1 + j
-                while j >= 0 and row[j] > k:
-                    j -= 1
-                _union_accumulate(acc[b], ap, ap - 1 + j)
-    else:
+        return _lev_coverage_row(t, 0, k, _lev_lce(t, k, "Levenshtein prefix coverage"))
+    if metric != "edit":
         raise ValueError(f"unknown metric {metric!r}")
+    if p is None:
+        raise ValueError("edit metric requires a penalty matrix")
+    costs = _EditCosts(t, p)
+    acc = [[0, -1] for _ in range(len(t))]
+    for ap in range(len(t)):
+        for b, row in enumerate(islice(_dp_rows(costs, 0, ap), 1, None)):
+            j = len(row) - 1  # P_k[0, b, ap] is ap - 1 + j
+            while j >= 0 and row[j] > k:
+                j -= 1
+            _union_accumulate(acc[b], ap, ap - 1 + j)
     return [size for size, _ in acc]

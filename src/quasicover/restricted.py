@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import inf
 
 from .editcover import (SpecialPointIndex, _check_index, _dp_rows, _EditCosts,
-                        precompute_special)
+                        _split_pairs, precompute_special)
 from .textcore import PenaltyMatrix, Text, pad_for_seed
 
 
@@ -110,7 +110,6 @@ def q_table_fast(t: Text, a: int, b: int, p: PenaltyMatrix,
     rm = IncrementalRangeMin(n + 1)
     rm.build_step(n, 0)
     small = b - a < m - 1
-    s = a + (-a) % m
     for i in range(n - 1, -1, -1):
         best = inf
         if small:
@@ -121,24 +120,21 @@ def q_table_fast(t: Text, a: int, b: int, p: PenaltyMatrix,
                 cand = max(block_row[j - i + 1], min_q)
                 if cand < best:
                     best = cand
-        sp = i + (-i) % m
-        for c, cp in [(s, x) for x in range(i, i + m)] + [(x, sp) for x in range(a, a + m)]:
+        for c, cp in _split_pairs(m, a, i):
             plist = idx.pareto(c, cp, b)
             if plist is None or len(plist) == 0:
                 continue
             head = idx.blocks[a][i][c - a][cp - i]
             dists, ends = plist.dists, plist.ends
-
-            def reachable_min(j: int) -> float:
-                return rm.query(i + 1, j + 1) if j >= i else inf
-
             # First list entry where the running minimum dips below the
             # occurrence cost; by the domination order both sides are
             # monotone, so the overall best sits there or one step earlier.
+            # An end before i is an empty occurrence, which reaches nothing.
             lo, hi = 0, len(dists) - 1
             while lo < hi:
                 mid = (lo + hi) // 2
-                if reachable_min(ends[mid]) <= head + dists[mid]:
+                j = ends[mid]
+                if j >= i and rm.query(i + 1, j + 1) <= head + dists[mid]:
                     hi = mid
                 else:
                     lo = mid + 1

@@ -12,9 +12,9 @@ from itertools import product
 
 from quasicover import bench, oracle
 from quasicover.editcover import (
+    _suffix_pair_frontier,
     factor_coverage,
     h_wave_build,
-    h_wave_prepend,
     p_ed_entry,
     p_lev_table,
     precompute_special,
@@ -127,21 +127,24 @@ def test_c04_algorithm1_p_lev():
 
 
 def test_c05_h_wave_incremental():
+    """The LCE-driven suffix-pair frontier equals the character-by-character
+    top wave of the same pair."""
     rng = random.Random(105)
     for _ in range(200):
-        n1 = rng.randint(0, 15)
-        t1 = Text.from_str(random_text_str(rng, n1, 2), "ab")
+        n = rng.randint(0, 15)
+        t = Text.from_str(random_text_str(rng, n, 2), "ab")
         h = rng.randint(0, 3)
-        cur = Text.from_str(random_text_str(rng, rng.randint(0, 5), 2), "ab")
-        waves = h_wave_build(t1, cur, h)
-        for _ in range(rng.randint(1, 10)):
-            ch = rng.choice("ab")
-            waves = h_wave_prepend(waves, ch)
-            cur = Text.from_str(ch + cur.to_str(), "ab")
-            ref = h_wave_build(t1, cur, h)
-            assert [waves.wave(g) for g in range(h + 1)] == \
-                   [ref.wave(g) for g in range(h + 1)]
-    report(5, "h-wave-incremental", "200 prepend sequences, n<=15, h<=3")
+        lce = ExactLce(t)
+        for a in range(n):
+            for ap in range(n):
+                waves = h_wave_build(t.factor(a, n - 1), t.factor(ap, n - 1), h)
+                # furthest reach with value <= h, in consumed symbols; an
+                # absent diagonal reads WAVE_SENTINEL + 1 = -1 on both sides
+                want = [max(waves.entry(g, d) for g in range(abs(d), h + 1)) + 1
+                        for d in range(-h, h + 1)]
+                assert _suffix_pair_frontier(t, a, ap, h, lce) == want, \
+                    (t.to_str(), a, ap, h)
+    report(5, "h-wave-incremental", "200 texts, every suffix pair, n<=15, h<=3")
 
 
 def _p_entry_oracle(t: Text, pm: PenaltyMatrix, k: int) -> dict:

@@ -161,6 +161,12 @@ def test_usage_errors(capsys, monkeypatch):
     assert code == 1
     code, _, err = run(capsys, monkeypatch, ["coverage", "--k", "-1"], stdin="ab\n")
     assert code == 1
+    # --escalate is Hamming only, also under --distance edit
+    for cmd in ("covers", "seeds"):
+        code, out, err = run(capsys, monkeypatch,
+                             [cmd, "--distance", "edit", "--penalty", "unit",
+                              "--escalate"], stdin="abab\n")
+        assert code == 1 and out == "" and "--escalate" in err
 
 
 def test_input_errors(capsys, monkeypatch, tmp_path):

@@ -12,7 +12,6 @@ from quasicover.editcover import (
     block_size,
     factor_coverage,
     h_wave_build,
-    h_wave_prepend,
     p_ed_entry,
     p_lev_table,
     pareto_list_build,
@@ -95,33 +94,6 @@ def test_wave_non_crossing(rng):
                 lo, hi = waves.entry(g - 1, d), waves.entry(g, d)
                 if lo != WAVE_SENTINEL and hi != WAVE_SENTINEL:
                     assert hi >= lo
-
-
-def test_prepend_examples():
-    t1 = Text.from_str("ab", "ab")
-    empty = Text.from_str("", "ab")
-    waves = h_wave_prepend(h_wave_build(t1, empty, 1), "a")
-    ref = h_wave_build(t1, Text.from_str("a", "ab"), 1)
-    assert [waves.wave(g) for g in range(2)] == [ref.wave(g) for g in range(2)]
-    # prepending t1[0] to t1[1:] matches the first symbols
-    waves = h_wave_prepend(h_wave_build(t1, t1.factor(1, 1), 1), "a")
-    assert waves.entry(0, 0) >= 0
-
-
-def test_prepend_equals_rebuild(rng):
-    for _ in range(40):
-        n1 = rng.randint(0, 8)
-        t1 = Text.from_str(random_text_str(rng, n1, 2), "ab")
-        h = rng.randint(0, 3)
-        cur = Text.from_str("", "ab")
-        waves = h_wave_build(t1, cur, h)
-        for _ in range(rng.randint(1, 8)):
-            ch = rng.choice("ab")
-            waves = h_wave_prepend(waves, ch)
-            cur = Text.from_str(ch + cur.to_str(), "ab")
-            ref = h_wave_build(t1, cur, h)
-            assert [waves.wave(g) for g in range(h + 1)] == \
-                   [ref.wave(g) for g in range(h + 1)]
 
 
 def test_p_lev_examples():
@@ -371,7 +343,7 @@ def test_factor_coverage_examples():
 
 def test_factor_coverage_matches_oracle_and_unit_metric(rng):
     for _ in range(20):
-        n = rng.randint(1, 9)
+        n = rng.randint(0, 9)
         t = Text.from_str(random_text_str(rng, n, 2), "ab")
         k = rng.randint(0, 3)
         lev = factor_coverage(t, "levenshtein", k)
@@ -398,15 +370,13 @@ def test_factor_coverage_weighted_matches_oracle(rng):
 
 def test_prefix_coverage_consistent_with_factor_rows(rng):
     for _ in range(12):
-        n = rng.randint(1, 9)
+        n = rng.randint(0, 9)
         t = Text.from_str(random_text_str(rng, n, 2), "ab")
         p = random_metric("ab", rng)
         k = rng.randint(0, 4)
-        assert prefix_coverage(t, "levenshtein", k) == \
-            factor_coverage(t, "levenshtein", k)[0]
-        assert prefix_coverage(t, "edit", k, p) == \
-            factor_coverage(t, "edit", k, p)[0]
-        assert prefix_coverage(t, "hamming", k) == factor_coverage(t, "hamming", k)[0]
+        for metric, pm in (("levenshtein", None), ("edit", p), ("hamming", None)):
+            rows = factor_coverage(t, metric, k, pm)
+            assert prefix_coverage(t, metric, k, pm) == (rows[0] if n else [])
 
 
 def test_metric_dispatch_errors():
@@ -415,3 +385,10 @@ def test_metric_dispatch_errors():
         factor_coverage(t, "edit", 1)  # missing penalty matrix
     with pytest.raises(ValueError):
         factor_coverage(t, "unknown", 1)
+    # negative budgets: the Levenshtein entry points check like the others
+    for call in (lambda: factor_coverage(t, "levenshtein", -1),
+                 lambda: prefix_coverage(t, "levenshtein", -1),
+                 lambda: p_lev_table(t, -1),
+                 lambda: factor_coverage(t, "hamming", -1)):
+        with pytest.raises(ValueError):
+            call()
