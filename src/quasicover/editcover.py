@@ -447,6 +447,13 @@ def _lev_coverage_row(t: Text, a: int, k: int, lce: ExactLce) -> list[int]:
     return [size for size, _ in acc]
 
 
+def _check_edit_inputs(k: int, p: PenaltyMatrix | None) -> None:
+    if p is None:
+        raise ValueError("edit metric requires a penalty matrix")
+    if k < 0:
+        raise ValueError("budget must be nonnegative")
+
+
 def _factor_coverage_edit(t: Text, k: int, p: PenaltyMatrix,
                           idx: SpecialPointIndex | None = None) -> list[list[int]]:
     n = len(t)
@@ -480,8 +487,7 @@ def factor_coverage(t: Text, metric: str, k: int, p: PenaltyMatrix | None = None
         lce = _lev_lce(t, k, "Levenshtein factor coverage")
         return [_lev_coverage_row(t, a, k, lce) for a in range(len(t))]
     if metric == "edit":
-        if p is None:
-            raise ValueError("edit metric requires a penalty matrix")
+        _check_edit_inputs(k, p)
         return _factor_coverage_edit(t, k, p, idx)
     raise ValueError(f"unknown metric {metric!r}")
 
@@ -499,8 +505,7 @@ def prefix_coverage(t: Text, metric: str, k: int,
         return _lev_coverage_row(t, 0, k, _lev_lce(t, k, "Levenshtein prefix coverage"))
     if metric != "edit":
         raise ValueError(f"unknown metric {metric!r}")
-    if p is None:
-        raise ValueError("edit metric requires a penalty matrix")
+    _check_edit_inputs(k, p)
     costs = _EditCosts(t, p)
     acc = [[0, -1] for _ in range(len(t))]
     for ap in range(len(t)):

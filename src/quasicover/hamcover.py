@@ -5,13 +5,23 @@ The core is a linear sweep over subject lengths.  Live occurrence starts sit
 in a doubly linked list; adjacent pairs are split into overlapping pairs
 (tracked only as a gap sum) and non-overlapping pairs (bucketed by gap), so
 that at every length the covered-position count is ``sum of overlapping gaps
-+ number of non-overlapping pairs * length``.
++ number of non-overlapping pairs * length``.  :func:`coverage_sweep` is the
+one entry point; it stops at a given length.
+
+Restricted covers and seeds search budget levels 0, 1, ... and keep, per
+start, the distinct factors still open (no level so far made them a
+cover).  A level builds one lcp_k table and sweeps only the starts with an
+open candidate, each only up to its longest open candidate and to
+lcp_k(0, a), since a longer factor has no occurrence at position 0.  A
+start drops out once all its candidates resolve.  Seeds are
+covers of the text with floor(n/2) wildcards on each side: every seed
+candidate is at most that long, so windows inside a pad always match.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .lcpk import ExactLce, LcpKTable, PrefKTable, lcp_k_all_pairs, pref_k
 from .textcore import IntervalSet, Text, pad_for_seed
@@ -41,86 +51,79 @@ class SweepState:
 
     Exposes the aggregates needed by the coverage formula plus a processed
     pair counter, so tests can assert the internal invariants step by step.
+    Only lengths up to ``max_len`` are ever stepped to, so positions live
+    beyond it are never bucketed for removal and pairs whose gap reaches
+    it are never bucketed for migration.
     """
 
-    def __init__(self, vals: list[int], n: int):
+    def __init__(self, vals: list[int], n: int, max_len: int):
         # Node x represents position x-1; node 0 is the left sentinel (a
         # virtual position that never counts as an occurrence) and node n+1
-        # is the right sentinel for position n.
+        # is the right sentinel for position n.  Node x > 0 owns the pair
+        # (x, nxt[x]) with gap gap_of[x]; a pair is non-overlapping (is_no)
+        # while its gap is at least the current length.  At length 1 every
+        # initial pair (i, i+1) has gap 1 and is non-overlapping.
         self.n = n
+        self.max_len = max_len
         self.nxt = list(range(1, n + 3))
         self.prv = list(range(-1, n + 2))
-        self.gap_of = [0] * (n + 2)
-        self.is_no = [False] * (n + 2)
-        self.buckets: list[set[int] | None] = [None] * (n + 1)
+        self.gap_of = [0] + [1] * n + [0]
+        self.is_no = [False] + [True] * n + [False]
+        # Nodes by gap; an entry is stale once its node's gap or side changed.
+        self.buckets: list[list[int]] = [[] for _ in range(max_len)]
+        if max_len > 1:
+            self.buckets[1] = list(range(1, n + 1))
         self.sum_o = 0
-        self.num_no = 0
-        self.pairs_processed = 0
-        self.removal_bucket: list[list[int]] = [[] for _ in range(n + 1)]
+        self.num_no = n
+        self.pairs_processed = n
+        self.removal_bucket: list[list[int]] = [[] for _ in range(max_len)]
         for i, v in enumerate(vals):
-            if v <= n:
+            if v < max_len:
                 self.removal_bucket[v].append(i)
-        for i in range(n):  # initial adjacent pairs (i, i+1), threshold 1
-            self._insert_pair(i + 1, 1, 1)
-
-    def _bucket(self, gap: int) -> set[int]:
-        b = self.buckets[gap]
-        if b is None:
-            b = self.buckets[gap] = set()
-        return b
-
-    def _insert_pair(self, node: int, gap: int, ell: int) -> None:
-        if node == 0:
-            return  # left-sentinel pairs are never counted
-        self.pairs_processed += 1
-        self.gap_of[node] = gap
-        if gap < ell:
-            self.sum_o += gap
-            self.is_no[node] = False
-        else:
-            self._bucket(gap).add(node)
-            self.num_no += 1
-            self.is_no[node] = True
-
-    def _remove_pair(self, node: int) -> None:
-        if node == 0:
-            return
-        gap = self.gap_of[node]
-        if self.is_no[node]:
-            self._bucket(gap).discard(node)
-            self.num_no -= 1
-            self.is_no[node] = False
-        else:
-            self.sum_o -= gap
-        self.gap_of[node] = 0
-
-    def remove_position(self, pos: int, ell: int) -> None:
-        node = pos + 1
-        left, right = self.prv[node], self.nxt[node]
-        self._remove_pair(left)
-        self._remove_pair(node)
-        self.nxt[left] = right
-        self.prv[right] = left
-        self._insert_pair(left, (right - 1) - (left - 1), ell)
-
-    def migrate(self, gap: int) -> None:
-        """Move every stored pair with this gap into the overlapping side."""
-        bucket = self.buckets[gap]
-        if not bucket:
-            return
-        for node in bucket:
-            self.is_no[node] = False
-            self.num_no -= 1
-            self.sum_o += gap
-        bucket.clear()
 
     def step(self, ell: int) -> int:
         """Advance to subject length ell and return its coverage."""
+        nxt, prv, gap_of, is_no = self.nxt, self.prv, self.gap_of, self.is_no
+        buckets, max_len = self.buckets, self.max_len
+        sum_o, num_no, pairs = self.sum_o, self.num_no, self.pairs_processed
         for pos in self.removal_bucket[ell - 1]:
-            self.remove_position(pos, ell)
+            node = pos + 1
+            left, right = prv[node], nxt[node]
+            if is_no[node]:
+                is_no[node] = False
+                num_no -= 1
+            else:
+                sum_o -= gap_of[node]
+            gap_of[node] = 0
+            nxt[left] = right
+            prv[right] = left
+            if left == 0:
+                continue  # left-sentinel pairs are never counted
+            if is_no[left]:
+                num_no -= 1
+            else:
+                sum_o -= gap_of[left]
+            gap = right - left
+            gap_of[left] = gap
+            pairs += 1
+            if gap < ell:
+                sum_o += gap
+                is_no[left] = False
+            else:
+                num_no += 1
+                is_no[left] = True
+                if gap < max_len:
+                    buckets[gap].append(left)
         if ell >= 2:
-            self.migrate(ell - 1)
-        return self.sum_o + self.num_no * ell
+            gap = ell - 1  # pairs of this gap turn overlapping
+            for node in buckets[gap]:
+                if is_no[node] and gap_of[node] == gap:
+                    is_no[node] = False
+                    num_no -= 1
+                    sum_o += gap
+            buckets[gap] = []
+        self.sum_o, self.num_no, self.pairs_processed = sum_o, num_no, pairs
+        return sum_o + num_no * ell
 
 
 def coverage_sweep(vals: list[int], n: int, max_len: int,
@@ -131,7 +134,7 @@ def coverage_sweep(vals: list[int], n: int, max_len: int,
     an approximate occurrence start (a PREF_k value or an lcp_k table row).
     O(n) overall: at most 2n-1 adjacent pairs exist over the whole sweep.
     """
-    state = SweepState(vals, n)
+    state = SweepState(vals, n, max_len)
     out = []
     for ell in range(1, max_len + 1):
         out.append(state.step(ell))
@@ -156,14 +159,6 @@ def prefix_coverage(t: Text, k: int, pref: PrefKTable | None = None,
     return coverage_sweep(list(pref.values), n, n, observer)
 
 
-def _factor_coverage_rows(t: Text, k: int, starts: list[int],
-                          table: LcpKTable | None = None) -> dict[int, list[int]]:
-    if table is None:
-        table = lcp_k_all_pairs(t, k)
-    n = len(t)
-    return {a: coverage_sweep(table.row(a), n, n - a) for a in starts}
-
-
 def factor_coverage_all(t: Text, k: int,
                         table: LcpKTable | None = None) -> list[list[int]]:
     """Hamming k-coverage of every factor: rows[a][b-a] covers T[a, b].
@@ -171,9 +166,10 @@ def factor_coverage_all(t: Text, k: int,
     One prefix-style sweep per start against the matching lcp_k table row,
     O(n^2) total.
     """
+    if table is None:
+        table = lcp_k_all_pairs(t, k)
     n = len(t)
-    rows = _factor_coverage_rows(t, k, list(range(n)), table)
-    return [rows[a] for a in range(n)]
+    return [coverage_sweep(table.row(a), n, n - a) for a in range(n)]
 
 
 def factor_occurrences(t: Text, k: int, a: int, b: int,
@@ -201,14 +197,55 @@ def factor_report(t: Text, k: int, a: int, b: int,
     return CoverageReport((a, b), cov, occ)
 
 
-def _candidate_map(t: Text, pairs: list[tuple[int, int]]) -> dict[str, tuple[int, int]]:
+def _candidate_map(t: Text, pairs: Iterable[tuple[int, int]]) -> dict[str, tuple[int, int]]:
     """Leftmost occurrence per distinct factor string, insertion-ordered."""
+    s = t.to_str()
     out: dict[str, tuple[int, int]] = {}
     for a, b in pairs:
-        key = t.factor(a, b).to_str()
+        key = s[a:b + 1]
         if key not in out:
             out[key] = (a, b)
     return out
+
+
+def _restricted_levels(target: Text, offset: int, k: int,
+                       candidates: dict[str, tuple[int, int]]) -> dict[str, int | None]:
+    """Minimal level ell <= k at which each candidate covers ``target``.
+
+    A candidate (a, b) is swept from start a + offset of ``target``.  At
+    each level only the starts with an open candidate are swept, and only
+    up to their longest open candidate and to lcp_ell(0, start), since only
+    an occurrence at position 0 covers position 0 (on a seed's padded text
+    that bound never cuts: the leading pad matches every candidate).
+    """
+    if k < 0:
+        raise ValueError("mismatch budget must be nonnegative")
+    result: dict[str, int | None] = {key: None for key in candidates}
+    open_at: dict[int, list[tuple[int, str]]] = {}
+    for key, (a, b) in candidates.items():
+        open_at.setdefault(a + offset, []).append((b - a + 1, key))
+    m = len(target)
+    for ell in range(k + 1):
+        if not open_at:
+            break
+        table = lcp_k_all_pairs(target, ell)
+        for start, pending in list(open_at.items()):
+            row = table.row(start)
+            longest = min(row[0], max(length for length, _ in pending))
+            if longest == 0:
+                continue
+            cov = coverage_sweep(row, m, longest)
+            still = []
+            for length, key in pending:
+                if length <= longest and cov[length - 1] == m:
+                    result[key] = ell
+                else:
+                    still.append((length, key))
+            if still:
+                open_at[start] = still
+            else:
+                del open_at[start]
+    return result
 
 
 def k_restricted_covers(t: Text, k: int) -> dict[str, int | None]:
@@ -219,46 +256,22 @@ def k_restricted_covers(t: Text, k: int) -> dict[str, int | None]:
     reaching full coverage is minimal.
     """
     n = len(t)
-    pairs = [(a, b) for a in range(n) for b in range(a, n) if b - a + 1 < n]
-    candidates = _candidate_map(t, pairs)
-    result: dict[str, int | None] = {key: None for key in candidates}
-    unresolved = set(candidates)
-    for ell in range(k + 1):
-        if not unresolved:
-            break
-        rows = factor_coverage_all(t, ell)
-        for key in list(unresolved):
-            a, b = candidates[key]
-            if rows[a][b - a] == n:
-                result[key] = ell
-                unresolved.discard(key)
-    return result
+    pairs = ((a, b) for a in range(n) for b in range(a, n) if b - a + 1 < n)
+    return _restricted_levels(t, 0, k, _candidate_map(t, pairs))
 
 
 def k_restricted_seeds(t: Text, k: int) -> dict[str, int | None]:
     """Minimal ell <= k making each factor with 2|C| <= |T| an ell-approximate seed.
 
     Seeds of T are exactly covers of the wildcard-padded text, so the cover
-    sweep runs there, with candidates drawn from the middle (original) region.
+    sweep runs there, with candidates drawn from the middle (original)
+    region.  Every candidate has |C| <= floor(|T|/2), so pads of that width
+    suffice: all-wildcard windows still cover each pad.
     """
     n = len(t)
-    padded = pad_for_seed(t)
-    pairs = [(a, b) for a in range(n) for b in range(a, n) if 2 * (b - a + 1) <= n]
-    candidates = _candidate_map(t, pairs)
-    result: dict[str, int | None] = {key: None for key in candidates}
-    unresolved = set(candidates)
-    starts = sorted({a + n for a, _ in candidates.values()})
-    target = len(padded)
-    for ell in range(k + 1):
-        if not unresolved:
-            break
-        rows = _factor_coverage_rows(padded, ell, starts)
-        for key in list(unresolved):
-            a, b = candidates[key]
-            if rows[a + n][b - a] == target:
-                result[key] = ell
-                unresolved.discard(key)
-    return result
+    half = n // 2
+    pairs = ((a, b) for a in range(n) for b in range(a, min(n, a + half)))
+    return _restricted_levels(pad_for_seed(t, half), half, k, _candidate_map(t, pairs))
 
 
 def failure_function(t: Text) -> list[int]:

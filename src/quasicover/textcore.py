@@ -120,13 +120,16 @@ class Text:
                     self.alphabet, self.wildcard_char)
 
 
-def pad_for_seed(t: Text) -> Text:
-    """Surround t with wildcard runs of its own length.
+def pad_for_seed(t: Text, width: int | None = None) -> Text:
+    """Surround t with runs of ``width`` wildcards (default: its own length).
 
     Approximate seeds of t are exactly the approximate covers of the padded
-    word, so every seed question is answered on this 3n-length text.
+    word, so every seed question is answered on this text.  Any width of at
+    least the longest candidate length gives the same answer: windows that
+    lie inside a pad are all wildcards, and the windows that reach into t
+    are the same.  The default 3n-length text suits every candidate length.
     """
-    pad = (WILDCARD,) * len(t)
+    pad = (WILDCARD,) * (len(t) if width is None else width)
     return Text(pad + t.symbols + pad, t.alphabet, t.wildcard_char)
 
 

@@ -385,10 +385,13 @@ def test_metric_dispatch_errors():
         factor_coverage(t, "edit", 1)  # missing penalty matrix
     with pytest.raises(ValueError):
         factor_coverage(t, "unknown", 1)
-    # negative budgets: the Levenshtein entry points check like the others
+    # negative budgets: every metric's entry points check alike
+    unit = PenaltyMatrix.unit("ab")
     for call in (lambda: factor_coverage(t, "levenshtein", -1),
                  lambda: prefix_coverage(t, "levenshtein", -1),
                  lambda: p_lev_table(t, -1),
-                 lambda: factor_coverage(t, "hamming", -1)):
+                 lambda: factor_coverage(t, "hamming", -1),
+                 lambda: factor_coverage(t, "edit", -1, unit),
+                 lambda: prefix_coverage(t, "edit", -1, unit)):
         with pytest.raises(ValueError):
             call()

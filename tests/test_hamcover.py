@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasicover import oracle
 from quasicover.hamcover import (
     border_lengths,
+    coverage_sweep,
     enhanced_cover_approx_border,
     enhanced_cover_exact_border,
     factor_coverage_all,
@@ -11,8 +14,8 @@ from quasicover.hamcover import (
     k_restricted_seeds,
     prefix_coverage,
 )
-from quasicover.lcpk import PrefKTable, pref_k
-from quasicover.textcore import Text, hamming_distance
+from quasicover.lcpk import PrefKTable, lcp_k_all_pairs, pref_k
+from quasicover.textcore import Text, hamming_distance, pad_for_seed
 
 from conftest import random_text_str
 
@@ -157,6 +160,73 @@ def test_restricted_thresholds_match_oracle(rng):
         for key, v in gotseed.items():
             want = bruteseed[key] if bruteseed[key] is not None and bruteseed[key] <= kmax else None
             assert v == want
+
+
+def reference_restricted(t: Text, k: int, seeds: bool) -> dict[str, int | None]:
+    """Level-by-level search with a full sweep of every start at every level.
+
+    Seeds run on the text padded with |T| wildcards on each side.
+    """
+    n = len(t)
+    target = pad_for_seed(t) if seeds else t
+    offset = n if seeds else 0
+    m = len(target)
+    candidates: dict[str, tuple[int, int]] = {}
+    for a in range(n):
+        for b in range(a, n):
+            length = b - a + 1
+            if (2 * length <= n) if seeds else (length < n):
+                candidates.setdefault(t.factor(a, b).to_str(), (a, b))
+    result: dict[str, int | None] = {key: None for key in candidates}
+    for ell in range(k + 1):
+        unresolved = [key for key, v in result.items() if v is None]
+        if not unresolved:
+            break
+        table = lcp_k_all_pairs(target, ell)
+        rows = {a: coverage_sweep(table.row(a + offset), m, m - a - offset)
+                for a in range(n)}
+        for key in unresolved:
+            a, b = candidates[key]
+            if rows[a][b - a] == m:
+                result[key] = ell
+    return result
+
+
+def test_restricted_engine_matches_full_sweep_reference(rng):
+    """Open-candidate sweeps and half-width seed padding change no answer."""
+    # Odd n: seeds of length floor(n/2) fill a whole pad ("ab", "abc", ...).
+    texts = ["ababa", "abcabca"]
+    for n in range(41):
+        texts += [random_text_str(rng, n, rng.choice((1, 2, 3)), wildcard_prob=wp)
+                  for wp in (0.0, 0.2)]
+    for i, s in enumerate(texts):
+        t = Text.from_str(s)
+        n = len(t)
+        k = rng.randint(0, 4)
+        escalate = i % 4 < 2  # the --escalate budgets, as in the CLI
+        for budget in (k, n + 1) if escalate else (k,):
+            got = k_restricted_covers(t, budget)
+            assert list(got.items()) == list(reference_restricted(t, budget, False).items())
+        for budget in (k, n // 2 + 1) if escalate else (k,):
+            got = k_restricted_seeds(t, budget)
+            assert list(got.items()) == list(reference_restricted(t, budget, True).items())
+
+
+def test_restricted_negative_budget_raises():
+    for s in ("", "a", "abab"):
+        t = Text.from_str(s)
+        for fn in (k_restricted_covers, k_restricted_seeds):
+            with pytest.raises(ValueError):
+                fn(t, -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_coverage_sweep_prefix_of_full_sweep(data):
+    n = data.draw(st.integers(0, 40))
+    vals = [data.draw(st.integers(0, n - i)) for i in range(n)]
+    m = data.draw(st.integers(0, n))
+    assert coverage_sweep(vals, n, m) == coverage_sweep(vals, n, n)[:m]
 
 
 def test_factor_report():

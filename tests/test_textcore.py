@@ -221,6 +221,9 @@ def test_pad_for_seed():
     for n in range(5):
         t = Text.from_str("a" * n, "a")
         assert len(pad_for_seed(t)) == 3 * n
+        assert len(pad_for_seed(t, n // 2)) == n + 2 * (n // 2)
+    assert pad_for_seed(Text.from_str("abc"), 1).to_str() == "?abc?"
+    assert pad_for_seed(Text.from_str("abc"), 0).to_str() == "abc"
 
 
 def test_validate_penalty_matrix():
