@@ -56,7 +56,6 @@ from .editcover import (
     precompute_special,
 )
 from .restricted import (
-    IncrementalRangeMin,
     QTable,
     RestrictedReport,
     q_table_fast,
@@ -97,8 +96,8 @@ __all__ = [
     "SpecialPointIndex", "block_size", "factor_coverage", "h_wave_build",
     "p_ed_entry", "p_lev_table", "pareto_list_build", "pareto_list_from_row",
     "precompute_special",
-    "IncrementalRangeMin", "QTable", "RestrictedReport", "q_table_fast",
-    "q_table_quadratic", "restricted_covers_ed", "restricted_seeds_ed",
+    "QTable", "RestrictedReport", "q_table_fast", "q_table_quadratic",
+    "restricted_covers_ed", "restricted_seeds_ed",
     "ConsensusInstance", "GadgetEncoding", "ScanVerdict", "ReductionVerdict",
     "build_cover_instance", "build_seed_instance", "format_instance", "gamma",
     "parse_instance", "phi", "psi", "reduction_forward_check",

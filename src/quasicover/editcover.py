@@ -28,6 +28,7 @@ from .textcore import (
     DTable,
     PenaltyMatrix,
     Text,
+    _check_symbols_covered,
     symbols_match,
 )
 
@@ -280,6 +281,7 @@ class _EditCosts:
     __slots__ = ("symbols", "ins", "dele", "sub")
 
     def __init__(self, t: Text, p: PenaltyMatrix):
+        _check_symbols_covered(t, p)
         syms = t.symbols
         self.symbols = syms
         self.ins = [p.ins_cost(y) for y in syms]

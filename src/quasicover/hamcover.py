@@ -21,7 +21,7 @@ candidate is at most that long, so windows inside a pad always match.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .lcpk import ExactLce, LcpKTable, PrefKTable, lcp_k_all_pairs, pref_k
 from .textcore import IntervalSet, Text, pad_for_seed
@@ -126,8 +126,7 @@ class SweepState:
         return sum_o + num_no * ell
 
 
-def coverage_sweep(vals: list[int], n: int, max_len: int,
-                   observer: Callable[[int, SweepState], None] | None = None) -> list[int]:
+def coverage_sweep(vals: list[int], n: int, max_len: int) -> list[int]:
     """Coverage for subject lengths 1..max_len given per-position live lengths.
 
     ``vals[i]`` is the largest subject length for which position i still is
@@ -135,16 +134,10 @@ def coverage_sweep(vals: list[int], n: int, max_len: int,
     O(n) overall: at most 2n-1 adjacent pairs exist over the whole sweep.
     """
     state = SweepState(vals, n, max_len)
-    out = []
-    for ell in range(1, max_len + 1):
-        out.append(state.step(ell))
-        if observer is not None:
-            observer(ell, state)
-    return out
+    return [state.step(ell) for ell in range(1, max_len + 1)]
 
 
-def prefix_coverage(t: Text, k: int, pref: PrefKTable | None = None,
-                    observer: Callable[[int, SweepState], None] | None = None) -> list[int]:
+def prefix_coverage(t: Text, k: int, pref: PrefKTable | None = None) -> list[int]:
     """Hamming k-coverage of every prefix; entry ell-1 is for length ell.
 
     Linear in |t| once the PREF_k table is available.
@@ -156,7 +149,7 @@ def prefix_coverage(t: Text, k: int, pref: PrefKTable | None = None,
         raise ValueError(f"PREF table length {len(pref)} does not match text length {n}")
     if pref.k != k:
         raise ValueError(f"PREF table was built for k={pref.k}, queried with k={k}")
-    return coverage_sweep(list(pref.values), n, n, observer)
+    return coverage_sweep(list(pref.values), n, n)
 
 
 def factor_coverage_all(t: Text, k: int,

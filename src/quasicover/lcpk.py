@@ -188,6 +188,8 @@ def kangaroo_lcp_k(t: Text, i: int, j: int, k: int,
     n = len(t)
     if not (0 <= i <= n and 0 <= j <= n):
         raise IndexError(f"positions ({i},{j}) out of [0,{n}]")
+    if k < 0:
+        raise ValueError("mismatch budget must be nonnegative")
     if lce is None:
         lce = ExactLce(t)
     limit = n - max(i, j)

@@ -5,8 +5,11 @@ which the factor is a k-approximate cover of T[i, n-1]; the factors with
 minimal Q_{a,b}[0] are the restricted approximate covers of T.  Two engines
 compute the table: a quadratic reference recurrence, and the special-point
 variant that answers each entry in O(sqrt(n log n)) with binary searches on
-the index's Pareto lists plus on-line range minima over the table itself.
-Seeds reduce to covers of the wildcard-padded text.
+the index's Pareto lists plus prefix minima over the table built so far,
+kept in a union-find forest.  Seeds reduce to covers of the text with
+floor(n/2) wildcards on each side: every seed candidate C is at most that
+long, so windows inside a pad cost nothing, and a window that reaches into
+the text through more than |C| wildcards costs what one through |C| does.
 """
 
 from __future__ import annotations
@@ -32,41 +35,6 @@ class QTable:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-class IncrementalRangeMin:
-    """Sparse-table range minima over values materialized right to left.
-
-    ``build_step(i, value)`` fills every level whose window starting at i
-    fits inside the index space; queries are O(1) and must only touch
-    materialized indices.
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        levels = max(1, size.bit_length())
-        self._table: list[list[int | None]] = [[None] * size for _ in range(levels)]
-        self._low = size  # smallest materialized index
-
-    def build_step(self, i: int, value: int) -> None:
-        if i != self._low - 1:
-            raise ValueError(f"entries must materialize right to left, got {i} after {self._low}")
-        self._low = i
-        table = self._table
-        table[0][i] = value
-        p = 1
-        while i + (1 << p) - 1 < self.size:
-            table[p][i] = min(table[p - 1][i], table[p - 1][i + (1 << (p - 1))])
-            p += 1
-
-    def query(self, i: int, j: int) -> int:
-        if i > j:
-            raise ValueError(f"empty range [{i},{j}]")
-        if i < self._low or j >= self.size:
-            raise ValueError(f"range [{i},{j}] touches unmaterialized indices")
-        p = (j - i + 1).bit_length() - 1
-        level = self._table[p]
-        return min(level[i], level[j - (1 << p) + 1])
 
 
 def q_table_quadratic(t: Text, a: int, b: int, p: PenaltyMatrix) -> QTable:
@@ -97,8 +65,13 @@ def q_table_fast(t: Text, a: int, b: int, p: PenaltyMatrix,
 
     Per entry: an optional scan of the short-occurrence block, then for each
     of the O(M) special split pairs a binary search on the stored Pareto
-    list, guided by on-line range minima over the suffix of the table built
-    so far.  Output equals :func:`q_table_quadratic` exactly.
+    list, guided by minima min(Q[i+1..x]) over the table built so far.
+    These prefix minima live in a union-find forest: each root is a
+    prefix-minimum position and owns the positions up to the next one, so
+    the minimum is the value at ``find(x)``; setting Q[i] links every root
+    whose value is at least Q[i] under i.  With path halving the O(M log n)
+    finds of an entry cost amortized O(1) each, so an entry stays within
+    O(sqrt(n log n)).  Output equals :func:`q_table_quadratic` exactly.
     """
     n = len(t)
     if idx is None:
@@ -107,8 +80,15 @@ def q_table_fast(t: Text, a: int, b: int, p: PenaltyMatrix,
         _check_index(idx, t, p)
     m = idx.M
     values: list[int] = [0] * (n + 1)
-    rm = IncrementalRangeMin(n + 1)
-    rm.build_step(n, 0)
+    parent = list(range(n + 1))
+    roots = [n]  # prefix-minimum positions of values[i+1..n], newest last
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     small = b - a < m - 1
     for i in range(n - 1, -1, -1):
         best = inf
@@ -134,7 +114,7 @@ def q_table_fast(t: Text, a: int, b: int, p: PenaltyMatrix,
             while lo < hi:
                 mid = (lo + hi) // 2
                 j = ends[mid]
-                if j >= i and rm.query(i + 1, j + 1) <= head + dists[mid]:
+                if j >= i and values[find(j + 1)] <= head + dists[mid]:
                     hi = mid
                 else:
                     lo = mid + 1
@@ -144,11 +124,13 @@ def q_table_fast(t: Text, a: int, b: int, p: PenaltyMatrix,
                 j = ends[tt]
                 if j < i:
                     continue  # empty occurrence never covers position i
-                cand = max(head + dists[tt], rm.query(i + 1, j + 1))
+                cand = max(head + dists[tt], values[find(j + 1)])
                 if cand < best:
                     best = cand
         values[i] = best
-        rm.build_step(i, best)
+        while roots and values[roots[-1]] >= best:
+            parent[roots.pop()] = i
+        roots.append(i)
     return QTable(a, b, values)
 
 
@@ -180,10 +162,11 @@ def _report_for_candidates(target: Text, p: PenaltyMatrix,
     ``label_at`` shifts reported occurrence coordinates (used by the seed
     reduction, whose candidates live in the middle of the padded text).
     """
+    s = target.to_str()
     occurrences: dict[str, list[tuple[int, int]]] = {}
     canonical: dict[str, tuple[int, int]] = {}
     for a, b in candidates:
-        key = target.factor(a, b).to_str()
+        key = s[a:b + 1]
         occurrences.setdefault(key, []).append((a - label_at, b - label_at))
         canonical.setdefault(key, (a, b))
     idx = precompute_special(target, p) if canonical else None
@@ -206,11 +189,12 @@ def restricted_covers_ed(t: Text, p: PenaltyMatrix) -> RestrictedReport:
 def restricted_seeds_ed(t: Text, p: PenaltyMatrix) -> RestrictedReport:
     """Minimal seed threshold for every factor with 2|C| <= |T|.
 
-    Runs the cover machinery on the wildcard-padded text, with candidates
-    drawn from the original region; reported coordinates refer to t.
+    Runs the cover machinery on t padded with floor(n/2) wildcards on each
+    side, with candidates drawn from the original region; reported
+    coordinates refer to t.
     """
     n = len(t)
-    padded = pad_for_seed(t)
-    candidates = [(a + n, b + n) for a in range(n) for b in range(a, n)
+    half = n // 2
+    candidates = [(a + half, b + half) for a in range(n) for b in range(a, n)
                   if 2 * (b - a + 1) <= n]
-    return _report_for_candidates(padded, p, candidates, label_at=n)
+    return _report_for_candidates(pad_for_seed(t, half), p, candidates, label_at=half)

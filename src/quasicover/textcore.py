@@ -127,7 +127,8 @@ def pad_for_seed(t: Text, width: int | None = None) -> Text:
     word, so every seed question is answered on this text.  Any width of at
     least the longest candidate length gives the same answer: windows that
     lie inside a pad are all wildcards, and the windows that reach into t
-    are the same.  The default 3n-length text suits every candidate length.
+    are the same.  The default 3n-length text suits every candidate length;
+    only the oracle uses it, and the fast seed engines pass floor(n/2).
     """
     pad = (WILDCARD,) * (len(t) if width is None else width)
     return Text(pad + t.symbols + pad, t.alphabet, t.wildcard_char)

@@ -19,7 +19,7 @@ from quasicover.editcover import (
     precompute_special,
     prefix_coverage,
 )
-from quasicover.restricted import q_table_fast
+from quasicover.restricted import q_table_fast, restricted_covers_ed
 from quasicover.textcore import (
     PenaltyMatrix,
     Text,
@@ -393,5 +393,12 @@ def test_metric_dispatch_errors():
                  lambda: factor_coverage(t, "hamming", -1),
                  lambda: factor_coverage(t, "edit", -1, unit),
                  lambda: prefix_coverage(t, "edit", -1, unit)):
+        with pytest.raises(ValueError):
+            call()
+    # symbols the penalty matrix does not cover
+    t3 = Text.from_str("abc")
+    for call in (lambda: restricted_covers_ed(t3, unit),
+                 lambda: factor_coverage(t3, "edit", 1, unit),
+                 lambda: prefix_coverage(t3, "edit", 1, unit)):
         with pytest.raises(ValueError):
             call()

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from quasicover import oracle
 from quasicover.hamcover import (
+    SweepState,
     border_lengths,
     coverage_sweep,
     enhanced_cover_approx_border,
@@ -79,15 +80,12 @@ def test_sweep_invariants_instrumented(rng):
         n = rng.randint(1, 16)
         t = Text.from_str(random_text_str(rng, n, 2))
         k = rng.randint(0, 3)
-        final_pairs = []
-
-        def observer(ell, state):
+        state = SweepState(list(pref_k(t, k).values), n, n)
+        for ell in range(1, n + 1):
+            state.step(ell)
             want = oracle.brute_coverage(t.prefix(ell), t, "hamming", k)
             assert state.sum_o + state.num_no * ell == want
-            final_pairs.append(state.pairs_processed)
-
-        prefix_coverage(t, k, observer=observer)
-        assert final_pairs[-1] <= 2 * n - 1
+        assert state.pairs_processed <= 2 * n - 1
 
 
 def test_factor_occurrences_match_oracle(rng):

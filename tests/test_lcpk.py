@@ -105,6 +105,10 @@ def test_position_bounds():
         lcp_k_all_pairs(t, -1)
     with pytest.raises(ValueError):
         pref_k(t, -2)
+    # a negative budget is an error, not lcp_0, also for i == j
+    for i, j in ((0, 1), (1, 1)):
+        with pytest.raises(ValueError):
+            kangaroo_lcp_k(Text.from_str("aab"), i, j, -1)
 
 
 def test_empty_text():

@@ -1,16 +1,14 @@
-import pytest
-
 from quasicover import oracle
-from quasicover.editcover import precompute_special
+from quasicover.editcover import block_size, precompute_special
 from quasicover.hamcover import k_restricted_covers
 from quasicover.restricted import (
-    IncrementalRangeMin,
+    _report_for_candidates,
     q_table_fast,
     q_table_quadratic,
     restricted_covers_ed,
     restricted_seeds_ed,
 )
-from quasicover.textcore import PenaltyMatrix, Text, edit_distance
+from quasicover.textcore import PenaltyMatrix, Text, edit_distance, pad_for_seed
 
 from conftest import random_metric, random_text_str
 
@@ -29,37 +27,6 @@ def brute_q_entry(t: Text, a: int, b: int, p: PenaltyMatrix, i: int) -> int:
             return k
         k += 1
         assert k <= cap
-
-
-def test_rm_examples():
-    rm = IncrementalRangeMin(3)
-    for i, v in ((2, 0), (1, 1), (0, 0)):
-        rm.build_step(i, v)
-    assert rm.query(0, 2) == 0
-    assert rm.query(1, 1) == 1
-    assert rm.query(1, 2) == 0
-
-
-def test_rm_matches_naive(rng):
-    for _ in range(60):
-        n = rng.randint(1, 64)
-        vals = [rng.randint(0, 30) for _ in range(n)]
-        rm = IncrementalRangeMin(n)
-        for i in range(n - 1, -1, -1):
-            rm.build_step(i, vals[i])
-            for j in range(i, n):
-                assert rm.query(i, j) == min(vals[i:j + 1])
-
-
-def test_rm_errors():
-    rm = IncrementalRangeMin(4)
-    rm.build_step(3, 5)
-    with pytest.raises(ValueError):
-        rm.query(1, 3)  # unmaterialized
-    with pytest.raises(ValueError):
-        rm.query(3, 2)  # empty range
-    with pytest.raises(ValueError):
-        rm.build_step(1, 2)  # must go right to left
 
 
 def test_q_table_worked_example():
@@ -90,6 +57,21 @@ def test_fast_equals_quadratic_all_factors(rng):
             for b in range(a, n):
                 assert q_table_fast(t, a, b, p, idx).values == \
                     q_table_quadratic(t, a, b, p).values
+
+
+def test_fast_equals_quadratic_block_size_three(rng):
+    """At n = 52-60 the block size is 3, so split pairs run three wide and
+    every entry makes more prefix-minimum finds than at M <= 2."""
+    for trial, n in enumerate((52, 56, 60)):
+        assert block_size(n) == 3
+        alphabet = "ab" if trial % 2 == 0 else "abc"
+        t = Text.from_str(random_text_str(rng, n, len(alphabet)), alphabet)
+        p = PenaltyMatrix.unit(alphabet) if trial == 0 else random_metric(alphabet, rng)
+        idx = precompute_special(t, p)
+        # b - a < M - 1 takes the block-scan path as well
+        for a, b in ((0, 1), (n - 2, n - 1), (5, 5), (3, 14), (20, 42), (0, n - 2)):
+            assert q_table_fast(t, a, b, p, idx).values == \
+                q_table_quadratic(t, a, b, p).values
 
 
 def test_q_tables_match_tiling_oracle(rng):
@@ -189,6 +171,30 @@ def test_weighted_seeds_on_texts_with_wildcards(rng):
         rep = restricted_seeds_ed(t, p)
         brute = oracle.brute_restricted_min_k(t, "edit", p, seeds=True)
         assert rep.thresholds == dict(brute)
+
+
+def full_width_seeds(t: Text, p: PenaltyMatrix):
+    """Seeds as covers of t padded with |t| wildcards on each side."""
+    n = len(t)
+    candidates = [(a + n, b + n) for a in range(n) for b in range(a, n)
+                  if 2 * (b - a + 1) <= n]
+    return _report_for_candidates(pad_for_seed(t), p, candidates, label_at=n)
+
+
+def report_items(rep):
+    return list(rep.thresholds.items()), list(rep.occurrences.items()), rep.minimal
+
+
+def test_seeds_match_full_width_padding(rng):
+    """floor(n/2)-wide pads answer exactly like |T|-wide ones."""
+    cases = [("ababa", "ab"), ("abcabca", "abc"), ("aabab?b", "ab")]
+    cases += [(random_text_str(rng, n, 2, wildcard_prob=wildcard_prob), "ab")
+              for n in range(17) for wildcard_prob in (0.0, 0.2)]
+    for s, alphabet in cases:
+        t = Text.from_str(s, alphabet)
+        for p in (PenaltyMatrix.unit(alphabet), random_metric(alphabet, rng)):
+            assert report_items(restricted_seeds_ed(t, p)) == \
+                report_items(full_width_seeds(t, p))
 
 
 def test_restricted_seed_occurrence_coordinates():
