@@ -13,12 +13,11 @@ import time
 from dataclasses import dataclass
 from math import log2
 
-from .editcover import factor_coverage
+from .editcover import factor_coverage, precompute_special
 from .hamcover import coverage_sweep, factor_coverage_all
 from .lcpk import ExactLce, pref_k
-from .restricted import q_table_fast, q_table_quadratic
+from .restricted import q_table_fast, restricted_covers_ed
 from .textcore import PenaltyMatrix, Text
-from .editcover import precompute_special
 
 
 @dataclass
@@ -91,25 +90,36 @@ def bench_factor_lev(n: int = 28, k: int = 1, repeats: int = 3,
                        times[1] / times[0], bound=9.0)
 
 
-def bench_qtable_crossover(n: int = 24, seed: int = 10) -> tuple[float, float]:
-    """Total Q-table time over all factors: quadratic route vs fast route.
+#: Weighted metric over "abc" for the Q-table timings: every cost is 1 or 2,
+#: so the triangle inequality holds for every triple.
+QTABLE_PENALTY = PenaltyMatrix("abc", [[0, 1, 2], [1, 0, 2], [2, 2, 0]],
+                               [1, 2, 2], [1, 2, 2])
 
-    Informational: reports (quadratic_seconds, fast_seconds) including the
-    index build for the fast route.
+
+def bench_qtable_crossover(n: int = 24, seed: int = 10) -> tuple[float, float]:
+    """Restricted-cover Q-tables of one random text of length n, both engines.
+
+    Times ``restricted_covers_ed``, which fills the batched quadratic tables,
+    and ``precompute_special`` plus ``q_table_fast`` over the same
+    candidates, the first occurrence of every distinct proper factor.
+    Returns (batched_seconds, fast_seconds); both must agree on every
+    threshold.
     """
-    t = random_text(n, 2, seed)
-    p = PenaltyMatrix.unit(t.alphabet)
-    factors = [(a, b) for a in range(n) for b in range(a, n)]
+    t = random_text(n, 3, seed)
+    s = t.to_str()
     start = time.perf_counter()
-    for a, b in factors:
-        q_table_quadratic(t, a, b, p)
-    quad = time.perf_counter() - start
-    start = time.perf_counter()
-    idx = precompute_special(t, p)
-    for a, b in factors:
-        q_table_fast(t, a, b, p, idx)
-    fast = time.perf_counter() - start
-    return quad, fast
+    batched = restricted_covers_ed(t, QTABLE_PENALTY).thresholds
+    mid = time.perf_counter()
+    idx = precompute_special(t, QTABLE_PENALTY)
+    fast: dict[str, int] = {}
+    for a in range(n):
+        for b in range(a, min(n, a + n - 1)):
+            if s[a:b + 1] not in fast:
+                fast[s[a:b + 1]] = q_table_fast(t, a, b, QTABLE_PENALTY, idx)[0]
+    end = time.perf_counter()
+    if fast != batched:
+        raise AssertionError(f"Q-table engines disagree at n={n}, seed={seed}")
+    return mid - start, end - mid
 
 
 def run_all(quick: bool = False) -> list[BenchResult]:

@@ -155,6 +155,8 @@ _wildcard_opt = click.option(
 def _prepare(path, distance, penalty, wildcard):
     if len(wildcard) != 1:
         raise click.UsageError("--wildcard takes a single character")
+    if penalty is not None and distance != "edit":
+        raise click.UsageError("--penalty supports --distance edit only")
     raw = _read_first_line(path)
     matrix = None
     if distance == "edit":

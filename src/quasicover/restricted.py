@@ -3,18 +3,24 @@
 For a factor T[a, b], the table Q_{a,b}[i] holds the minimal threshold k at
 which the factor is a k-approximate cover of T[i, n-1]; the factors with
 minimal Q_{a,b}[0] are the restricted approximate covers of T.  Two engines
-compute the table: a quadratic reference recurrence, and the special-point
-variant that answers each entry in O(sqrt(n log n)) with binary searches on
-the index's Pareto lists plus prefix minima over the table built so far,
-kept in a union-find forest.  Seeds reduce to covers of the text with
-floor(n/2) wildcards on each side: every seed candidate C is at most that
-long, so windows inside a pad cost nothing, and a window that reaches into
-the text through more than |C| wildcards costs what one through |C| does.
+compute the table: the quadratic recurrence, which fills the tables of all
+candidates with one start from one edit-DP pass per suffix (O(n^4) over all
+candidates), and the paper's special-point variant, which answers each entry
+in O(sqrt(n log n)) with binary searches on the index's Pareto lists plus
+prefix minima over the table built so far, kept in a union-find forest
+(O(n^3 sqrt(n log n)) after the index build).  Reports use the first: it
+measured 2-4x faster than the second at n = 16..128, and one weighted covers
+run at n = 128 already takes tens of seconds.  Seeds reduce to covers of the
+text with floor(n/2) wildcards on each side: every seed candidate C is at
+most that long, so windows inside a pad cost nothing, and a window that
+reaches into the text through more than |C| wildcards costs what one through
+|C| does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import inf
 
 from .editcover import (SpecialPointIndex, _check_index, _dp_rows, _EditCosts,
@@ -37,26 +43,41 @@ class QTable:
         return len(self.values)
 
 
+def _q_tables_of_start(costs: _EditCosts, a: int, bs: list[int]) -> list[list[int]]:
+    """Q-table values of the factors T[a, b] for every end b in ``bs``.
+
+    The quadratic recurrence: Q[i] is the best first occurrence T[i, j],
+    min over j >= i of max(D_{a,i}[b, j], min(Q[i+1..j+1])).  Every table
+    of start a reads row b of the same D_{a,i}, so one ``_dp_rows`` pass per
+    suffix i, as tall as the largest end needs, serves them all: O(n^2) per
+    pass plus O(n) per table per i.
+    """
+    n = len(costs.symbols)
+    tables = [[0] * (n + 1) for _ in bs]
+    height = max(bs) - a + 2
+    for i in range(n - 1, -1, -1):
+        rows = list(_dp_rows(costs, a, i, height))
+        for b, values in zip(bs, tables):
+            best = min_q = inf
+            for d, q in zip(islice(rows[b - a + 1], 1, None), values[i + 1:]):
+                if q < min_q:
+                    min_q = q
+                if d < min_q:
+                    d = min_q
+                if d < best:
+                    best = d
+            values[i] = best
+    return tables
+
+
 def q_table_quadratic(t: Text, a: int, b: int, p: PenaltyMatrix) -> QTable:
     """Reference recurrence: try every first occurrence T[i, j].
 
-    The needed D_{a,i}[b, .] row is recomputed per i in O(n) space; with the
-    rows given, the double loop is quadratic.
+    The batched routine with one end: the needed D_{a,i}[b, .] row is
+    recomputed per i, O(n^3) in all; with the rows given, the double loop is
+    quadratic.
     """
-    n = len(t)
-    costs = _EditCosts(t, p)
-    values: list[int] = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        *_, row_b = _dp_rows(costs, a, i, b - a + 2)
-        best = inf
-        min_q = inf
-        for j in range(i, n):
-            min_q = min(min_q, values[j + 1])
-            cand = max(row_b[j - i + 1], min_q)
-            if cand < best:
-                best = cand
-        values[i] = best
-    return QTable(a, b, values)
+    return QTable(a, b, _q_tables_of_start(_EditCosts(t, p), a, [b])[0])
 
 
 def q_table_fast(t: Text, a: int, b: int, p: PenaltyMatrix,
@@ -159,19 +180,27 @@ def _report_for_candidates(target: Text, p: PenaltyMatrix,
                            label_at: int = 0) -> RestrictedReport:
     """Q[0]-thresholds for candidate factors of ``target``.
 
+    One Q-table per distinct factor, at its first listed occurrence; the
+    tables of one start come from one DP pass per suffix (O(n^4) in total).
     ``label_at`` shifts reported occurrence coordinates (used by the seed
     reduction, whose candidates live in the middle of the padded text).
     """
     s = target.to_str()
     occurrences: dict[str, list[tuple[int, int]]] = {}
     canonical: dict[str, tuple[int, int]] = {}
+    ends: dict[int, list[int]] = {}
     for a, b in candidates:
         key = s[a:b + 1]
         occurrences.setdefault(key, []).append((a - label_at, b - label_at))
-        canonical.setdefault(key, (a, b))
-    idx = precompute_special(target, p) if canonical else None
-    thresholds = {key: q_table_fast(target, a, b, p, idx)[0]
-                  for key, (a, b) in canonical.items()}
+        if key not in canonical:
+            canonical[key] = (a, b)
+            ends.setdefault(a, []).append(b)
+    costs = _EditCosts(target, p)
+    q0 = {}
+    for a, bs in ends.items():
+        for b, values in zip(bs, _q_tables_of_start(costs, a, bs)):
+            q0[a, b] = values[0]
+    thresholds = {key: q0[ab] for key, ab in canonical.items()}
     minimal = min(thresholds.values(), default=None)
     return RestrictedReport(thresholds, occurrences, minimal)
 
@@ -179,7 +208,7 @@ def _report_for_candidates(target: Text, p: PenaltyMatrix,
 def restricted_covers_ed(t: Text, p: PenaltyMatrix) -> RestrictedReport:
     """Minimal cover threshold for every proper factor; argmin set reported.
 
-    O(n sqrt(n log n)) per factor after the shared index build.
+    One Q-table per distinct factor, O(n^4) in all.
     """
     n = len(t)
     candidates = [(a, b) for a in range(n) for b in range(a, n) if b - a + 1 < n]

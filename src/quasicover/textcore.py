@@ -113,12 +113,6 @@ class Text:
     def suffix(self, length: int) -> "Text":
         return self.factor(len(self) - length, len(self) - 1)
 
-    def rotate(self, b: int) -> "Text":
-        """Cyclic shift moving the first b symbols to the end."""
-        b %= max(1, len(self))
-        return Text(self.symbols[b:] + self.symbols[:b],
-                    self.alphabet, self.wildcard_char)
-
 
 def pad_for_seed(t: Text, width: int | None = None) -> Text:
     """Surround t with runs of ``width`` wildcards (default: its own length).

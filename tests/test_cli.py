@@ -167,6 +167,13 @@ def test_usage_errors(capsys, monkeypatch):
                              [cmd, "--distance", "edit", "--penalty", "unit",
                               "--escalate"], stdin="abab\n")
         assert code == 1 and out == "" and "--escalate" in err
+    # --penalty is edit only; it is not silently ignored under other distances
+    for argv in (["covers", "--penalty", "nonexistent.txt"],
+                 ["seeds", "--penalty", "unit"],
+                 ["coverage", "--distance", "levenshtein", "--penalty", "unit"],
+                 ["coverage", "--distance", "hamming", "--penalty", "unit"]):
+        code, out, err = run(capsys, monkeypatch, argv, stdin="abab\n")
+        assert code == 1 and out == "" and "--penalty" in err
 
 
 def test_input_errors(capsys, monkeypatch, tmp_path):

@@ -1,7 +1,8 @@
 from quasicover import oracle
-from quasicover.editcover import block_size, precompute_special
+from quasicover.editcover import _EditCosts, block_size, precompute_special
 from quasicover.hamcover import k_restricted_covers
 from quasicover.restricted import (
+    _q_tables_of_start,
     _report_for_candidates,
     q_table_fast,
     q_table_quadratic,
@@ -72,6 +73,42 @@ def test_fast_equals_quadratic_block_size_three(rng):
         for a, b in ((0, 1), (n - 2, n - 1), (5, 5), (3, 14), (20, 42), (0, n - 2)):
             assert q_table_fast(t, a, b, p, idx).values == \
                 q_table_quadratic(t, a, b, p).values
+
+
+def cover_candidates(n: int) -> list[tuple[int, int]]:
+    return [(a, b) for a in range(n) for b in range(a, n) if b - a + 1 < n]
+
+
+def seed_candidates(n: int, half: int) -> list[tuple[int, int]]:
+    return [(a + half, b + half) for a in range(n) for b in range(a, n)
+            if 2 * (b - a + 1) <= n]
+
+
+def test_batched_tables_equal_fast_on_every_entry(rng):
+    """Every entry of every batched table, for every canonical candidate of
+    the covers text and of the floor(n/2)-padded seeds text, equals the
+    special-point engine's."""
+    for trial in range(24):
+        n = rng.randint(1, 24) if trial % 4 else rng.randint(1, 12)
+        alphabet = "ab" if trial % 2 == 0 else "abc"
+        wildcard_prob = 0.15 if trial % 4 < 2 else 0.0
+        t = Text.from_str(random_text_str(rng, n, len(alphabet), wildcard_prob), alphabet)
+        p = PenaltyMatrix.unit(alphabet) if trial % 3 == 0 else random_metric(alphabet, rng)
+        half = n // 2
+        for target, candidates in ((t, cover_candidates(n)),
+                                   (pad_for_seed(t, half), seed_candidates(n, half))):
+            s = target.to_str()
+            canonical: dict[str, tuple[int, int]] = {}
+            for a, b in candidates:
+                canonical.setdefault(s[a:b + 1], (a, b))
+            ends: dict[int, list[int]] = {}
+            for a, b in canonical.values():
+                ends.setdefault(a, []).append(b)
+            costs = _EditCosts(target, p)
+            idx = precompute_special(target, p)
+            for a, bs in ends.items():
+                for b, values in zip(bs, _q_tables_of_start(costs, a, bs)):
+                    assert values == q_table_fast(target, a, b, p, idx).values
 
 
 def test_q_tables_match_tiling_oracle(rng):
@@ -176,9 +213,7 @@ def test_weighted_seeds_on_texts_with_wildcards(rng):
 def full_width_seeds(t: Text, p: PenaltyMatrix):
     """Seeds as covers of t padded with |t| wildcards on each side."""
     n = len(t)
-    candidates = [(a + n, b + n) for a in range(n) for b in range(a, n)
-                  if 2 * (b - a + 1) <= n]
-    return _report_for_candidates(pad_for_seed(t), p, candidates, label_at=n)
+    return _report_for_candidates(pad_for_seed(t), p, seed_candidates(n, n), label_at=n)
 
 
 def report_items(rep):

@@ -47,7 +47,6 @@ def test_factor_prefix_suffix():
     assert t.factor(3, 2).to_str() == ""
     assert t.prefix(2).to_str() == "ab"
     assert t.suffix(2).to_str() == "ab"
-    assert t.rotate(2).to_str() == "cabab"
     with pytest.raises(IndexError):
         t.factor(-1, 3)
 
