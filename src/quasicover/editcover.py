@@ -1,16 +1,15 @@
 """Levenshtein and weighted-edit k-coverage.
 
-Two engines fill the longest-approximate-prefix table P_k[a, b, a'] (the
-largest b' with d(T[a,b], T[a',b']) <= k):
+Coverage reads P_k[a, b, a'] (the largest b' with d(T[a,b], T[a',b']) <= k)
+as one stream per suffix pair (a, a'), b = a, a+1, ... until it turns -1.
+Unit costs walk the top furthest-reach h-wave of the edit DP, built with
+O(k^2) LCE jumps (O(n^3) overall); weighted costs read the last live column
+of each edit-DP row cut to the cells within budget (Ukkonen's cut-off).  One
+per-start routine turns either stream into interval-union sizes.
 
-* unit costs: per suffix pair (a, a'), the top furthest-reach h-wave of
-  the edit DP, built with O(k^2) LCE jumps, then one walk down its
-  diagonals that yields P_k[a, b, a'] for b = a, a+1, ...; O(n^3) overall;
-* weighted costs: Pareto lists anchored at special points (multiples of
-  M = floor(sqrt(n / log2 n))), built on demand, plus small DP blocks,
-  giving O(sqrt(n log n)) per entry.
-
-Factor coverage is then the size of an interval union per factor.
+The paper's special-point index (Pareto lists at multiples of
+M = floor(sqrt(n / log2 n)), built on demand, plus small DP blocks) answers
+single entries in O(sqrt(n log n)) and drives ``restricted.q_table_fast``.
 """
 
 from __future__ import annotations
@@ -291,7 +290,7 @@ class _EditCosts:
 
 
 def _dp_rows(costs: _EditCosts, a: int, ap: int, height: int | None = None,
-             width: int | None = None):
+             width: int | None = None, k: int | None = None):
     """Yield rows b = a-1, a, ... of D_{a,ap} one at a time.
 
     Each row holds the costs for bp = ap-1 .. ap+width-2.  ``height`` caps
@@ -299,20 +298,27 @@ def _dp_rows(costs: _EditCosts, a: int, ap: int, height: int | None = None,
     the full table.  This is the one edit-DP kernel of the fast side;
     ``textcore.build_d_table`` and ``edit_distance`` stay separate as the
     references it is tested against.
+
+    With a budget ``k`` (Ukkonen's cut-off: costs are nonnegative, so a cell
+    above k never leads back under it) each row is yielded as ``(lo, window)``
+    with ``window[i]`` at column ``lo + i``, from its first to its last cell
+    <= k.  Those cells are exact, and the rows stop at the first with none.
     """
     n = len(costs.symbols)
     height = n - a + 1 if height is None else height
     width = n - ap + 1 if width is None else width
     ins = costs.ins[ap:ap + width - 1]
-    row = list(accumulate(ins, initial=0))
-    yield row
+    cum = list(accumulate(ins, initial=0))  # row b = a-1: insertion-chain sums
+    row = cum if k is None else cum[:bisect_right(cum, k)]
+    lo, tail = 0, ins  # tail[i] costs inserting column lo+i+1; re-sliced on moves
+    yield row if k is None else (lo, row)
     for b in range(a, a + height - 1):
         dl = costs.dele[b]
-        sub = costs.sub[costs.symbols[b]][ap:ap + width - 1]
+        sub = costs.sub[costs.symbols[b]][ap + lo:ap + lo + len(row)]
         left = row[0] + dl
         new = [left]
         append = new.append
-        for diag, up, sc, ic in zip(row, islice(row, 1, None), sub, ins):
+        for diag, up, sc, ic in zip(row, islice(row, 1, None), sub, tail):
             left += ic
             diag += sc
             if diag < left:
@@ -321,8 +327,23 @@ def _dp_rows(costs: _EditCosts, a: int, ap: int, height: int | None = None,
             if up < left:
                 left = up
             append(left)
+        if k is not None:
+            j = lo + len(row)
+            if j < width:  # past the old window: its last cell, then insertions
+                base = min(left + ins[j - 1], row[-1] + sub[-1]) - cum[j]
+                new += [base + cum[c] for c in range(j, bisect_right(cum, k - base, j, width))]
+            while new and new[-1] > k:
+                new.pop()
+            if not new:
+                return
+            if new[0] > k:
+                s = next(i for i, v in enumerate(new) if v <= k)
+                new, lo = new[s:], lo + s
+                tail = ins[lo:lo + len(new)]
+            elif len(new) > len(tail) + 1:  # the next row reads len(new) - 1 costs
+                tail = ins[lo:lo + len(new)]
         row = new
-        yield row
+        yield row if k is None else (lo, row)
 
 
 class SpecialPointIndex:
@@ -431,89 +452,62 @@ def p_ed_entry(idx: SpecialPointIndex, a: int, b: int, ap: int, k: int) -> int:
     return res
 
 
-def _union_accumulate(cov_reach: list[int], ap: int, bp: int) -> None:
-    """Extend one factor's running interval union with [ap, bp]."""
-    if bp >= ap:
-        reach = cov_reach[1]
-        if bp > reach:
-            cov_reach[0] += bp - max(reach, ap - 1)
-            cov_reach[1] = bp
+def _ed_ends(costs: _EditCosts, a: int, ap: int, k: int) -> Iterator[int]:
+    """Yield P_k[a, b, ap] under weighted costs for b = a, a+1, ..., like
+    :func:`_lev_ends`: the last live column of each budget-cut row."""
+    rows = _dp_rows(costs, a, ap, k=k)
+    next(rows)  # boundary row b = a-1
+    for lo, window in rows:
+        yield ap + lo + len(window) - 2
 
 
-def _lev_coverage_row(t: Text, a: int, k: int, lce: ExactLce) -> list[int]:
-    """Levenshtein k-coverage of T[a, b] for b = a, ..., n-1."""
-    acc = [[0, -1] for _ in range(len(t) - a)]  # per b: [union size, reach]
-    for ap in range(len(t)):
-        for cell, bp in zip(acc, _lev_ends(t, a, ap, k, lce)):
-            _union_accumulate(cell, ap, bp)
-    return [size for size, _ in acc]
-
-
-def _check_edit_inputs(k: int, p: PenaltyMatrix | None) -> None:
+def _pk_ends(t: Text, metric: str, k: int, p: PenaltyMatrix | None):
+    """Check the inputs of an edit-metric coverage query and return its
+    P_k streams as ``ends(a, ap)``."""
+    if metric == "levenshtein":
+        lce = _lev_lce(t, k, "Levenshtein coverage")
+        return lambda a, ap: _lev_ends(t, a, ap, k, lce)
+    if metric != "edit":
+        raise ValueError(f"unknown metric {metric!r}")
     if p is None:
         raise ValueError("edit metric requires a penalty matrix")
     if k < 0:
         raise ValueError("budget must be nonnegative")
+    costs = _EditCosts(t, p)
+    return lambda a, ap: _ed_ends(costs, a, ap, k)
 
 
-def _factor_coverage_edit(t: Text, k: int, p: PenaltyMatrix,
-                          idx: SpecialPointIndex | None = None) -> list[list[int]]:
-    n = len(t)
-    if idx is None:
-        idx = precompute_special(t, p)
-    else:
-        _check_index(idx, t, p)
-    rows: list[list[int]] = []
-    for a in range(n):
-        row = []
-        for b in range(a, n):
-            acc = [0, -1]
-            for ap in range(n):
-                _union_accumulate(acc, ap, p_ed_entry(idx, a, b, ap, k))
-            row.append(acc[0])
-        rows.append(row)
-    return rows
+def _coverage_row(n: int, a: int, ends) -> list[int]:
+    """k-coverage of T[a, b] for b = a, ..., n-1 from the P_k streams ``ends``."""
+    acc = [[0, -1] for _ in range(n - a)]  # per b: [union size, reach]
+    for ap in range(n):
+        for cell, bp in zip(acc, ends(a, ap)):
+            if bp >= ap and bp > cell[1]:  # extend the union with [ap, bp]
+                cell[0] += bp - max(cell[1], ap - 1)
+                cell[1] = bp
+    return [size for size, _ in acc]
 
 
-def factor_coverage(t: Text, metric: str, k: int, p: PenaltyMatrix | None = None,
-                    idx: SpecialPointIndex | None = None) -> list[list[int]]:
+def factor_coverage(t: Text, metric: str, k: int,
+                    p: PenaltyMatrix | None = None) -> list[list[int]]:
     """k-coverage of every factor: rows[a][b-a] covers T[a, b].
 
-    Dispatches on the metric: Hamming uses the linear sweeps, Levenshtein
-    the wave engine (O(n^3)), weighted edit the special-point index
-    (O(n^3 sqrt(n log n))).
+    Hamming uses the linear sweeps; Levenshtein (O(n^3)) and weighted edit
+    (O(k n^3) when every indel costs at least 1, O(n^4) at worst) run the
+    one per-start routine over their P_k streams.
     """
     if metric == "hamming":
         return hamcover.factor_coverage_all(t, k)
-    if metric == "levenshtein":
-        lce = _lev_lce(t, k, "Levenshtein factor coverage")
-        return [_lev_coverage_row(t, a, k, lce) for a in range(len(t))]
-    if metric == "edit":
-        _check_edit_inputs(k, p)
-        return _factor_coverage_edit(t, k, p, idx)
-    raise ValueError(f"unknown metric {metric!r}")
+    ends = _pk_ends(t, metric, k, p)
+    return [_coverage_row(len(t), a, ends) for a in range(len(t))]
 
 
 def prefix_coverage(t: Text, metric: str, k: int,
                     p: PenaltyMatrix | None = None) -> list[int]:
     """k-coverage of every prefix; entry ell-1 is for length ell.
 
-    The prefix-only variants avoid the all-factors precomputation: direct
-    DP rows for weighted costs, row 0 of the factor walk for Levenshtein.
+    Hamming sweeps PREF_k; the edit metrics run row 0 of the factor routine.
     """
     if metric == "hamming":
         return hamcover.prefix_coverage(t, k)
-    if metric == "levenshtein":
-        return _lev_coverage_row(t, 0, k, _lev_lce(t, k, "Levenshtein prefix coverage"))
-    if metric != "edit":
-        raise ValueError(f"unknown metric {metric!r}")
-    _check_edit_inputs(k, p)
-    costs = _EditCosts(t, p)
-    acc = [[0, -1] for _ in range(len(t))]
-    for ap in range(len(t)):
-        for b, row in enumerate(islice(_dp_rows(costs, 0, ap), 1, None)):
-            j = len(row) - 1  # P_k[0, b, ap] is ap - 1 + j
-            while j >= 0 and row[j] > k:
-                j -= 1
-            _union_accumulate(acc[b], ap, ap - 1 + j)
-    return [size for size, _ in acc]
+    return _coverage_row(len(t), 0, _pk_ends(t, metric, k, p))

@@ -152,6 +152,15 @@ def prefix_coverage(t: Text, k: int, pref: PrefKTable | None = None) -> list[int
     return coverage_sweep(list(pref.values), n, n)
 
 
+def _lcp_table(t: Text, k: int, table: LcpKTable | None) -> LcpKTable:
+    """The lcp_k table of ``t``: built here, or a prebuilt one checked to fit."""
+    if table is None:
+        return lcp_k_all_pairs(t, k)
+    if (table.n, table.k) != (len(t), k):
+        raise ValueError(f"lcp_k table for n={table.n}, k={table.k} used with n={len(t)}, k={k}")
+    return table
+
+
 def factor_coverage_all(t: Text, k: int,
                         table: LcpKTable | None = None) -> list[list[int]]:
     """Hamming k-coverage of every factor: rows[a][b-a] covers T[a, b].
@@ -159,8 +168,7 @@ def factor_coverage_all(t: Text, k: int,
     One prefix-style sweep per start against the matching lcp_k table row,
     O(n^2) total.
     """
-    if table is None:
-        table = lcp_k_all_pairs(t, k)
+    table = _lcp_table(t, k, table)
     n = len(t)
     return [coverage_sweep(table.row(a), n, n - a) for a in range(n)]
 
@@ -168,8 +176,7 @@ def factor_coverage_all(t: Text, k: int,
 def factor_occurrences(t: Text, k: int, a: int, b: int,
                        table: LcpKTable | None = None) -> IntervalSet:
     """Approximate occurrence intervals of T[a, b], in start order."""
-    if table is None:
-        table = lcp_k_all_pairs(t, k)
+    table = _lcp_table(t, k, table)
     length = b - a + 1
     row = table.row(a)
     occ = IntervalSet()
@@ -183,8 +190,7 @@ def factor_report(t: Text, k: int, a: int, b: int,
                   with_occurrences: bool = False,
                   table: LcpKTable | None = None) -> CoverageReport:
     """Coverage report for one factor, optionally with its occurrence set."""
-    if table is None:
-        table = lcp_k_all_pairs(t, k)
+    table = _lcp_table(t, k, table)
     cov = coverage_sweep(table.row(a), len(t), b - a + 1)[b - a]
     occ = factor_occurrences(t, k, a, b, table) if with_occurrences else None
     return CoverageReport((a, b), cov, occ)
@@ -324,8 +330,7 @@ def enhanced_cover_approx_border(t: Text, k: int,
     n = len(t)
     if n == 0:
         return None
-    if table is None:
-        table = lcp_k_all_pairs(t, k)
+    table = _lcp_table(t, k, table)
     rows = factor_coverage_all(t, k, table)
     best: EnhancedCover | None = None
     for length in range(1, n + 1):

@@ -246,6 +246,18 @@ def test_dp_rows_match_d_table(raw, seed, data):
     assert list(_dp_rows(costs, a, ap)) == want
     assert list(_dp_rows(costs, a, ap, height, width)) == \
         [row[:width] for row in want[:height]]
+    # Budget-cut rows: every cell <= k, exactly, inside a window spanning
+    # the first to the last of them, until the first row without one.
+    k = data.draw(st.none() | st.integers(0, 2 * n * p.max_operation_cost() + 1))
+    if k is None:
+        return
+    live = [{j: v for j, v in enumerate(row) if v <= k} for row in want]
+    live = live[:next((i for i, cells in enumerate(live) if not cells), len(live))]
+    got = list(_dp_rows(costs, a, ap, k=k))
+    assert len(got) == len(live)
+    for (lo, window), cells in zip(got, live):
+        assert lo == min(cells) and lo + len(window) - 1 == max(cells)
+        assert {lo + j: v for j, v in enumerate(window) if v <= k} == cells
 
 
 def test_p_ed_matches_brute_and_lev(rng):
@@ -324,7 +336,7 @@ def test_index_mismatch_error():
     p = PenaltyMatrix.unit("ab")
     idx = precompute_special(t, p)
     with pytest.raises(ValueError):
-        factor_coverage(other, "edit", 1, p, idx=idx)
+        q_table_fast(other, 0, 1, p, idx)
 
 
 def test_factor_coverage_examples():
@@ -355,6 +367,19 @@ def test_factor_coverage_matches_oracle_and_unit_metric(rng):
                 assert lev[a][b - a] == want
 
 
+def wildcard_cases(rng, trials: int, min_n: int, max_n: int):
+    """(text, k, matrix) over texts with 25% wildcards, whose zero-cost
+    indels widen the budget-cut windows, under unit and random matrices;
+    the last budget of each text is past its largest distance."""
+    for trial in range(trials):
+        n = rng.randint(min_n, max_n)
+        t = Text.from_str(random_text_str(rng, n, 2, 0.25), "ab")
+        p = random_metric("ab", rng) if trial % 2 else PenaltyMatrix.unit("ab")
+        w = p.max_operation_cost()
+        for k in (0, rng.randint(1, 2 * w), 2 * n * w + 1):
+            yield t, k, p
+
+
 def test_factor_coverage_weighted_matches_oracle(rng):
     for _ in range(10):
         n = rng.randint(1, 8)
@@ -366,6 +391,12 @@ def test_factor_coverage_weighted_matches_oracle(rng):
             for b in range(a, n):
                 want = oracle.brute_coverage(t.factor(a, b), t, "edit", k, p)
                 assert rows[a][b - a] == want
+    for t, k, p in wildcard_cases(rng, 10, 1, 8):
+        rows = factor_coverage(t, "edit", k, p)
+        for a in range(len(t)):
+            for b in range(a, len(t)):
+                want = oracle.brute_coverage(t.factor(a, b), t, "edit", k, p)
+                assert rows[a][b - a] == want, (t.to_str(), k, a, b)
 
 
 def test_prefix_coverage_consistent_with_factor_rows(rng):
@@ -377,6 +408,9 @@ def test_prefix_coverage_consistent_with_factor_rows(rng):
         for metric, pm in (("levenshtein", None), ("edit", p), ("hamming", None)):
             rows = factor_coverage(t, metric, k, pm)
             assert prefix_coverage(t, metric, k, pm) == (rows[0] if n else [])
+    for t, k, p in wildcard_cases(rng, 12, 0, 12):
+        rows = factor_coverage(t, "edit", k, p)
+        assert prefix_coverage(t, "edit", k, p) == (rows[0] if len(t) else [])
 
 
 def test_metric_dispatch_errors():

@@ -11,6 +11,7 @@ from quasicover.hamcover import (
     enhanced_cover_exact_border,
     factor_coverage_all,
     factor_occurrences,
+    factor_report,
     k_restricted_covers,
     k_restricted_seeds,
     prefix_coverage,
@@ -35,6 +36,18 @@ def test_prefix_coverage_table_mismatch_errors():
         prefix_coverage(t, 1, PrefKTable(1, [5, 1]))
     with pytest.raises(ValueError):
         prefix_coverage(t, 1, pref_k(t, 0))
+
+
+def test_lcp_table_mismatch_errors():
+    t = Text.from_str("abbaabab")
+    assert factor_coverage_all(t, 2, lcp_k_all_pairs(t, 2))[0][:4] == [8, 8, 8, 8]
+    for table in (lcp_k_all_pairs(t, 0), lcp_k_all_pairs(Text.from_str("abba"), 2)):
+        for call in (lambda: factor_coverage_all(t, 2, table),
+                     lambda: factor_occurrences(t, 2, 0, 1, table),
+                     lambda: factor_report(t, 2, 0, 1, table=table),
+                     lambda: enhanced_cover_approx_border(t, 2, table)):
+            with pytest.raises(ValueError):
+                call()
 
 
 def test_factor_coverage_examples():
@@ -228,8 +241,6 @@ def test_coverage_sweep_prefix_of_full_sweep(data):
 
 
 def test_factor_report():
-    from quasicover.hamcover import factor_report
-
     t = Text.from_str("abaab")
     rep = factor_report(t, 1, 0, 1, with_occurrences=True)
     assert rep.subject == (0, 1)
