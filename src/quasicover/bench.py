@@ -28,16 +28,14 @@ class BenchResult:
     seconds_small: float
     seconds_big: float
     ratio: float
-    bound: float | None  # expected ratio ceiling, None for informational rows
+    bound: float  # expected ratio ceiling
 
     @property
     def exponent(self) -> float:
         return log2(self.ratio) if self.ratio > 0 else 0.0
 
     @property
-    def within_bound(self) -> bool | None:
-        if self.bound is None:
-            return None
+    def within_bound(self) -> bool:
         return self.ratio <= self.bound
 
 
@@ -56,38 +54,43 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
+def _doubling(task: str, n: int, bound: float, repeats: int, seed: int,
+              make) -> BenchResult:
+    """Best-of-``repeats`` seconds of ``make(t)()`` for random binary texts t
+    of length n and 2n; the work inside ``make`` itself is not timed."""
+    small, big = (_best_of(make(random_text(size, 2, seed)), repeats)
+                  for size in (n, 2 * n))
+    return BenchResult(task, n, 2 * n, small, big, big / small, bound)
+
+
 def bench_prefix_sweep(n: int = 2 ** 15, k: int = 1, repeats: int = 3,
                        seed: int = 7) -> BenchResult:
     """Linear-time prefix coverage, excluding PREF_k construction."""
-    times = []
-    for size in (n, 2 * n):
-        t = random_text(size, 2, seed)
+    def make(t: Text):
         vals = list(pref_k(t, k, ExactLce(t)).values)
-        times.append(_best_of(lambda: coverage_sweep(vals, size, size), repeats))
-    return BenchResult("prefix-coverage-sweep", n, 2 * n, times[0], times[1],
-                       times[1] / times[0], bound=3.0)
+        return lambda: coverage_sweep(vals, len(t), len(t))
+    return _doubling("prefix-coverage-sweep", n, 3.0, repeats, seed, make)
+
+
+def bench_pref_k(n: int = 2 ** 15, k: int = 2, repeats: int = 3,
+                 seed: int = 7) -> BenchResult:
+    """PREF_k by kangaroo jumps over direct-comparison LCE, build included."""
+    return _doubling("pref-k", n, 3.0, repeats, seed,
+                     lambda t: lambda: pref_k(t, k, ExactLce(t)))
 
 
 def bench_factor_hamming(n: int = 160, k: int = 1, repeats: int = 3,
                          seed: int = 8) -> BenchResult:
     """Quadratic all-factor Hamming coverage, lcp table included."""
-    times = []
-    for size in (n, 2 * n):
-        t = random_text(size, 2, seed)
-        times.append(_best_of(lambda: factor_coverage_all(t, k), repeats))
-    return BenchResult("factor-coverage-hamming", n, 2 * n, times[0], times[1],
-                       times[1] / times[0], bound=5.0)
+    return _doubling("factor-coverage-hamming", n, 5.0, repeats, seed,
+                     lambda t: lambda: factor_coverage_all(t, k))
 
 
 def bench_factor_lev(n: int = 28, k: int = 1, repeats: int = 3,
                      seed: int = 9) -> BenchResult:
     """Cubic all-factor Levenshtein coverage at small n."""
-    times = []
-    for size in (n, 2 * n):
-        t = random_text(size, 2, seed)
-        times.append(_best_of(lambda: factor_coverage(t, "levenshtein", k), repeats))
-    return BenchResult("factor-coverage-levenshtein", n, 2 * n, times[0], times[1],
-                       times[1] / times[0], bound=9.0)
+    return _doubling("factor-coverage-levenshtein", n, 9.0, repeats, seed,
+                     lambda t: lambda: factor_coverage(t, "levenshtein", k))
 
 
 #: Weighted metric over "abc" for the Q-table timings: every cost is 1 or 2,
@@ -126,11 +129,13 @@ def run_all(quick: bool = False) -> list[BenchResult]:
     if quick:
         return [
             bench_prefix_sweep(n=2 ** 12, repeats=2),
+            bench_pref_k(n=2 ** 12, repeats=2),
             bench_factor_hamming(n=64, repeats=2),
             bench_factor_lev(n=16, repeats=2),
         ]
     return [
         bench_prefix_sweep(),
+        bench_pref_k(),
         bench_factor_hamming(),
         bench_factor_lev(),
     ]

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .lcpk import ExactLce, LcpKTable, PrefKTable, lcp_k_all_pairs, pref_k
+from .lcpk import LcpKTable, PrefKTable, lcp_k_all_pairs, pref_k
 from .textcore import IntervalSet, Text, pad_for_seed
 
 

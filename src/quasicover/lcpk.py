@@ -6,9 +6,10 @@ as a mismatch):
 * :func:`lcp_k_all_pairs` fills the full n x n table in O(n^2) per budget
   by sliding a window of mismatch positions along each diagonal;
 * :func:`kangaroo_lcp_k` answers a single query with at most k+1 exact
-  longest-common-extension jumps;
-* :func:`pref_k` builds the PREF_k vector (lcp_k against position 0) in
-  O(nk) on top of the same jump structure.
+  longest-common-extension jumps, each a direct comparison by
+  :class:`ExactLce` that costs O(L) C-level symbol compares for an answer L;
+* :func:`pref_k` builds the PREF_k vector (lcp_k against position 0) from
+  n such queries: O(nk) jumps, and Theta(n^2) compares on unary text.
 """
 
 from __future__ import annotations
@@ -73,80 +74,60 @@ def lcp_k_all_pairs(t: Text, k: int) -> LcpKTable:
     return LcpKTable(n, k, rows)
 
 
-def _suffix_array(sym: tuple[int, ...]) -> list[int]:
-    """Suffix array by prefix doubling; wildcards sort as ordinary symbols."""
-    n = len(sym)
-    rank = [s + 1 for s in sym]  # shift so the wildcard id is nonnegative
-    sa = sorted(range(n), key=lambda i: rank[i])
-    tmp = [0] * n
-    width = 1
-    while True:
-        def key(i: int) -> tuple[int, int]:
-            nxt = rank[i + width] if i + width < n else -1
-            return (rank[i], nxt)
-
-        sa.sort(key=key)
-        tmp[sa[0]] = 0
-        for r in range(1, n):
-            tmp[sa[r]] = tmp[sa[r - 1]] + (key(sa[r]) != key(sa[r - 1]))
-        rank = tmp[:]
-        if rank[sa[-1]] == n - 1:
-            break
-        width *= 2
-    return sa
-
-
-def _kasai_lcp(sym: tuple[int, ...], sa: list[int], rank: list[int]) -> list[int]:
-    """lcp[r] = exact common prefix length of sa[r] and sa[r+1]."""
-    n = len(sym)
-    lcp = [0] * max(0, n - 1)
-    h = 0
-    for i in range(n):
-        if rank[i] + 1 < n:
-            j = sa[rank[i] + 1]
-            while i + h < n and j + h < n and sym[i + h] == sym[j + h]:
-                h += 1
-            lcp[rank[i]] = h
-            if h:
-                h -= 1
-        else:
-            h = 0
-    return lcp
+#: Segments between wildcards up to this length are compared in one slice;
+#: a longer one is galloped over, so an early mismatch does not copy it all.
+_WHOLE_SEGMENT = 256
 
 
 class ExactLce:
-    """Constant-time exact longest-common-extension queries on one text.
+    """Exact longest-common-extension queries on one text by direct comparison.
 
-    Built from a suffix array, its LCP array and a sparse table.  The
-    wildcard-aware query restarts the jump after each wildcard position, so
-    heavy wildcard use degrades a query towards O(#wildcards); texts without
-    wildcards keep the O(1) bound.
+    The text is kept as a string, one code point per symbol.  A query with
+    answer L compares a few symbols one at a time, then slices of doubling
+    width until one differs, then halves that slice: O(L) compares in C and
+    O(log L) interpreter steps, with no index to build.
     """
 
     def __init__(self, t: Text):
         self.text = t
         self.n = n = len(t)
         sym = t.symbols
-        self._has_wildcards = WILDCARD in sym
-        if n == 0:
-            self._rank: list[int] = []
-            self._sparse: list[list[int]] = []
-            return
-        sa = _suffix_array(sym)
-        rank = [0] * n
-        for r, i in enumerate(sa):
-            rank[i] = r
-        self._rank = rank
-        lcp = _kasai_lcp(sym, sa, rank)
-        # Sparse table over the LCP array for range minima.
-        levels: list[list[int]] = [lcp]
-        width = 1
-        while 2 * width <= len(lcp):
-            prev = levels[-1]
-            levels.append([min(prev[i], prev[i + width])
-                           for i in range(len(lcp) - 2 * width + 1)])
+        self._s = "".join([chr(x + 1) for x in sym])  # the wildcard is chr(0)
+        if WILDCARD in sym:
+            self._next_wild = nxt = [n] * (n + 1)
+            for p in range(n - 1, -1, -1):
+                nxt[p] = p if sym[p] == WILDCARD else nxt[p + 1]
+        else:
+            self.extension = self.exact  # no wildcard to restart after
+
+    def _lce(self, i: int, j: int, limit: int) -> int:
+        """Common prefix length of the strings at i and j, capped at limit."""
+        s = self._s
+        stop = 8 if limit > 8 else limit
+        length = 0
+        while length < stop:
+            if s[i + length] != s[j + length]:
+                return length
+            length += 1
+        width = 16
+        while True:
+            hi = min(length + width, limit)
+            if s[i + length:i + hi] != s[j + length:j + hi]:
+                break
+            length = hi
+            if length == limit:
+                return length
             width *= 2
-        self._sparse = levels
+        # the first difference lies in [length, hi)
+        while hi - length > 8:
+            mid = (length + hi) // 2
+            if s[i + length:i + mid] == s[j + length:j + mid]:
+                length = mid
+            else:
+                hi = mid
+        while s[i + length] == s[j + length]:
+            length += 1
+        return length
 
     def exact(self, i: int, j: int) -> int:
         """Exact extension length, treating the wildcard as a normal symbol."""
@@ -155,46 +136,60 @@ class ExactLce:
             return n - i
         if i >= n or j >= n:
             return 0
-        lo = min(self._rank[i], self._rank[j])
-        hi = max(self._rank[i], self._rank[j])
-        p = (hi - lo).bit_length() - 1
-        level = self._sparse[p]
-        return min(level[lo], level[hi - (1 << p)])
+        return self._lce(i, j, n - max(i, j))
 
     def extension(self, i: int, j: int) -> int:
-        """Match-semantics extension: wildcards on either side keep matching."""
+        """Match-semantics extension: wildcards on either side keep matching.
+
+        The text up to the next wildcard on either side is one segment.  A
+        short segment is compared in one slice, and only a long or differing
+        one needs the galloping query, so a match across many wildcards costs
+        one slice per wildcard.
+        """
         n = self.n
         if i == j:
             return n - i
+        nxt = self._next_wild
+        s = self._s
         total = 0
-        while i + total < n and j + total < n:
-            total += self.exact(i + total, j + total)
-            if i + total >= n or j + total >= n:
-                break
-            if WILDCARD in (self.text[i + total], self.text[j + total]):
-                total += 1
-                continue
-            break
+        limit = n - max(i, j)
+        while total < limit:
+            p, q = i + total, j + total
+            seg = min(nxt[p] - p, nxt[q] - q)
+            if seg <= _WHOLE_SEGMENT and s[p:p + seg] == s[q:q + seg]:
+                total += seg
+            else:
+                got = self._lce(p, q, seg)
+                total += got
+                if got < seg:
+                    return total
+            if total < limit:
+                total += 1  # a wildcard on one side matches anything
         return total
+
+
+def _lce_for(t: Text, lce: ExactLce | None) -> ExactLce:
+    """``lce`` if it was built for ``t`` (identity checked first), else a new one."""
+    if lce is not None and lce.text is not t and lce.text != t:
+        raise ValueError("ExactLce was built for another text")
+    return ExactLce(t) if lce is None else lce
 
 
 def kangaroo_lcp_k(t: Text, i: int, j: int, k: int,
                    lce: ExactLce | None = None) -> int:
     """lcp_k(i, j) with at most k+1 extension jumps.
 
-    Pass a prebuilt :class:`ExactLce` to amortize preprocessing over many
-    queries; without one it is built on the fly.
+    Pass a prebuilt :class:`ExactLce` of the same text to share its string
+    image over many queries; without one it is built on the fly.
     """
     n = len(t)
     if not (0 <= i <= n and 0 <= j <= n):
         raise IndexError(f"positions ({i},{j}) out of [0,{n}]")
     if k < 0:
         raise ValueError("mismatch budget must be nonnegative")
-    if lce is None:
-        lce = ExactLce(t)
+    if lce is None or lce.text is not t:
+        lce = _lce_for(t, lce)
     limit = n - max(i, j)
-    if i == j:
-        return limit
     total = lce.extension(i, j)
     budget = k
     while total < limit and budget > 0:
@@ -205,11 +200,10 @@ def kangaroo_lcp_k(t: Text, i: int, j: int, k: int,
 
 
 def pref_k(t: Text, k: int, lce: ExactLce | None = None) -> PrefKTable:
-    """PREF_k table via kangaroo queries against position 0: O(nk) total."""
+    """PREF_k table via kangaroo queries against position 0: O(nk) jumps."""
     n = len(t)
     if k < 0:
         raise ValueError("mismatch budget must be nonnegative")
-    if lce is None:
-        lce = ExactLce(t)
-    values = [kangaroo_lcp_k(t, 0, i, k, lce) for i in range(n)]
+    lce = _lce_for(t, lce)  # then each query passes the identity check
+    values = [kangaroo_lcp_k(lce.text, 0, i, k, lce) for i in range(n)]
     return PrefKTable(k, values)

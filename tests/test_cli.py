@@ -263,4 +263,5 @@ def test_bench_quick_runs(capsys, monkeypatch):
     payload = json.loads(out)
     tasks = [row[0] for row in payload["rows"]]
     assert "prefix-coverage-sweep" in tasks
+    assert "pref-k" in tasks
     assert "qtable-quadratic-vs-fast" in tasks

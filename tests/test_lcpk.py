@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasicover.lcpk import ExactLce, kangaroo_lcp_k, lcp_k_all_pairs, pref_k
-from quasicover.textcore import Text
+from quasicover.textcore import Text, symbols_match
 
 from conftest import naive_lcp_k, random_text_str
 
@@ -60,6 +60,69 @@ def test_engines_agree_with_naive(rng):
                     assert table.entry(i, j) == want
                     assert table.entry(j, i) == want
                     assert kangaroo_lcp_k(t, i, j, k, lce) == want
+
+
+def _fibonacci_word(n: int) -> str:
+    a, b = "a", "ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def _planted_period(rng, n: int, period: int) -> str:
+    base = random_text_str(rng, period, 3)
+    s = list((base * (n // period + 1))[:n])
+    for q in range(n):
+        if rng.random() < 0.02:
+            s[q] = rng.choice("abc")
+    return "".join(s)
+
+
+def _plain_lce(t: Text, i: int, j: int, match) -> int:
+    n = len(t)
+    length = 0
+    while max(i, j) + length < n and match(t[i + length], t[j + length]):
+        length += 1
+    return length
+
+
+def test_long_extensions_match_plain_loop(rng):
+    """Long answers reach the doubling slices, the binary search inside the
+    differing slice and the single-symbol tail; wildcard rates from one per
+    text to one half make both short and long segments between wildcards."""
+    for family in range(6):
+        for wild in (0.0, None, 0.1, 0.5):  # None: a single wildcard
+            n = rng.randint(100, 300)
+            s = ["a" * n, ("ab" * n)[:n], _fibonacci_word(n),
+                 _planted_period(rng, n, 3), _planted_period(rng, n, 7),
+                 _planted_period(rng, n, 40)][family]
+            if wild is None:
+                q = rng.randrange(n)
+                s = s[:q] + "?" + s[q + 1:]
+            else:
+                s = "".join("?" if rng.random() < wild else ch for ch in s)
+            t = Text.from_str(s, "abc")
+            lce = ExactLce(t)
+            pairs = [(rng.randint(0, n), rng.randint(0, n)) for _ in range(300)]
+            pairs += [(i, i + d) for d in (1, 2, 3, 7, 40) for i in range(0, n - d, 13)]
+            for i, j in pairs:
+                assert lce.exact(i, j) == _plain_lce(t, i, j, int.__eq__)
+                assert lce.extension(i, j) == _plain_lce(t, i, j, symbols_match)
+            for k in (0, 1, 2):
+                assert pref_k(t, k, lce).values == [naive_lcp_k(t, 0, i, k)
+                                                    for i in range(n)]
+
+
+def test_lce_of_another_text_is_an_error():
+    t = Text.from_str("abab")
+    with pytest.raises(ValueError):
+        pref_k(t, 0, ExactLce(Text.from_str("aaaa")))
+    with pytest.raises(ValueError):
+        pref_k(Text.from_str("abababab"), 0, ExactLce(t))
+    with pytest.raises(ValueError):
+        kangaroo_lcp_k(t, 0, 2, 1, ExactLce(Text.from_str("aaaa")))
+    # an equal text built separately is accepted
+    assert pref_k(t, 0, ExactLce(Text.from_str("abab"))).values == [4, 0, 2, 0]
 
 
 def test_monotone_in_k(rng):
