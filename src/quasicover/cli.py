@@ -126,11 +126,14 @@ def _load_penalty(spec: str | None, raw_text: str, wildcard: str) -> PenaltyMatr
 
 
 def _emit(columns: list[str], rows: list[list], fmt: str) -> None:
+    # Verbatim, one write per row: click.echo strips ANSI escapes off a non-TTY.
+    out = sys.stdout
     if fmt == "json":
-        click.echo(json.dumps({"columns": columns, "rows": rows}))
+        out.write(json.dumps({"columns": columns, "rows": rows}) + "\n")
     else:
         for row in rows:
-            click.echo("\t".join(str(v) for v in row))
+            out.write("\t".join(map(str, row)) + "\n")
+    out.flush()
 
 
 def _fmt_num(x: float) -> str:

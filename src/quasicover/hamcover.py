@@ -8,23 +8,23 @@ that at every length the covered-position count is ``sum of overlapping gaps
 + number of non-overlapping pairs * length``.  :func:`coverage_sweep` is the
 one entry point; it stops at a given length.
 
-Restricted covers and seeds search budget levels 0, 1, ... and keep, per
-start, the distinct factors still open (no level so far made them a
-cover).  A level builds one lcp_k table and sweeps only the starts with an
-open candidate, each only up to its longest open candidate and to
-lcp_k(0, a), since a longer factor has no occurrence at position 0.  A
-start drops out once all its candidates resolve.  Seeds are
-covers of the text with floor(n/2) wildcards on each side: every seed
-candidate is at most that long, so windows inside a pad always match.
+Restricted covers and seeds take one pass per candidate start over lengths
+1, 2, ... on int masks, bit j for position j (shift-add k-mismatch matching,
+after Baeza-Yates and Gonnet), with saturating bit-sliced mismatch counters.
+Per start that is O(L_stop * k) big-int ops of ceil(m/64) words, plus
+O((1 + log k) * log m) per candidate (L_stop: stop length; m: target length).
+Seeds are covers of the text with floor(n/2) wildcards on each side: every
+seed candidate is at most that long, so windows inside a pad always match.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
 from .lcpk import LcpKTable, PrefKTable, lcp_k_all_pairs, pref_k
-from .textcore import IntervalSet, Text, pad_for_seed
+from .textcore import WILDCARD, IntervalSet, Text, pad_for_seed
 
 
 @dataclass
@@ -207,43 +207,59 @@ def _candidate_map(t: Text, pairs: Iterable[tuple[int, int]]) -> dict[str, tuple
     return out
 
 
+def _fills(alive: int, length: int, full: int) -> bool:
+    """True if windows of ``length`` at the set bits of ``alive`` cover ``full``."""
+    span = 1
+    while span + span <= length:
+        alive |= alive << span
+        span += span
+    return (alive | alive << (length - span)) & full == full
+
+
 def _restricted_levels(target: Text, offset: int, k: int,
                        candidates: dict[str, tuple[int, int]]) -> dict[str, int | None]:
     """Minimal level ell <= k at which each candidate covers ``target``.
 
-    A candidate (a, b) is swept from start a + offset of ``target``.  At
-    each level only the starts with an open candidate are swept, and only
-    up to their longest open candidate and to lcp_ell(0, start), since only
-    an occurrence at position 0 covers position 0 (on a seed's padded text
-    that bound never cuts: the leading pad matches every candidate).
+    A candidate (a, b) is read from start a + offset of ``target``.  A start
+    stops once level k's occurrences, smeared by its longest candidate, miss
+    a position: occurrence sets only shrink as the length grows.
     """
     if k < 0:
         raise ValueError("mismatch budget must be nonnegative")
     result: dict[str, int | None] = {key: None for key in candidates}
-    open_at: dict[int, list[tuple[int, str]]] = {}
+    by_start: dict[int, dict[int, str]] = {}
     for key, (a, b) in candidates.items():
-        open_at.setdefault(a + offset, []).append((b - a + 1, key))
-    m = len(target)
-    for ell in range(k + 1):
-        if not open_at:
-            break
-        table = lcp_k_all_pairs(target, ell)
-        for start, pending in list(open_at.items()):
-            row = table.row(start)
-            longest = min(row[0], max(length for length, _ in pending))
-            if longest == 0:
+        by_start.setdefault(a + offset, {})[b - a + 1] = key
+    sym = target.symbols
+    m = len(sym)
+    full = (1 << m) - 1
+    # miss[c]: positions holding neither c nor a wildcard; miss[WILDCARD] is 0.
+    miss = [int("0" + "".join("0" if x in (c, WILDCARD) else "1" for x in reversed(sym)), 2)
+            for c in range(target.alphabet_size)] + [0]
+    for start, lengths in by_start.items():
+        longest = max(lengths)
+        top = min(k, longest)
+        over = [0] * (top + 1)  # over[e]: positions with more than e mismatches
+        depth = 0  # offsets that mismatch somewhere: over[e] is empty for e >= depth
+        for length in range(1, longest + 1):
+            x = miss[sym[start + length - 1]] >> (length - 1)
+            if x:
+                for e in range(min(top, depth), 0, -1):
+                    over[e] |= over[e - 1] & x
+                over[0] |= x
+                depth += 1
+            if over[top] & 1:
+                break
+            key = lengths.get(length)
+            if key is None:
                 continue
-            cov = coverage_sweep(row, m, longest)
-            still = []
-            for length, key in pending:
-                if length <= longest and cov[length - 1] == m:
-                    result[key] = ell
-                else:
-                    still.append((length, key))
-            if still:
-                open_at[start] = still
-            else:
-                del open_at[start]
+            valid = (1 << (m - length + 1)) - 1  # starts with room for the candidate
+            hi = min(top, depth)
+            if _fills(valid & ~over[hi], length, full):
+                result[key] = bisect_left(range(hi), True, key=lambda e: _fills(
+                    valid & ~over[e], length, full))
+            elif not _fills(valid & ~over[hi], longest, full):
+                break
     return result
 
 
@@ -263,7 +279,7 @@ def k_restricted_seeds(t: Text, k: int) -> dict[str, int | None]:
     """Minimal ell <= k making each factor with 2|C| <= |T| an ell-approximate seed.
 
     Seeds of T are exactly covers of the wildcard-padded text, so the cover
-    sweep runs there, with candidates drawn from the middle (original)
+    search runs there, with candidates drawn from the middle (original)
     region.  Every candidate has |C| <= floor(|T|/2), so pads of that width
     suffice: all-wildcard windows still cover each pad.
     """

@@ -112,6 +112,18 @@ def test_escalate_equals_level_by_level_search(capsys, monkeypatch):
                            for key, v in want.items()}, (cmd, raw)
 
 
+def test_escape_sequences_are_emitted_verbatim(capsys, monkeypatch):
+    """ANSI escapes in factors reach stdout unchanged, one row per factor."""
+    raw = "a\x1b[1mab\x1b[0m"
+    code, out, _ = run(capsys, monkeypatch, ["covers", "--k", "0"], stdin=raw + "\n")
+    assert code == 0
+    factors = [line.split("\t")[0] for line in out.split("\n")[:-1]]
+    n = len(raw)
+    want = {raw[a:b] for a in range(n) for b in range(a + 1, n + 1) if b - a < n}
+    assert len(factors) == len(want) and set(factors) == want
+    assert "\x1b[1m" in factors
+
+
 def test_covers_edit_example(capsys, monkeypatch):
     code, out, _ = run(capsys, monkeypatch,
                        ["covers", "--distance", "edit", "--penalty", "unit"],

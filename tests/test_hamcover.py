@@ -157,9 +157,10 @@ def test_k_restricted_seeds_examples():
 
 
 def test_restricted_thresholds_match_oracle(rng):
-    for _ in range(20):
+    # Binary draws without wildcards first, then with 25% wildcards.
+    for wildcard_prob in [0.0] * 20 + [0.25] * 20:
         n = rng.randint(1, 12)
-        t = Text.from_str(random_text_str(rng, n, 2))
+        t = Text.from_str(random_text_str(rng, n, 2, wildcard_prob=wildcard_prob))
         kmax = 3
         brute = oracle.brute_restricted_min_k(t, "hamming")
         got = k_restricted_covers(t, kmax)
@@ -204,7 +205,7 @@ def reference_restricted(t: Text, k: int, seeds: bool) -> dict[str, int | None]:
 
 
 def test_restricted_engine_matches_full_sweep_reference(rng):
-    """Open-candidate sweeps and half-width seed padding change no answer."""
+    """The per-start mask pass and half-width seed padding change no answer."""
     # Odd n: seeds of length floor(n/2) fill a whole pad ("ab", "abc", ...).
     texts = ["ababa", "abcabca"]
     for n in range(41):
@@ -221,6 +222,24 @@ def test_restricted_engine_matches_full_sweep_reference(rng):
         for budget in (k, n // 2 + 1) if escalate else (k,):
             got = k_restricted_seeds(t, budget)
             assert list(got.items()) == list(reference_restricted(t, budget, True).items())
+
+
+def test_restricted_engine_at_word_boundaries(rng):
+    """Texts around 64 and 128 symbols: the occurrence masks of covers, and
+    the padded seed texts (up to 2n symbols), cross machine-word sizes."""
+    for i, n in enumerate((63, 64, 65, 127, 128, 129)):
+        for j, wildcard_prob in enumerate((0.0, 0.2)):
+            sigma = 1 + (2 * i + j) % 3
+            t = Text.from_str(random_text_str(rng, n, sigma, wildcard_prob=wildcard_prob))
+            # The reference reruns every level up to the escalate budget, so
+            # only one text of the long three takes it.
+            escalate = n < 100 or (n, wildcard_prob) == (129, 0.2)
+            for budget in (0, 2, n + 1) if escalate else (0, 2):
+                got = k_restricted_covers(t, budget)
+                assert list(got.items()) == list(reference_restricted(t, budget, False).items())
+            for budget in (0, 2, n // 2 + 1) if escalate else (0, 2):
+                got = k_restricted_seeds(t, budget)
+                assert list(got.items()) == list(reference_restricted(t, budget, True).items())
 
 
 def test_restricted_negative_budget_raises():
