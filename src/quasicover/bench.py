@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from math import log2
 
-from .editcover import factor_coverage, precompute_special
+from .editcover import factor_coverage, precompute_special, prefix_coverage
 from .hamcover import coverage_sweep, factor_coverage_all
 from .lcpk import ExactLce, pref_k
 from .restricted import q_table_fast, restricted_covers_ed
@@ -93,6 +93,13 @@ def bench_factor_lev(n: int = 28, k: int = 1, repeats: int = 3,
                      lambda t: lambda: factor_coverage(t, "levenshtein", k))
 
 
+def bench_prefix_lev(n: int = 512, k: int = 2, repeats: int = 3,
+                     seed: int = 9) -> BenchResult:
+    """One-start Levenshtein coverage on LCE waves: O(n k^2 + n^2) at worst."""
+    return _doubling("prefix-coverage-levenshtein", n, 5.0, repeats, seed,
+                     lambda t: lambda: prefix_coverage(t, "levenshtein", k))
+
+
 #: Weighted metric over "abc" for the Q-table timings: every cost is 1 or 2,
 #: so the triangle inequality holds for every triple.
 QTABLE_PENALTY = PenaltyMatrix("abc", [[0, 1, 2], [1, 0, 2], [2, 2, 0]],
@@ -132,10 +139,7 @@ def run_all(quick: bool = False) -> list[BenchResult]:
             bench_pref_k(n=2 ** 12, repeats=2),
             bench_factor_hamming(n=64, repeats=2),
             bench_factor_lev(n=16, repeats=2),
+            bench_prefix_lev(n=64, repeats=2),
         ]
-    return [
-        bench_prefix_sweep(),
-        bench_pref_k(),
-        bench_factor_hamming(),
-        bench_factor_lev(),
-    ]
+    return [bench_prefix_sweep(), bench_pref_k(), bench_factor_hamming(), bench_factor_lev(),
+            bench_prefix_lev()]

@@ -203,12 +203,12 @@ def coverage(input, distance, k, mode, penalty, fmt, wildcard):
 
 
 def _threshold_rows(result: dict[str, int | None]) -> list[list]:
-    keys = sorted(result, key=lambda s: (len(s), s))
+    keys = sorted(sorted(result), key=len)  # stable: by length, then by string
     return [[key, "none" if result[key] is None else result[key]] for key in keys]
 
 
 def _edit_threshold_rows(report) -> list[list]:
-    keys = sorted(report.thresholds, key=lambda s: (len(s), s))
+    keys = sorted(sorted(report.thresholds), key=len)
     return [[key, report.thresholds[key], int(report.thresholds[key] == report.minimal)]
             for key in keys]
 

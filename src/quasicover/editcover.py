@@ -2,10 +2,10 @@
 
 Coverage reads P_k[a, b, a'] (the largest b' with d(T[a,b], T[a',b']) <= k)
 as one stream per suffix pair (a, a'), b = a, a+1, ... until it turns -1.
-Unit costs walk the top furthest-reach h-wave of the edit DP, built with
-O(k^2) LCE jumps (O(n^3) overall); weighted costs read the last live column
-of each edit-DP row cut to the cells within budget (Ukkonen's cut-off).  One
-per-start routine turns either stream into interval-union sizes.
+Unit costs get all streams from their neighbours (O(k n^3) at worst), or one
+start's from the LCE-driven top h-wave of each pair; weighted costs read the
+last live column of each edit-DP row cut to the cells within budget (Ukkonen's
+cut-off).  One per-start routine turns any stream into interval-union sizes.
 
 The paper's special-point index (Pareto lists at multiples of
 M = floor(sqrt(n / log2 n)), built on demand, plus small DP blocks) answers
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, islice, zip_longest
 from math import inf, log2, sqrt
 from typing import Iterator
 
@@ -145,15 +145,14 @@ def h_wave_build(t1: Text, t2: Text, h: int) -> HWaves:
     return HWaves(t1, t2, h, _build_frontiers(len(t1), len(t2), h, _char_slide(t1, t2)))
 
 
-def _lev_lce(t: Text, k: int, what: str) -> ExactLce:
-    """Check the inputs of the Levenshtein engine and build its LCE."""
+def _lev_check(t: Text, k: int, what: str) -> None:
+    """Check the inputs of a Levenshtein engine."""
     if WILDCARD in t.symbols:
         raise ValueError(
             f"{what} requires a wildcard-free text; use the weighted edit "
             "metric with unit costs for partial words")
     if k < 0:
         raise ValueError("budget must be nonnegative")
-    return ExactLce(t)
 
 
 def _suffix_pair_frontier(t: Text, a: int, ap: int, k: int,
@@ -188,6 +187,32 @@ def _lev_ends(t: Text, a: int, ap: int, k: int, lce: ExactLce) -> Iterator[int]:
         yield ap + i + d - 1
 
 
+def _lev_streams(t: Text, k: int) -> Iterator[tuple[int, list[list[int]]]]:
+    """Yield (a, [S_k(a, a') for a' < n]) for a = n-1 down to 0: S_e(a, a') is
+    the stream of :func:`_lev_ends`, read off neighbours with the same ends.
+    ed(xA, xB) = ed(A, B) prepends min(a'+e, n-1) to S_e(a+1, a'+1); ed(xA, yB)
+    = 1 + min(ed(A, B), ed(A, yB), ed(xA, B)) is an elementwise max at budget
+    e-1.  Rows a, a+1 hold 2(k+1)(n+1) lists; O(k n^3) at worst (unary text)."""
+    s, n = t.symbols, len(t)
+    below = [[[]] * (n + 1)] * (k + 1)  # S_e(n, .) = []; no stream is mutated
+    for a in range(n - 1, -1, -1):
+        x, row = s[a], []
+        for e in range(k + 1):
+            cur = [[]] * n + [[n - 1] * min(e, n - a)]  # S_e(a, n): empty text
+            # S_e(a+1, .), S_{e-1}(a+1, .) and S_{e-1}(a, .)
+            same, sub, left = below[e], below[e - 1], row[-1] if row else None
+            for ap in range(n):
+                if s[ap] == x:
+                    cur[ap] = [min(ap + e, n - 1), *same[ap + 1]]
+                elif e:  # x against at most e symbols costs <= e; -2 pads below every end
+                    x0 = ap + min(e, n - ap) - 1
+                    cur[ap] = [*map(max, zip_longest((x0, *sub[ap + 1]), (x0, *sub[ap]),
+                                                     left[ap + 1], fillvalue=-2))]
+            row.append(cur)
+        below = row
+        yield a, row[k][:n]
+
+
 class LevPrefixTable:
     """Dense P_k table under the Levenshtein distance.
 
@@ -206,17 +231,13 @@ class LevPrefixTable:
 
 
 def p_lev_table(t: Text, k: int) -> LevPrefixTable:
-    """P_k under Levenshtein for all (a, b, a'), O(n^3).
-
-    Each suffix pair (a, a') costs O(k^2) LCE-driven frontier work plus one
-    O(n) diagonal walk, which fills P_k[a, ., a'].
-    """
-    lce = _lev_lce(t, k, "the Levenshtein wave engine")
+    """P_k under Levenshtein for all (a, b, a'), from :func:`_lev_streams`: O(k n^3)."""
+    _lev_check(t, k, "the Levenshtein P_k table")
     n = len(t)
     data = [[[-1] * n for _ in range(n - a)] for a in range(n)]
-    for a, rows in enumerate(data):
-        for ap in range(n):
-            for row, bp in zip(rows, _lev_ends(t, a, ap, k, lce)):
+    for a, streams in _lev_streams(t, k):
+        for ap, stream in enumerate(streams):
+            for row, bp in zip(data[a], stream):
                 row[ap] = bp
     return LevPrefixTable(n, k, data)
 
@@ -462,11 +483,12 @@ def _ed_ends(costs: _EditCosts, a: int, ap: int, k: int) -> Iterator[int]:
 
 
 def _pk_ends(t: Text, metric: str, k: int, p: PenaltyMatrix | None):
-    """Check the inputs of an edit-metric coverage query and return its
-    P_k streams as ``ends(a, ap)``."""
+    """Check the inputs of an edit-metric coverage query and return the P_k
+    streams of start a, one per a' < n, as ``ends(a)`` (Levenshtein: LCE waves)."""
     if metric == "levenshtein":
-        lce = _lev_lce(t, k, "Levenshtein coverage")
-        return lambda a, ap: _lev_ends(t, a, ap, k, lce)
+        _lev_check(t, k, "Levenshtein coverage")
+        lce = ExactLce(t)
+        return lambda a: (_lev_ends(t, a, ap, k, lce) for ap in range(len(t)))
     if metric != "edit":
         raise ValueError(f"unknown metric {metric!r}")
     if p is None:
@@ -474,14 +496,14 @@ def _pk_ends(t: Text, metric: str, k: int, p: PenaltyMatrix | None):
     if k < 0:
         raise ValueError("budget must be nonnegative")
     costs = _EditCosts(t, p)
-    return lambda a, ap: _ed_ends(costs, a, ap, k)
+    return lambda a: (_ed_ends(costs, a, ap, k) for ap in range(len(t)))
 
 
-def _coverage_row(n: int, a: int, ends) -> list[int]:
-    """k-coverage of T[a, b] for b = a, ..., n-1 from the P_k streams ``ends``."""
+def _coverage_row(n: int, a: int, streams) -> list[int]:
+    """k-coverage of T[a, b] for b = a, ..., n-1 from the P_k streams of a."""
     acc = [[0, -1] for _ in range(n - a)]  # per b: [union size, reach]
-    for ap in range(n):
-        for cell, bp in zip(acc, ends(a, ap)):
+    for ap, stream in enumerate(streams):
+        for cell, bp in zip(acc, stream):
             if bp >= ap and bp > cell[1]:  # extend the union with [ap, bp]
                 cell[0] += bp - max(cell[1], ap - 1)
                 cell[1] = bp
@@ -492,22 +514,25 @@ def factor_coverage(t: Text, metric: str, k: int,
                     p: PenaltyMatrix | None = None) -> list[list[int]]:
     """k-coverage of every factor: rows[a][b-a] covers T[a, b].
 
-    Hamming uses the linear sweeps; Levenshtein (O(n^3)) and weighted edit
-    (O(k n^3) when every indel costs at least 1, O(n^4) at worst) run the
-    one per-start routine over their P_k streams.
+    Hamming uses the linear sweeps; Levenshtein (:func:`_lev_streams`,
+    O(k n^3) at worst) and weighted edit (O(k n^3) when every indel costs at
+    least 1, O(n^4) at worst) run the one per-start routine on their streams.
     """
     if metric == "hamming":
         return hamcover.factor_coverage_all(t, k)
+    if metric == "levenshtein":
+        _lev_check(t, k, "Levenshtein coverage")
+        return [_coverage_row(len(t), a, ss) for a, ss in _lev_streams(t, k)][::-1]
     ends = _pk_ends(t, metric, k, p)
-    return [_coverage_row(len(t), a, ends) for a in range(len(t))]
+    return [_coverage_row(len(t), a, ends(a)) for a in range(len(t))]
 
 
 def prefix_coverage(t: Text, metric: str, k: int,
                     p: PenaltyMatrix | None = None) -> list[int]:
     """k-coverage of every prefix; entry ell-1 is for length ell.
 
-    Hamming sweeps PREF_k; the edit metrics run row 0 of the factor routine.
+    Hamming sweeps PREF_k; the edit metrics run the per-start routine at a = 0.
     """
     if metric == "hamming":
         return hamcover.prefix_coverage(t, k)
-    return _coverage_row(len(t), 0, _pk_ends(t, metric, k, p))
+    return _coverage_row(len(t), 0, _pk_ends(t, metric, k, p)(0))

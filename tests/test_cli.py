@@ -134,6 +134,26 @@ def test_covers_edit_example(capsys, monkeypatch):
     assert all(r[2] == "0" for key, r in rows.items() if key != "ab")
 
 
+def test_threshold_rows_by_length_then_string(capsys, monkeypatch):
+    """covers and seeds rows come by factor length, then by string: "b"
+    precedes "aa", and equal-length factors are not in first-seen order."""
+    rng = random.Random(11)
+    texts = ["abaab"] + [random_text_str(rng, rng.randint(2, 9), rng.randint(2, 3))
+                         for _ in range(6)]
+    for cmd, want in (("covers", ["a", "b", "aa", "ab", "ba", "aab", "aba", "baa",
+                                  "abaa", "baab"]),
+                      ("seeds", ["a", "b", "aa", "ab", "ba"])):
+        for dist in (["--distance", "hamming", "--k", "1"],
+                     ["--distance", "edit", "--penalty", "unit"]):
+            for raw in texts:
+                code, out, _ = run(capsys, monkeypatch, [cmd, *dist], stdin=raw + "\n")
+                assert code == 0
+                factors = [line.split("\t")[0] for line in out.splitlines()]
+                assert factors == sorted(set(factors), key=lambda s: (len(s), s))
+                if raw == "abaab":
+                    assert factors == want, (cmd, dist)
+
+
 def test_seeds_length_constraint(capsys, monkeypatch):
     code, out, _ = run(capsys, monkeypatch,
                        ["seeds", "--distance", "hamming", "--k", "1"], stdin="ab\n")
@@ -276,4 +296,5 @@ def test_bench_quick_runs(capsys, monkeypatch):
     tasks = [row[0] for row in payload["rows"]]
     assert "prefix-coverage-sweep" in tasks
     assert "pref-k" in tasks
+    assert "prefix-coverage-levenshtein" in tasks
     assert "qtable-quadratic-vs-fast" in tasks

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasicover import oracle
+from quasicover import editcover, oracle
 from quasicover.editcover import (
     WAVE_SENTINEL,
     _dp_rows,
     _EditCosts,
+    _lev_ends,
+    _lev_streams,
     block_size,
     factor_coverage,
     h_wave_build,
@@ -19,6 +21,7 @@ from quasicover.editcover import (
     precompute_special,
     prefix_coverage,
 )
+from quasicover.lcpk import ExactLce
 from quasicover.restricted import q_table_fast, restricted_covers_ed
 from quasicover.textcore import (
     PenaltyMatrix,
@@ -122,8 +125,53 @@ def test_p_lev_matches_brute(rng):
 
 
 def test_p_lev_rejects_wildcards():
+    t = Text.from_str("a?b")
     with pytest.raises(ValueError):
-        p_lev_table(Text.from_str("a?b"), 1)
+        p_lev_table(t, 1)
+    # the recurrence builds no ExactLce, so the entry points check themselves
+    for call in (factor_coverage, prefix_coverage):
+        with pytest.raises(ValueError, match="wildcard-free"):
+            call(t, "levenshtein", 1)
+
+
+def test_lev_streams_equal_wave_streams_at_every_start(rng):
+    """The neighbour recurrence gives S_k(a, a') exactly as the LCE wave
+    engine does, for every suffix pair and budgets up to n+2."""
+    texts = [random_text_str(rng, rng.randint(0, 11), rng.choice((2, 3)))
+             for _ in range(40)]
+    texts += ["", "a", "b", "a" * 9, "ab" * 5, "abc" * 4, "aab" * 3, "abaababaab"]
+    for s in texts:
+        t = Text.from_str(s, "abc")
+        lce = ExactLce(t)
+        for k in range(len(t) + 3):
+            got = dict(_lev_streams(t, k))
+            assert sorted(got) == list(range(len(t)))
+            for a, streams in got.items():
+                assert len(streams) == len(t)
+                for ap, stream in enumerate(streams):
+                    assert stream == list(_lev_ends(t, a, ap, k, lce)), (s, k, a, ap)
+
+
+def test_lev_all_starts_build_no_lce(monkeypatch):
+    """Factor coverage and the dense table run on the recurrence alone."""
+    t = Text.from_str("abaabab")
+    n = len(t)
+
+    def dense(table):
+        return [[[table.get(a, b, ap) for ap in range(n)] for b in range(a, n)]
+                for a in range(n)]
+
+    want = factor_coverage(t, "levenshtein", 2), dense(p_lev_table(t, 2))
+
+    def forbidden(*args):
+        raise AssertionError("LCE wave engine called")
+
+    monkeypatch.setattr(editcover, "ExactLce", forbidden)
+    monkeypatch.setattr(editcover, "_suffix_pair_frontier", forbidden)
+    assert factor_coverage(t, "levenshtein", 2) == want[0]
+    assert dense(p_lev_table(t, 2)) == want[1]
+    with pytest.raises(AssertionError):
+        prefix_coverage(t, "levenshtein", 2)
 
 
 def test_pareto_examples():
