@@ -45,6 +45,23 @@ def random_text(n: int, sigma: int = 2, seed: int = 0) -> Text:
     return Text.from_str("".join(rng.choice(alphabet) for _ in range(n)), alphabet)
 
 
+def planted_text(n: int, period: int = 40, mutate: float = 0.03,
+                 wildcards: float = 0.01, seed: int = 0) -> Text:
+    """A random word of length ``period`` over "abcd" repeated to length n;
+    then ``round(mutate * n)`` random positions get another symbol and
+    ``round(wildcards * n)`` others become wildcards."""
+    rng = random.Random(seed)
+    word = [rng.choice("abcd") for _ in range(period)]
+    out = [word[i % period] for i in range(n)]
+    n_mut, n_wild = round(mutate * n), round(wildcards * n)
+    spots = rng.sample(range(n), n_mut + n_wild)
+    for i in spots[:n_mut]:
+        out[i] = rng.choice([c for c in "abcd" if c != out[i]])
+    for i in spots[n_mut:]:
+        out[i] = "?"
+    return Text.from_str("".join(out), "abcd")
+
+
 def _best_of(fn, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -55,10 +72,11 @@ def _best_of(fn, repeats: int) -> float:
 
 
 def _doubling(task: str, n: int, bound: float, repeats: int, seed: int,
-              make) -> BenchResult:
-    """Best-of-``repeats`` seconds of ``make(t)()`` for random binary texts t
-    of length n and 2n; the work inside ``make`` itself is not timed."""
-    small, big = (_best_of(make(random_text(size, 2, seed)), repeats)
+              make, text=lambda size, seed: random_text(size, 2, seed)) -> BenchResult:
+    """Best-of-``repeats`` seconds of ``make(t)()`` for texts t = text(size, seed)
+    (random binary by default) of length n and 2n; the work inside ``make``
+    itself is not timed."""
+    small, big = (_best_of(make(text(size, seed)), repeats)
                   for size in (n, 2 * n))
     return BenchResult(task, n, 2 * n, small, big, big / small, bound)
 
@@ -77,6 +95,15 @@ def bench_pref_k(n: int = 2 ** 15, k: int = 2, repeats: int = 3,
     """PREF_k by kangaroo jumps over direct-comparison LCE, build included."""
     return _doubling("pref-k", n, 3.0, repeats, seed,
                      lambda t: lambda: pref_k(t, k, ExactLce(t)))
+
+
+def bench_pref_k_wildcards(n: int = 2 ** 15, k: int = 2, repeats: int = 3,
+                           seed: int = 7) -> BenchResult:
+    """PREF_k on planted period-40 text with 3% mutations and 1% wildcards:
+    the inline wildcard test of the jump loop and the LCE across wildcards."""
+    return _doubling("pref-k-wildcards", n, 3.0, repeats, seed,
+                     lambda t: lambda: pref_k(t, k, ExactLce(t)),
+                     lambda size, seed: planted_text(size, seed=seed))
 
 
 def bench_factor_hamming(n: int = 160, k: int = 1, repeats: int = 3,
@@ -137,9 +164,10 @@ def run_all(quick: bool = False) -> list[BenchResult]:
         return [
             bench_prefix_sweep(n=2 ** 12, repeats=2),
             bench_pref_k(n=2 ** 12, repeats=2),
+            bench_pref_k_wildcards(n=2 ** 12, repeats=2),
             bench_factor_hamming(n=64, repeats=2),
             bench_factor_lev(n=16, repeats=2),
             bench_prefix_lev(n=64, repeats=2),
         ]
-    return [bench_prefix_sweep(), bench_pref_k(), bench_factor_hamming(), bench_factor_lev(),
-            bench_prefix_lev()]
+    return [bench_prefix_sweep(), bench_pref_k(), bench_pref_k_wildcards(),
+            bench_factor_hamming(), bench_factor_lev(), bench_prefix_lev()]

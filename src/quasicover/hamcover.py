@@ -83,47 +83,55 @@ class SweepState:
 
     def step(self, ell: int) -> int:
         """Advance to subject length ell and return its coverage."""
+        return self.steps(ell, ell)[0]
+
+    def steps(self, first: int, last: int) -> list[int]:
+        """Advance through subject lengths first..last, one after another
+        from the current one, and return their coverages."""
         nxt, prv, gap_of, is_no = self.nxt, self.prv, self.gap_of, self.is_no
-        buckets, max_len = self.buckets, self.max_len
+        buckets, removal_bucket, max_len = self.buckets, self.removal_bucket, self.max_len
         sum_o, num_no, pairs = self.sum_o, self.num_no, self.pairs_processed
-        for pos in self.removal_bucket[ell - 1]:
-            node = pos + 1
-            left, right = prv[node], nxt[node]
-            if is_no[node]:
-                is_no[node] = False
-                num_no -= 1
-            else:
-                sum_o -= gap_of[node]
-            gap_of[node] = 0
-            nxt[left] = right
-            prv[right] = left
-            if left == 0:
-                continue  # left-sentinel pairs are never counted
-            if is_no[left]:
-                num_no -= 1
-            else:
-                sum_o -= gap_of[left]
-            gap = right - left
-            gap_of[left] = gap
-            pairs += 1
-            if gap < ell:
-                sum_o += gap
-                is_no[left] = False
-            else:
-                num_no += 1
-                is_no[left] = True
-                if gap < max_len:
-                    buckets[gap].append(left)
-        if ell >= 2:
-            gap = ell - 1  # pairs of this gap turn overlapping
-            for node in buckets[gap]:
-                if is_no[node] and gap_of[node] == gap:
+        out = []
+        for ell in range(first, last + 1):
+            for pos in removal_bucket[ell - 1]:
+                node = pos + 1
+                left, right = prv[node], nxt[node]
+                if is_no[node]:
                     is_no[node] = False
                     num_no -= 1
+                else:
+                    sum_o -= gap_of[node]
+                gap_of[node] = 0
+                nxt[left] = right
+                prv[right] = left
+                if left == 0:
+                    continue  # left-sentinel pairs are never counted
+                if is_no[left]:
+                    num_no -= 1
+                else:
+                    sum_o -= gap_of[left]
+                gap = right - left
+                gap_of[left] = gap
+                pairs += 1
+                if gap < ell:
                     sum_o += gap
-            buckets[gap] = []
+                    is_no[left] = False
+                else:
+                    num_no += 1
+                    is_no[left] = True
+                    if gap < max_len:
+                        buckets[gap].append(left)
+            if ell >= 2:
+                gap = ell - 1  # pairs of this gap turn overlapping
+                for node in buckets[gap]:
+                    if is_no[node] and gap_of[node] == gap:
+                        is_no[node] = False
+                        num_no -= 1
+                        sum_o += gap
+                buckets[gap] = []
+            out.append(sum_o + num_no * ell)
         self.sum_o, self.num_no, self.pairs_processed = sum_o, num_no, pairs
-        return sum_o + num_no * ell
+        return out
 
 
 def coverage_sweep(vals: list[int], n: int, max_len: int) -> list[int]:
@@ -133,8 +141,7 @@ def coverage_sweep(vals: list[int], n: int, max_len: int) -> list[int]:
     an approximate occurrence start (a PREF_k value or an lcp_k table row).
     O(n) overall: at most 2n-1 adjacent pairs exist over the whole sweep.
     """
-    state = SweepState(vals, n, max_len)
-    return [state.step(ell) for ell in range(1, max_len + 1)]
+    return SweepState(vals, n, max_len).steps(1, max_len)
 
 
 def prefix_coverage(t: Text, k: int, pref: PrefKTable | None = None) -> list[int]:
@@ -291,13 +298,15 @@ def k_restricted_seeds(t: Text, k: int) -> dict[str, int | None]:
 
 def failure_function(t: Text) -> list[int]:
     """Classic border array over exact symbol identity."""
-    n = len(t)
+    sym = t.symbols
+    n = len(sym)
     pi = [0] * n
     k = 0
     for q in range(1, n):
-        while k > 0 and t[k] != t[q]:
+        c = sym[q]
+        while k > 0 and sym[k] != c:
             k = pi[k - 1]
-        if t[k] == t[q]:
+        if sym[k] == c:
             k += 1
         pi[q] = k
     return pi

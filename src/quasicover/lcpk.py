@@ -5,11 +5,17 @@ as a mismatch):
 
 * :func:`lcp_k_all_pairs` fills the full n x n table in O(n^2) per budget
   by sliding a window of mismatch positions along each diagonal;
-* :func:`kangaroo_lcp_k` answers a single query with at most k+1 exact
-  longest-common-extension jumps, each a direct comparison by
-  :class:`ExactLce` that costs O(L) C-level symbol compares for an answer L;
+* :func:`kangaroo_lcp_k` answers a single query with at most k+1
+  longest-common-extension jumps;
 * :func:`pref_k` builds the PREF_k vector (lcp_k against position 0) from
   n such queries: O(nk) jumps, and Theta(n^2) compares on unary text.
+
+The last two share one jump loop.  A jump compares up to 8 symbols
+inline, which is where nearly every jump on random or noisy periodic text
+ends, so a short jump costs no function call.  A run still matching after
+them is finished by :meth:`ExactLce.extension`, a direct comparison that
+gallops over slices: O(L) C-level symbol compares for an answer L, but one
+interpreter step per wildcard it crosses.
 """
 
 from __future__ import annotations
@@ -175,6 +181,37 @@ def _lce_for(t: Text, lce: ExactLce | None) -> ExactLce:
     return ExactLce(t) if lce is None else lce
 
 
+def _lcp_k(s: str, extension, i: int, j: int, limit: int, k: int) -> int:
+    """lcp_k(i, j) on the string image ``s`` of an :class:`ExactLce`, capped at
+    ``limit`` = n - max(i, j); ``extension`` is that object's bound method.
+
+    The one kangaroo jump loop: up to 8 symbols are compared inline (the
+    wildcard chr(0) matches anything), and a run that is still matching
+    after them is finished by one ``extension`` call.  Each mismatch spends
+    one unit of budget, for at most k+1 jumps.
+    """
+    p, q, end = i, j, i + limit
+    while True:
+        stop = p + 8 if p + 8 < end else end
+        while p < stop:
+            a = s[p]
+            b = s[q]
+            if a != b and a != "\0" != b:
+                break
+            p += 1
+            q += 1
+        else:
+            if p < end:
+                got = extension(p, q)
+                p += got
+                q += got
+        if p == end or not k:
+            return p - i
+        k -= 1  # spend one mismatch
+        p += 1
+        q += 1
+
+
 def kangaroo_lcp_k(t: Text, i: int, j: int, k: int,
                    lce: ExactLce | None = None) -> int:
     """lcp_k(i, j) with at most k+1 extension jumps.
@@ -189,21 +226,15 @@ def kangaroo_lcp_k(t: Text, i: int, j: int, k: int,
         raise ValueError("mismatch budget must be nonnegative")
     if lce is None or lce.text is not t:
         lce = _lce_for(t, lce)
-    limit = n - max(i, j)
-    total = lce.extension(i, j)
-    budget = k
-    while total < limit and budget > 0:
-        budget -= 1
-        total += 1  # spend one mismatch
-        total += lce.extension(i + total, j + total)
-    return min(total, limit)
+    return _lcp_k(lce._s, lce.extension, i, j, n - max(i, j), k)
 
 
 def pref_k(t: Text, k: int, lce: ExactLce | None = None) -> PrefKTable:
-    """PREF_k table via kangaroo queries against position 0: O(nk) jumps."""
+    """PREF_k table by one kangaroo query per position against position 0:
+    O(nk) jumps."""
     n = len(t)
     if k < 0:
         raise ValueError("mismatch budget must be nonnegative")
-    lce = _lce_for(t, lce)  # then each query passes the identity check
-    values = [kangaroo_lcp_k(lce.text, 0, i, k, lce) for i in range(n)]
-    return PrefKTable(k, values)
+    lce = _lce_for(t, lce)
+    s, extension = lce._s, lce.extension
+    return PrefKTable(k, [_lcp_k(s, extension, 0, i, n - i, k) for i in range(n)])

@@ -296,5 +296,6 @@ def test_bench_quick_runs(capsys, monkeypatch):
     tasks = [row[0] for row in payload["rows"]]
     assert "prefix-coverage-sweep" in tasks
     assert "pref-k" in tasks
+    assert "pref-k-wildcards" in tasks
     assert "prefix-coverage-levenshtein" in tasks
     assert "qtable-quadratic-vs-fast" in tasks

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasicover.lcpk import ExactLce, kangaroo_lcp_k, lcp_k_all_pairs, pref_k
+from quasicover.lcpk import _WHOLE_SEGMENT, ExactLce, kangaroo_lcp_k, lcp_k_all_pairs, pref_k
 from quasicover.textcore import Text, symbols_match
 
 from conftest import naive_lcp_k, random_text_str
@@ -111,6 +111,46 @@ def test_long_extensions_match_plain_loop(rng):
             for k in (0, 1, 2):
                 assert pref_k(t, k, lce).values == [naive_lcp_k(t, 0, i, k)
                                                     for i in range(n)]
+
+
+def _jump_edge_texts(n: int):
+    """Unary and period-2 texts of length n with a mismatching symbol, a
+    wildcard or both at offset d of every (d+1)-block, d = 7, 8, 9: the last
+    inline compare of a jump, the first one left to the LCE, the one after.
+    Each also comes with the last symbol marked."""
+    for base in ("a" * n, ("ab" * n)[:n]):
+        for d in (7, 8, 9):
+            for marks in ("c", "?", "c?"):
+                s = list(base)
+                for b, p in enumerate(range(d, n, d + 1)):
+                    s[p] = marks[b % len(marks)]
+                yield "".join(s)
+                if n:
+                    s[-1] = marks[-1]
+                    yield "".join(s)
+
+
+def _check_against_naive(t: Text):
+    n = len(t)
+    lce = ExactLce(t)
+    for k in range(5):
+        want = [naive_lcp_k(t, 0, i, k) for i in range(n)]
+        assert pref_k(t, k, lce).values == want
+        assert [kangaroo_lcp_k(t, 0, i, k, lce) for i in range(n)] == want
+
+
+def test_jump_loop_at_inline_compare_edges():
+    """The jump loop compares 8 symbols inline, then calls the LCE: put
+    mismatches and wildcards on both sides of that switch, on the last
+    symbol, and (with one wildcard in a text longer than two whole-slice
+    segments) where the LCE has to gallop between wildcards."""
+    for n in range(41):
+        for s in _jump_edge_texts(n):
+            _check_against_naive(Text.from_str(s, "abc"))
+    n = 2 * _WHOLE_SEGMENT + 40
+    for s in ("a" * n, ("ab" * n)[:n]):
+        q = n // 2
+        _check_against_naive(Text.from_str(s[:q] + "?" + s[q + 1:], "abc"))
 
 
 def test_lce_of_another_text_is_an_error():
