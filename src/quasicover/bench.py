@@ -45,15 +45,14 @@ def random_text(n: int, sigma: int = 2, seed: int = 0) -> Text:
     return Text.from_str("".join(rng.choice(alphabet) for _ in range(n)), alphabet)
 
 
-def planted_text(n: int, period: int = 40, mutate: float = 0.03,
-                 wildcards: float = 0.01, seed: int = 0) -> Text:
-    """A random word of length ``period`` over "abcd" repeated to length n;
-    then ``round(mutate * n)`` random positions get another symbol and
-    ``round(wildcards * n)`` others become wildcards."""
+def planted_text(n: int, seed: int = 0) -> Text:
+    """A random word of length 40 over "abcd" repeated to length n; then
+    round(0.03 n) random positions get another symbol and round(0.01 n)
+    others become wildcards."""
     rng = random.Random(seed)
-    word = [rng.choice("abcd") for _ in range(period)]
-    out = [word[i % period] for i in range(n)]
-    n_mut, n_wild = round(mutate * n), round(wildcards * n)
+    word = [rng.choice("abcd") for _ in range(40)]
+    out = [word[i % 40] for i in range(n)]
+    n_mut, n_wild = round(0.03 * n), round(0.01 * n)
     spots = rng.sample(range(n), n_mut + n_wild)
     for i in spots[:n_mut]:
         out[i] = rng.choice([c for c in "abcd" if c != out[i]])
@@ -102,8 +101,7 @@ def bench_pref_k_wildcards(n: int = 2 ** 15, k: int = 2, repeats: int = 3,
     """PREF_k on planted period-40 text with 3% mutations and 1% wildcards:
     the inline wildcard test of the jump loop and the LCE across wildcards."""
     return _doubling("pref-k-wildcards", n, 3.0, repeats, seed,
-                     lambda t: lambda: pref_k(t, k, ExactLce(t)),
-                     lambda size, seed: planted_text(size, seed=seed))
+                     lambda t: lambda: pref_k(t, k, ExactLce(t)), planted_text)
 
 
 def bench_factor_hamming(n: int = 160, k: int = 1, repeats: int = 3,

@@ -11,8 +11,9 @@ as a mismatch):
   n such queries: O(nk) jumps, and Theta(n^2) compares on unary text.
 
 The last two share one jump loop.  A jump compares up to 8 symbols
-inline, which is where nearly every jump on random or noisy periodic text
-ends, so a short jump costs no function call.  A run still matching after
+inline, so a short jump costs no function call; in counts on random binary
+and on noisy periodic text with 1% wildcards (n = 20000-32768, k = 2),
+98.2-99.99% of jumps ended within those 8.  A run still matching after
 them is finished by :meth:`ExactLce.extension`, a direct comparison that
 gallops over slices: O(L) C-level symbol compares for an answer L, but one
 interpreter step per wildcard it crosses.
