@@ -15,7 +15,7 @@ from math import log2
 
 from .editcover import factor_coverage, precompute_special, prefix_coverage
 from .hamcover import coverage_sweep, factor_coverage_all
-from .lcpk import ExactLce, pref_k
+from .lcpk import pref_k
 from .restricted import q_table_fast, restricted_covers_ed
 from .textcore import PenaltyMatrix, Text
 
@@ -84,7 +84,7 @@ def bench_prefix_sweep(n: int = 2 ** 15, k: int = 1, repeats: int = 3,
                        seed: int = 7) -> BenchResult:
     """Linear-time prefix coverage, excluding PREF_k construction."""
     def make(t: Text):
-        vals = list(pref_k(t, k, ExactLce(t)).values)
+        vals = list(pref_k(t, k).values)
         return lambda: coverage_sweep(vals, len(t), len(t))
     return _doubling("prefix-coverage-sweep", n, 3.0, repeats, seed, make)
 
@@ -93,7 +93,7 @@ def bench_pref_k(n: int = 2 ** 15, k: int = 2, repeats: int = 3,
                  seed: int = 7) -> BenchResult:
     """PREF_k by kangaroo jumps over direct-comparison LCE, build included."""
     return _doubling("pref-k", n, 3.0, repeats, seed,
-                     lambda t: lambda: pref_k(t, k, ExactLce(t)))
+                     lambda t: lambda: pref_k(t, k))
 
 
 def bench_pref_k_wildcards(n: int = 2 ** 15, k: int = 2, repeats: int = 3,
@@ -101,7 +101,7 @@ def bench_pref_k_wildcards(n: int = 2 ** 15, k: int = 2, repeats: int = 3,
     """PREF_k on planted period-40 text with 3% mutations and 1% wildcards:
     the inline wildcard test of the jump loop and the LCE across wildcards."""
     return _doubling("pref-k-wildcards", n, 3.0, repeats, seed,
-                     lambda t: lambda: pref_k(t, k, ExactLce(t)), planted_text)
+                     lambda t: lambda: pref_k(t, k), planted_text)
 
 
 def bench_factor_hamming(n: int = 160, k: int = 1, repeats: int = 3,

@@ -144,6 +144,8 @@ _distance_opt = click.option(
     "--distance", type=click.Choice(["hamming", "levenshtein", "edit"]),
     default="hamming", show_default=True)
 _k_opt = click.option("--k", type=click.IntRange(min=0), default=0, show_default=True)
+_hamming_k_opt = click.option("--k", type=click.IntRange(min=0), default=None,
+                              help="Hamming only: mismatch budget (default 0).")
 _penalty_opt = click.option(
     "--penalty", default=None,
     help="Penalty file for --distance edit, or 'unit' for unit costs.")
@@ -202,6 +204,18 @@ def coverage(input, distance, k, mode, penalty, fmt, wildcard):
         raise InputDataError(str(exc))
 
 
+def _restricted_budget(command: str, distance: str, k: int | None, escalate: bool) -> int:
+    """The Hamming budget of ``covers``/``seeds``; the edit search takes none,
+    so an explicit ``--k`` or ``--escalate`` there is a usage error."""
+    if distance == "levenshtein":
+        raise click.UsageError(f"{command} supports --distance hamming or edit "
+                               "(levenshtein is unit-cost edit)")
+    for flag, given in (("--k", k is not None), ("--escalate", escalate)):
+        if given and distance != "hamming":
+            raise click.UsageError(f"{flag} supports --distance hamming only")
+    return k or 0
+
+
 def _threshold_rows(result: dict[str, int | None]) -> list[list]:
     keys = sorted(sorted(result), key=len)  # stable: by length, then by string
     return [[key, "none" if result[key] is None else result[key]] for key in keys]
@@ -216,7 +230,7 @@ def _edit_threshold_rows(report) -> list[list]:
 @cli.command()
 @click.argument("input", required=False)
 @_distance_opt
-@_k_opt
+@_hamming_k_opt
 @click.option("--escalate", is_flag=True,
               help="Hamming only: raise the budget until every factor resolves.")
 @_penalty_opt
@@ -228,11 +242,7 @@ def covers(input, distance, k, escalate, penalty, fmt, wildcard):
     Hamming: rows (factor, minimal level or 'none') for levels <= k.
     Edit: rows (factor, threshold, minimal-flag).
     """
-    if distance == "levenshtein":
-        raise click.UsageError("covers supports --distance hamming or edit "
-                               "(levenshtein is unit-cost edit)")
-    if escalate and distance != "hamming":
-        raise click.UsageError("--escalate supports --distance hamming only")
+    k = _restricted_budget("covers", distance, k, escalate)
     t, matrix = _prepare(input, distance, penalty, wildcard)
     if distance == "hamming":
         # Thresholds are <= |C| < |T|, and the search stops once every
@@ -247,7 +257,7 @@ def covers(input, distance, k, escalate, penalty, fmt, wildcard):
 @cli.command()
 @click.argument("input", required=False)
 @_distance_opt
-@_k_opt
+@_hamming_k_opt
 @click.option("--escalate", is_flag=True,
               help="Hamming only: raise the budget until every factor resolves.")
 @_penalty_opt
@@ -255,11 +265,7 @@ def covers(input, distance, k, escalate, penalty, fmt, wildcard):
 @_wildcard_opt
 def seeds(input, distance, k, escalate, penalty, fmt, wildcard):
     """Restricted approximate seeds (candidates with 2|C| <= |T|)."""
-    if distance == "levenshtein":
-        raise click.UsageError("seeds supports --distance hamming or edit "
-                               "(levenshtein is unit-cost edit)")
-    if escalate and distance != "hamming":
-        raise click.UsageError("--escalate supports --distance hamming only")
+    k = _restricted_budget("seeds", distance, k, escalate)
     t, matrix = _prepare(input, distance, penalty, wildcard)
     if distance == "hamming":
         result = hamcover.k_restricted_seeds(t, len(t) // 2 + 1 if escalate else k)

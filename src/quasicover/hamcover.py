@@ -2,11 +2,11 @@
 seeds, and both enhanced-cover variants.
 
 The core is a linear sweep over subject lengths.  Live occurrence starts sit
-in a doubly linked list; adjacent pairs are split into overlapping pairs
-(tracked only as a gap sum) and non-overlapping pairs (bucketed by gap), so
-that at every length the covered-position count is ``sum of overlapping gaps
-+ number of non-overlapping pairs * length``.  :func:`coverage_sweep` is the
-one entry point; it stops at a given length.
+in a doubly linked list, and each owns the gap to the next one (the last
+one's runs to n).  At length ell the covered-position count is the sum of
+min(gap, ell): the gaps below ell summed, plus ell times the number of the
+others, which are kept as one count per gap size.  :func:`coverage_sweep` is
+the one entry point; it stops at a given length.
 
 Restricted covers and seeds take one pass per candidate start over lengths
 1, 2, ... on int masks, bit j for position j (shift-add k-mismatch matching,
@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
-from .lcpk import LcpKTable, PrefKTable, lcp_k_all_pairs, pref_k
+from .lcpk import lcp_k_all_pairs, pref_k
 from .textcore import WILDCARD, IntervalSet, Text, pad_for_seed
 
 
@@ -49,37 +49,32 @@ class EnhancedCover:
 class SweepState:
     """Mutable state of one coverage sweep; single-owner while sweeping.
 
-    Exposes the aggregates needed by the coverage formula plus a processed
-    pair counter, so tests can assert the internal invariants step by step.
-    Only lengths up to ``max_len`` are ever stepped to, so positions live
-    beyond it are never bucketed for removal and pairs whose gap reaches
-    it are never bucketed for migration.
+    Each live start owns the gap to the next live start (the last one's
+    runs to n), and its windows of length ell cover min(gap, ell) new
+    positions.  So the coverage at ell is ``sum_o + num_no * ell``: sum_o
+    sums the gaps below ell and num_no counts the others.  For g >= ell,
+    ``count[g]`` is the number of gaps equal to g, so stepping to ell moves
+    count[ell-1] gaps into sum_o in O(1); entries below ell go stale and
+    are never read again.  ``pairs_processed`` counts the gaps ever formed, for the 2n-1
+    bound.
     """
 
     def __init__(self, vals: list[int], n: int, max_len: int):
-        # Node x represents position x-1; node 0 is the left sentinel (a
-        # virtual position that never counts as an occurrence) and node n+1
-        # is the right sentinel for position n.  Node x > 0 owns the pair
-        # (x, nxt[x]) with gap gap_of[x]; a pair is non-overlapping (is_no)
-        # while its gap is at least the current length.  At length 1 every
-        # initial pair (i, i+1) has gap 1 and is non-overlapping.
-        self.n = n
-        self.max_len = max_len
+        # Node x stands for position x-1; node 0 is the left sentinel (never
+        # an occurrence, its gap never counted) and node n+1 stands for
+        # position n.  At length 1 every start i owns the gap 1 to i+1.
         self.nxt = list(range(1, n + 3))
         self.prv = list(range(-1, n + 2))
-        self.gap_of = [0] + [1] * n + [0]
-        self.is_no = [False] + [True] * n + [False]
-        # Nodes by gap; an entry is stale once its node's gap or side changed.
-        self.buckets: list[list[int]] = [[] for _ in range(max_len)]
-        if max_len > 1:
-            self.buckets[1] = list(range(1, n + 1))
+        self.count = [0, n] + [0] * n
         self.sum_o = 0
         self.num_no = n
         self.pairs_processed = n
+        # Nodes by the last length at which they are an occurrence; nodes
+        # live at max_len are never removed.
         self.removal_bucket: list[list[int]] = [[] for _ in range(max_len)]
-        for i, v in enumerate(vals):
+        for node, v in enumerate(vals, 1):
             if v < max_len:
-                self.removal_bucket[v].append(i)
+                self.removal_bucket[v].append(node)
 
     def step(self, ell: int) -> int:
         """Advance to subject length ell and return its coverage."""
@@ -88,47 +83,38 @@ class SweepState:
     def steps(self, first: int, last: int) -> list[int]:
         """Advance through subject lengths first..last, one after another
         from the current one, and return their coverages."""
-        nxt, prv, gap_of, is_no = self.nxt, self.prv, self.gap_of, self.is_no
-        buckets, removal_bucket, max_len = self.buckets, self.removal_bucket, self.max_len
+        nxt, prv, count, removal_bucket = self.nxt, self.prv, self.count, self.removal_bucket
         sum_o, num_no, pairs = self.sum_o, self.num_no, self.pairs_processed
         out = []
         for ell in range(first, last + 1):
-            for pos in removal_bucket[ell - 1]:
-                node = pos + 1
+            moved = count[ell - 1]  # gaps of ell-1 are below ell from here on
+            num_no -= moved
+            sum_o += moved * (ell - 1)
+            for node in removal_bucket[ell - 1]:
                 left, right = prv[node], nxt[node]
-                if is_no[node]:
-                    is_no[node] = False
-                    num_no -= 1
-                else:
-                    sum_o -= gap_of[node]
-                gap_of[node] = 0
                 nxt[left] = right
                 prv[right] = left
-                if left == 0:
-                    continue  # left-sentinel pairs are never counted
-                if is_no[left]:
-                    num_no -= 1
+                gap = right - node  # the removed start's own gap
+                if gap < ell:
+                    sum_o -= gap
                 else:
-                    sum_o -= gap_of[left]
+                    num_no -= 1
+                    count[gap] -= 1
+                if left == 0:
+                    continue  # the left sentinel's gap is never counted
+                gap = node - left  # the left start's gap before the merge
+                if gap < ell:
+                    sum_o -= gap
+                else:
+                    num_no -= 1
+                    count[gap] -= 1
                 gap = right - left
-                gap_of[left] = gap
                 pairs += 1
                 if gap < ell:
                     sum_o += gap
-                    is_no[left] = False
                 else:
                     num_no += 1
-                    is_no[left] = True
-                    if gap < max_len:
-                        buckets[gap].append(left)
-            if ell >= 2:
-                gap = ell - 1  # pairs of this gap turn overlapping
-                for node in buckets[gap]:
-                    if is_no[node] and gap_of[node] == gap:
-                        is_no[node] = False
-                        num_no -= 1
-                        sum_o += gap
-                buckets[gap] = []
+                    count[gap] += 1
             out.append(sum_o + num_no * ell)
         self.sum_o, self.num_no, self.pairs_processed = sum_o, num_no, pairs
         return out
@@ -139,53 +125,37 @@ def coverage_sweep(vals: list[int], n: int, max_len: int) -> list[int]:
 
     ``vals[i]`` is the largest subject length for which position i still is
     an approximate occurrence start (a PREF_k value or an lcp_k table row).
-    O(n) overall: at most 2n-1 adjacent pairs exist over the whole sweep.
+    O(n) overall: at most 2n-1 gaps exist over the whole sweep.
     """
     return SweepState(vals, n, max_len).steps(1, max_len)
 
 
-def prefix_coverage(t: Text, k: int, pref: PrefKTable | None = None) -> list[int]:
+def prefix_coverage(t: Text, k: int) -> list[int]:
     """Hamming k-coverage of every prefix; entry ell-1 is for length ell.
 
-    Linear in |t| once the PREF_k table is available.
+    Linear in |t| once the PREF_k table is built.
     """
-    n = len(t)
-    if pref is None:
-        pref = pref_k(t, k)
-    if len(pref) != n:
-        raise ValueError(f"PREF table length {len(pref)} does not match text length {n}")
-    if pref.k != k:
-        raise ValueError(f"PREF table was built for k={pref.k}, queried with k={k}")
-    return coverage_sweep(list(pref.values), n, n)
+    return coverage_sweep(pref_k(t, k).values, len(t), len(t))
 
 
-def _lcp_table(t: Text, k: int, table: LcpKTable | None) -> LcpKTable:
-    """The lcp_k table of ``t``: built here, or a prebuilt one checked to fit."""
-    if table is None:
-        return lcp_k_all_pairs(t, k)
-    if (table.n, table.k) != (len(t), k):
-        raise ValueError(f"lcp_k table for n={table.n}, k={table.k} used with n={len(t)}, k={k}")
-    return table
-
-
-def factor_coverage_all(t: Text, k: int,
-                        table: LcpKTable | None = None) -> list[list[int]]:
+def factor_coverage_all(t: Text, k: int) -> list[list[int]]:
     """Hamming k-coverage of every factor: rows[a][b-a] covers T[a, b].
 
     One prefix-style sweep per start against the matching lcp_k table row,
     O(n^2) total.
     """
-    table = _lcp_table(t, k, table)
+    table = lcp_k_all_pairs(t, k)
     n = len(t)
     return [coverage_sweep(table.row(a), n, n - a) for a in range(n)]
 
 
-def factor_occurrences(t: Text, k: int, a: int, b: int,
-                       table: LcpKTable | None = None) -> IntervalSet:
+def factor_occurrences(t: Text, k: int, a: int, b: int) -> IntervalSet:
     """Approximate occurrence intervals of T[a, b], in start order."""
-    table = _lcp_table(t, k, table)
-    length = b - a + 1
-    row = table.row(a)
+    return _occurrences(lcp_k_all_pairs(t, k).row(a), b - a + 1)
+
+
+def _occurrences(row: list[int], length: int) -> IntervalSet:
+    """Windows of ``length`` at the starts whose lcp_k ``row`` value reaches it."""
     occ = IntervalSet()
     for i, v in enumerate(row):
         if v >= length:
@@ -194,12 +164,11 @@ def factor_occurrences(t: Text, k: int, a: int, b: int,
 
 
 def factor_report(t: Text, k: int, a: int, b: int,
-                  with_occurrences: bool = False,
-                  table: LcpKTable | None = None) -> CoverageReport:
+                  with_occurrences: bool = False) -> CoverageReport:
     """Coverage report for one factor, optionally with its occurrence set."""
-    table = _lcp_table(t, k, table)
-    cov = coverage_sweep(table.row(a), len(t), b - a + 1)[b - a]
-    occ = factor_occurrences(t, k, a, b, table) if with_occurrences else None
+    row = lcp_k_all_pairs(t, k).row(a)
+    cov = coverage_sweep(row, len(t), b - a + 1)[b - a]
+    occ = _occurrences(row, b - a + 1) if with_occurrences else None
     return CoverageReport((a, b), cov, occ)
 
 
@@ -325,17 +294,18 @@ def border_lengths(t: Text) -> list[int]:
     return out
 
 
-def enhanced_cover_exact_border(t: Text, k: int,
-                                pref: PrefKTable | None = None) -> EnhancedCover | None:
+def enhanced_cover_exact_border(t: Text, k: int) -> EnhancedCover | None:
     """Best proper border by Hamming k-coverage; None when t has no border.
 
     Ties prefer the shorter border.  Border detection is exact (symbol
     identity); only the occurrences are approximate.
     """
+    if k < 0:
+        raise ValueError("mismatch budget must be nonnegative")
     lengths = border_lengths(t)
     if not lengths:
         return None
-    cov = prefix_coverage(t, k, pref)
+    cov = prefix_coverage(t, k)
     best: EnhancedCover | None = None
     for length in sorted(lengths):
         c = cov[length - 1]
@@ -344,19 +314,17 @@ def enhanced_cover_exact_border(t: Text, k: int,
     return best
 
 
-def enhanced_cover_approx_border(t: Text, k: int,
-                                 table: LcpKTable | None = None) -> EnhancedCover | None:
+def enhanced_cover_approx_border(t: Text, k: int) -> EnhancedCover | None:
     """Best factor that is a k-approximate border, by Hamming k-coverage.
 
     A factor C qualifies when both Ham(C, prefix of |C|) <= k and
     Ham(C, suffix of |C|) <= k; both conditions are lcp_k lookups.  Ties
-    prefer shorter candidates, then smaller start positions.
+    prefer shorter candidates, then smaller start positions.  None when t
+    is empty.
     """
+    table = lcp_k_all_pairs(t, k)  # checks the budget, also on empty text
     n = len(t)
-    if n == 0:
-        return None
-    table = _lcp_table(t, k, table)
-    rows = factor_coverage_all(t, k, table)
+    rows = [coverage_sweep(table.row(a), n, n - a) for a in range(n)]
     best: EnhancedCover | None = None
     for length in range(1, n + 1):
         for a in range(n - length + 1):

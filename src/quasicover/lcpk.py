@@ -175,13 +175,6 @@ class ExactLce:
         return total
 
 
-def _lce_for(t: Text, lce: ExactLce | None) -> ExactLce:
-    """``lce`` if it was built for ``t`` (identity checked first), else a new one."""
-    if lce is not None and lce.text is not t and lce.text != t:
-        raise ValueError("ExactLce was built for another text")
-    return ExactLce(t) if lce is None else lce
-
-
 def _lcp_k(s: str, extension, i: int, j: int, limit: int, k: int) -> int:
     """lcp_k(i, j) on the string image ``s`` of an :class:`ExactLce`, capped at
     ``limit`` = n - max(i, j); ``extension`` is that object's bound method.
@@ -217,25 +210,28 @@ def kangaroo_lcp_k(t: Text, i: int, j: int, k: int,
                    lce: ExactLce | None = None) -> int:
     """lcp_k(i, j) with at most k+1 extension jumps.
 
-    Pass a prebuilt :class:`ExactLce` of the same text to share its string
-    image over many queries; without one it is built on the fly.
+    Pass a prebuilt :class:`ExactLce` of the same text (or of an equal one)
+    to share its string image over many single queries; without one it is
+    built on the fly.  :func:`pref_k` builds its own for its n queries.
     """
     n = len(t)
     if not (0 <= i <= n and 0 <= j <= n):
         raise IndexError(f"positions ({i},{j}) out of [0,{n}]")
     if k < 0:
         raise ValueError("mismatch budget must be nonnegative")
-    if lce is None or lce.text is not t:
-        lce = _lce_for(t, lce)
+    if lce is None:
+        lce = ExactLce(t)
+    elif lce.text is not t and lce.text != t:
+        raise ValueError("ExactLce was built for another text")
     return _lcp_k(lce._s, lce.extension, i, j, n - max(i, j), k)
 
 
-def pref_k(t: Text, k: int, lce: ExactLce | None = None) -> PrefKTable:
-    """PREF_k table by one kangaroo query per position against position 0:
-    O(nk) jumps."""
+def pref_k(t: Text, k: int) -> PrefKTable:
+    """PREF_k table by one kangaroo query per position against position 0,
+    all on one :class:`ExactLce` built here: O(nk) jumps."""
     n = len(t)
     if k < 0:
         raise ValueError("mismatch budget must be nonnegative")
-    lce = _lce_for(t, lce)
+    lce = ExactLce(t)
     s, extension = lce._s, lce.extension
     return PrefKTable(k, [_lcp_k(s, extension, 0, i, n - i, k) for i in range(n)])

@@ -193,12 +193,13 @@ def test_usage_errors(capsys, monkeypatch):
     assert code == 1
     code, _, err = run(capsys, monkeypatch, ["coverage", "--k", "-1"], stdin="ab\n")
     assert code == 1
-    # --escalate is Hamming only, also under --distance edit
+    # --escalate and --k are Hamming only, also under --distance edit
     for cmd in ("covers", "seeds"):
-        code, out, err = run(capsys, monkeypatch,
-                             [cmd, "--distance", "edit", "--penalty", "unit",
-                              "--escalate"], stdin="abab\n")
-        assert code == 1 and out == "" and "--escalate" in err
+        for flag in (["--escalate"], ["--k", "3"], ["--k", "0"]):
+            code, out, err = run(capsys, monkeypatch,
+                                 [cmd, "--distance", "edit", "--penalty", "unit", *flag],
+                                 stdin="abab\n")
+            assert code == 1 and out == "" and flag[0] in err
     # --penalty is edit only; it is not silently ignored under other distances
     for argv in (["covers", "--penalty", "nonexistent.txt"],
                  ["seeds", "--penalty", "unit"],

@@ -16,7 +16,7 @@ from quasicover.hamcover import (
     k_restricted_seeds,
     prefix_coverage,
 )
-from quasicover.lcpk import PrefKTable, lcp_k_all_pairs, pref_k
+from quasicover.lcpk import lcp_k_all_pairs, pref_k
 from quasicover.textcore import Text, hamming_distance, pad_for_seed
 
 from conftest import random_text_str
@@ -28,26 +28,6 @@ def test_prefix_coverage_examples():
     assert prefix_coverage(t, 1)[1] == 5  # approximate starts 0, 2, 3
     for k in (0, 1, 3):
         assert prefix_coverage(t, k)[-1] == len(t)
-
-
-def test_prefix_coverage_table_mismatch_errors():
-    t = Text.from_str("abaab")
-    with pytest.raises(ValueError):
-        prefix_coverage(t, 1, PrefKTable(1, [5, 1]))
-    with pytest.raises(ValueError):
-        prefix_coverage(t, 1, pref_k(t, 0))
-
-
-def test_lcp_table_mismatch_errors():
-    t = Text.from_str("abbaabab")
-    assert factor_coverage_all(t, 2, lcp_k_all_pairs(t, 2))[0][:4] == [8, 8, 8, 8]
-    for table in (lcp_k_all_pairs(t, 0), lcp_k_all_pairs(Text.from_str("abba"), 2)):
-        for call in (lambda: factor_coverage_all(t, 2, table),
-                     lambda: factor_occurrences(t, 2, 0, 1, table),
-                     lambda: factor_report(t, 2, 0, 1, table=table),
-                     lambda: enhanced_cover_approx_border(t, 2, table)):
-            with pytest.raises(ValueError):
-                call()
 
 
 def test_factor_coverage_examples():
@@ -243,10 +223,12 @@ def test_restricted_engine_at_word_boundaries(rng):
 
 
 def test_restricted_negative_budget_raises():
-    for s in ("", "a", "abab"):
+    # the enhanced covers too, also on texts without a border
+    for s in ("", "a", "ab", "abab"):
         t = Text.from_str(s)
-        for fn in (k_restricted_covers, k_restricted_seeds):
-            with pytest.raises(ValueError):
+        for fn in (k_restricted_covers, k_restricted_seeds,
+                   enhanced_cover_exact_border, enhanced_cover_approx_border):
+            with pytest.raises(ValueError, match="nonnegative"):
                 fn(t, -1)
 
 
@@ -257,6 +239,22 @@ def test_coverage_sweep_prefix_of_full_sweep(data):
     vals = [data.draw(st.integers(0, n - i)) for i in range(n)]
     m = data.draw(st.integers(0, n))
     assert coverage_sweep(vals, n, m) == coverage_sweep(vals, n, n)[:m]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_coverage_sweep_matches_definition(data):
+    """Coverage at ell is the size of the union of [i, min(i+ell, n)) over
+    the starts i with vals[i] >= ell; vals may be 0, exceed n-i or reach m."""
+    n = data.draw(st.integers(0, 30))
+    vals = data.draw(st.lists(st.integers(0, n + 3), min_size=n, max_size=n))
+    m = data.draw(st.integers(0, n))
+    want = [len({p for i, v in enumerate(vals) if v >= ell
+                 for p in range(i, min(i + ell, n))}) for ell in range(1, m + 1)]
+    assert coverage_sweep(vals, n, m) == want
+    state = SweepState(vals, n, m)
+    assert state.steps(1, m) == want
+    assert state.pairs_processed <= max(0, 2 * n - 1)
 
 
 def test_factor_report():
