@@ -41,14 +41,11 @@ from .hamcover import (
     prefix_coverage,
 )
 from .editcover import (
-    WAVE_SENTINEL,
-    HWaves,
     LevPrefixTable,
     ParetoList,
     SpecialPointIndex,
     block_size,
     factor_coverage,
-    h_wave_build,
     p_ed_entry,
     p_lev_table,
     pareto_list_build,
@@ -92,10 +89,9 @@ __all__ = [
     "enhanced_cover_approx_border", "enhanced_cover_exact_border",
     "factor_coverage_all", "factor_occurrences", "k_restricted_covers",
     "k_restricted_seeds", "prefix_coverage",
-    "WAVE_SENTINEL", "HWaves", "LevPrefixTable", "ParetoList",
-    "SpecialPointIndex", "block_size", "factor_coverage", "h_wave_build",
-    "p_ed_entry", "p_lev_table", "pareto_list_build", "pareto_list_from_row",
-    "precompute_special",
+    "LevPrefixTable", "ParetoList", "SpecialPointIndex", "block_size",
+    "factor_coverage", "p_ed_entry", "p_lev_table", "pareto_list_build",
+    "pareto_list_from_row", "precompute_special",
     "QTable", "RestrictedReport", "q_table_fast", "q_table_quadratic",
     "restricted_covers_ed", "restricted_seeds_ed",
     "ConsensusInstance", "GadgetEncoding", "ScanVerdict", "ReductionVerdict",

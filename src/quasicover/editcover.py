@@ -3,8 +3,9 @@
 Coverage reads P_k[a, b, a'] (the largest b' with d(T[a,b], T[a',b']) <= k)
 as one stream per suffix pair (a, a'), b = a, a+1, ... until it turns -1.
 Unit costs get all streams from their neighbours (O(k n^3) at worst), or one
-start's from the LCE-driven top h-wave of each pair; weighted costs read the
-last live column of each edit-DP row cut to the cells within budget (Ukkonen's
+start's from the top furthest-reach wave (h-wave) of each pair, built with
+LCE jumps by :func:`_suffix_pair_frontier`; weighted costs read the last live
+column of each edit-DP row cut to the cells within budget (Ukkonen's
 cut-off).  One per-start routine turns any stream into interval-union sizes.
 
 The paper's special-point index (Pareto lists at multiples of
@@ -28,121 +29,7 @@ from .textcore import (
     PenaltyMatrix,
     Text,
     _check_symbols_covered,
-    symbols_match,
 )
-
-#: Public sentinel for "no cell with this exact value on the diagonal";
-#: ordered below every valid row index (valid indices start at -1).
-WAVE_SENTINEL = -2
-
-#: Internal sentinel for "diagonal has no cells" in furthest-reach waves.
-_NO_DIAG = -1
-
-
-class HWaves:
-    """Waves L^0..L^h of the unit-cost edit DP for a string pair.
-
-    ``entry(h, d)`` is the largest row index i with D[i, i+d] = h in the
-    prefix-indexed D-table (row -1 is the empty prefix), or
-    :data:`WAVE_SENTINEL` when no cell on the diagonal holds that value.
-    Internally the waves are kept in furthest-reach form (largest row with
-    value <= h), the form the P_k engine builds for suffix pairs with LCE
-    jumps; these character-by-character waves are its reference.
-    """
-
-    def __init__(self, t1: Text, t2: Text, h: int, frontiers: list[list[int]]):
-        self.t1 = t1
-        self.t2 = t2
-        self.h = h
-        self._frontiers = frontiers  # frontiers[g][d + g], length-based rows
-
-    def entry(self, h: int, d: int) -> int:
-        if abs(d) > h:
-            raise IndexError(f"diagonal {d} outside wave {h}")
-        m, n2 = len(self.t1), len(self.t2)
-        if not -m <= d <= n2:
-            return WAVE_SENTINEL
-        cur = self._frontiers[h][d + h]
-        if cur == _NO_DIAG:
-            return WAVE_SENTINEL
-        if abs(d) <= h - 1:
-            prev = self._frontiers[h - 1][d + h - 1]
-        else:
-            prev = max(0, -d) - 1  # one below the first row of a fresh diagonal
-        return cur - 1 if cur > prev else WAVE_SENTINEL
-
-    def wave(self, h: int) -> list[int]:
-        """Wave h as [L^h(-h), ..., L^h(h)] in index-based convention."""
-        return [self.entry(h, d) for d in range(-h, h + 1)]
-
-    def lev_within(self) -> bool:
-        """True iff Lev(t1, t2) <= h, read off the final cell's diagonal."""
-        m, n2 = len(self.t1), len(self.t2)
-        d = n2 - m
-        if abs(d) > self.h:
-            return False
-        return self._frontiers[self.h][d + self.h] >= m
-
-
-def _build_frontiers(m: int, n2: int, h: int, slide) -> list[list[int]]:
-    """Furthest-reach waves 0..h for strings of lengths m and n2.
-
-    ``slide(r, d)`` is how many symbols match from row r on diagonal d.
-    """
-    frontiers: list[list[int]] = []
-    for g in range(h + 1):
-        wave = [_NO_DIAG] * (2 * g + 1)
-        for d in range(-g, g + 1):
-            if not -m <= d <= n2:
-                continue
-            if g == 0:
-                r = 0
-            else:
-                prev = frontiers[g - 1]
-                r = _NO_DIAG
-                if abs(d - 1) <= g - 1:
-                    nb = prev[d - 1 + g - 1]  # insertion: row unchanged
-                    if nb != _NO_DIAG:
-                        r = max(r, nb)
-                if abs(d) <= g - 1:
-                    nb = prev[d + g - 1]  # substitution: row + 1
-                    if nb != _NO_DIAG:
-                        r = max(r, nb + 1)
-                if abs(d + 1) <= g - 1:
-                    nb = prev[d + 1 + g - 1]  # deletion: row + 1
-                    if nb != _NO_DIAG:
-                        r = max(r, nb + 1)
-                if r == _NO_DIAG:
-                    continue
-            reach = min(m, n2 - d)
-            r = min(r, reach)
-            r += slide(r, d)
-            wave[d + g] = r
-        frontiers.append(wave)
-    return frontiers
-
-
-def _char_slide(t1: Text, t2: Text):
-    m, n2 = len(t1), len(t2)
-
-    def slide(r: int, d: int) -> int:
-        reach = min(m, n2 - d)
-        e = 0
-        while r + e < reach and symbols_match(t1[r + e], t2[r + e + d]):
-            e += 1
-        return e
-
-    return slide
-
-
-def h_wave_build(t1: Text, t2: Text, h: int) -> HWaves:
-    """Waves L^0..L^h for (t1, t2) under unit costs.
-
-    Wildcards match in substitutions; insertions and deletions always cost 1.
-    """
-    if h < 0:
-        raise ValueError("wave budget must be nonnegative")
-    return HWaves(t1, t2, h, _build_frontiers(len(t1), len(t2), h, _char_slide(t1, t2)))
 
 
 def _lev_check(t: Text, k: int, what: str) -> None:
@@ -157,17 +44,32 @@ def _lev_check(t: Text, k: int, what: str) -> None:
 
 def _suffix_pair_frontier(t: Text, a: int, ap: int, k: int,
                           lce: ExactLce) -> list[int]:
-    """Top (h=k) furthest-reach wave for the pair (T[a, n-1], T[ap, n-1]).
+    """Top (h = k) furthest-reach wave of the pair (T[a, n-1], T[ap, n-1]).
 
-    Both suffixes end where T ends, so an LCE jump inside T never overruns
-    either of them.
+    Entry d + k is the largest row i (symbols of T[a, n-1] consumed) with
+    unit-cost D[i][i+d] <= k on diagonal d, or -1 where d leaves the table.
+    Wave g takes the best of one edit from wave g-1, then slides along
+    matches with one LCE jump (Landau-Vishkin); only wave g-1 is kept.  Both
+    suffixes end where T ends, so an LCE jump inside T never overruns either.
     """
     n = len(t)
-
-    def slide(r: int, d: int) -> int:
-        return lce.extension(a + r, ap + r + d)
-
-    return _build_frontiers(n - a, n - ap, k, slide)[k]
+    m, n2 = n - a, n - ap
+    extension = lce.extension
+    wave: list[int] = []
+    for g in range(k + 1):
+        # prev[d + g + 1] is wave g-1 on diagonal d, -1 where it has none.
+        # Each diagonal inside the table has a neighbour in wave g-1 at row
+        # >= 0 (or is d = 0 at g = 0), so the 0 that an absent neighbour
+        # gives after its +1 never wins.
+        prev = [-1, -1, *wave, -1, -1]
+        wave = [-1] * (2 * g + 1)
+        for d in range(max(-g, -m), min(g, n2) + 1):
+            i = d + g
+            # insertion from d-1 keeps the row; substitution, deletion from d+1
+            r = max(prev[i], prev[i + 1] + 1, prev[i + 2] + 1)
+            r = min(r, m, n2 - d)
+            wave[i] = r + extension(a + r, ap + r + d)
+    return wave
 
 
 def _lev_ends(t: Text, a: int, ap: int, k: int, lce: ExactLce) -> Iterator[int]:
@@ -227,6 +129,8 @@ class LevPrefixTable:
         self._data = data
 
     def get(self, a: int, b: int, ap: int) -> int:
+        if not (0 <= a <= b < self.n and 0 <= ap < self.n):
+            raise IndexError(f"P_k[{a},{b},{ap}] out of range")
         return self._data[a][b - a][ap]
 
 

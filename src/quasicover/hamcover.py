@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
-from .lcpk import lcp_k_all_pairs, pref_k
+from .lcpk import _lcp_k_row, lcp_k_all_pairs, pref_k
 from .textcore import WILDCARD, IntervalSet, Text, pad_for_seed
 
 
@@ -149,9 +149,16 @@ def factor_coverage_all(t: Text, k: int) -> list[list[int]]:
     return [coverage_sweep(table.row(a), n, n - a) for a in range(n)]
 
 
+def _factor_row(t: Text, k: int, a: int, b: int) -> list[int]:
+    """lcp_k(a, j) for every j, once T[a, b] is checked to be a factor."""
+    if not 0 <= a <= b < len(t):
+        raise IndexError(f"factor ({a},{b}) out of range for n={len(t)}")
+    return _lcp_k_row(t, a, k)
+
+
 def factor_occurrences(t: Text, k: int, a: int, b: int) -> IntervalSet:
     """Approximate occurrence intervals of T[a, b], in start order."""
-    return _occurrences(lcp_k_all_pairs(t, k).row(a), b - a + 1)
+    return _occurrences(_factor_row(t, k, a, b), b - a + 1)
 
 
 def _occurrences(row: list[int], length: int) -> IntervalSet:
@@ -166,7 +173,7 @@ def _occurrences(row: list[int], length: int) -> IntervalSet:
 def factor_report(t: Text, k: int, a: int, b: int,
                   with_occurrences: bool = False) -> CoverageReport:
     """Coverage report for one factor, optionally with its occurrence set."""
-    row = lcp_k_all_pairs(t, k).row(a)
+    row = _factor_row(t, k, a, b)
     cov = coverage_sweep(row, len(t), b - a + 1)[b - a]
     occ = _occurrences(row, b - a + 1) if with_occurrences else None
     return CoverageReport((a, b), cov, occ)

@@ -14,7 +14,6 @@ from quasicover import bench, oracle
 from quasicover.editcover import (
     _suffix_pair_frontier,
     factor_coverage,
-    h_wave_build,
     p_ed_entry,
     p_lev_table,
     precompute_special,
@@ -48,7 +47,7 @@ from quasicover.textcore import (
     hamming_distance,
 )
 
-from conftest import naive_lcp_k, random_metric, random_text_str
+from conftest import full_unit_dp, naive_lcp_k, random_metric, random_text_str
 
 
 def report(num: int, name: str, detail: str = "") -> None:
@@ -127,8 +126,8 @@ def test_c04_algorithm1_p_lev():
 
 
 def test_c05_h_wave_incremental():
-    """The LCE-driven suffix-pair frontier equals the character-by-character
-    top wave of the same pair."""
+    """The LCE-driven suffix-pair frontier equals the furthest reach read
+    straight off the full unit-cost DP of the same pair."""
     rng = random.Random(105)
     for _ in range(200):
         n = rng.randint(0, 15)
@@ -137,10 +136,10 @@ def test_c05_h_wave_incremental():
         lce = ExactLce(t)
         for a in range(n):
             for ap in range(n):
-                waves = h_wave_build(t.factor(a, n - 1), t.factor(ap, n - 1), h)
-                # furthest reach with value <= h, in consumed symbols; an
-                # absent diagonal reads WAVE_SENTINEL + 1 = -1 on both sides
-                want = [max(waves.entry(g, d) for g in range(abs(d), h + 1)) + 1
+                dp = full_unit_dp(t.factor(a, n - 1), t.factor(ap, n - 1))
+                # per diagonal d: the largest row i with D[i][i+d] <= h, or -1
+                want = [max((i for i in range(n - a + 1)
+                             if 0 <= i + d <= n - ap and dp[i][i + d] <= h), default=-1)
                         for d in range(-h, h + 1)]
                 assert _suffix_pair_frontier(t, a, ap, h, lce) == want, \
                     (t.to_str(), a, ap, h)

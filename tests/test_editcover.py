@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 
 from quasicover import editcover, oracle
 from quasicover.editcover import (
-    WAVE_SENTINEL,
     _dp_rows,
     _EditCosts,
     _lev_ends,
     _lev_streams,
     block_size,
     factor_coverage,
-    h_wave_build,
     p_ed_entry,
     p_lev_table,
     pareto_list_build,
@@ -31,25 +29,7 @@ from quasicover.textcore import (
     pad_for_seed,
 )
 
-from conftest import full_unit_dp, random_metric, random_text_str
-
-
-def literal_waves(t1: Text, t2: Text, h: int) -> list[list[int]]:
-    """Index-based L^g(d) straight from the full DP table."""
-    d_table = full_unit_dp(t1, t2)
-    m, n2 = len(t1), len(t2)
-    out = []
-    for g in range(h + 1):
-        wave = []
-        for d in range(-g, g + 1):
-            best = WAVE_SENTINEL
-            for i in range(-1, m):
-                j = i + d
-                if -1 <= j < n2 and d_table[i + 1][j + 1] == g:
-                    best = i
-            wave.append(best)
-        out.append(wave)
-    return out
+from conftest import random_metric, random_text_str
 
 
 def brute_p_entry(t: Text, a: int, b: int, ap: int, k: int, p: PenaltyMatrix) -> int:
@@ -59,44 +39,6 @@ def brute_p_entry(t: Text, a: int, b: int, ap: int, k: int, p: PenaltyMatrix) ->
         if edit_distance(c, t.factor(ap, bp), p) <= k:
             best = bp
     return best
-
-
-def test_wave_examples():
-    t1, t2 = Text.from_strs("ab", "ab")
-    assert h_wave_build(t1, t2, 0).entry(0, 0) == 1
-    t1, t2 = Text.from_strs("ab", "b")
-    waves = h_wave_build(t1, t2, 1)
-    assert waves.wave(1) == literal_waves(t1, t2, 1)[1]
-    # the zero wave is the exact common prefix extent on the main diagonal
-    t1, t2 = Text.from_strs("abcx", "abcy")
-    assert h_wave_build(t1, t2, 0).entry(0, 0) == 2
-
-
-def test_waves_match_full_dp(rng):
-    for trial in range(150):
-        n1, n2 = rng.randint(0, 9), rng.randint(0, 9)
-        wp = 0.2 if trial % 5 == 0 else 0.0
-        t1, t2 = Text.from_strs(random_text_str(rng, n1, 2, wp),
-                                random_text_str(rng, n2, 2, wp))
-        h = rng.randint(0, 4)
-        waves = h_wave_build(t1, t2, h)
-        want = literal_waves(t1, t2, h)
-        for g in range(h + 1):
-            assert waves.wave(g) == want[g], (t1, t2, g)
-        lev = full_unit_dp(t1, t2)[n1][n2]
-        assert waves.lev_within() == (lev <= h)
-
-
-def test_wave_non_crossing(rng):
-    for _ in range(40):
-        t1, t2 = Text.from_strs(random_text_str(rng, rng.randint(0, 8), 2),
-                                random_text_str(rng, rng.randint(0, 8), 2))
-        waves = h_wave_build(t1, t2, 3)
-        for g in range(1, 4):
-            for d in range(-(g - 1), g):
-                lo, hi = waves.entry(g - 1, d), waves.entry(g, d)
-                if lo != WAVE_SENTINEL and hi != WAVE_SENTINEL:
-                    assert hi >= lo
 
 
 def test_p_lev_examples():
@@ -109,6 +51,11 @@ def test_p_lev_examples():
     for a in range(4):
         for b in range(a, 4):
             assert table.get(a, b, a) == b  # identity occurrence
+    # only a <= b < n and 0 <= a' < n name an entry; no index wraps around
+    table = p_lev_table(Text.from_str("abaab"), 1)
+    for a, b, ap in ((2, 1, 0), (0, 0, -1), (-1, 0, 0), (0, 5, 0), (0, 0, 5)):
+        with pytest.raises(IndexError):
+            table.get(a, b, ap)
 
 
 def test_p_lev_matches_brute(rng):

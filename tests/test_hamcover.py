@@ -264,6 +264,11 @@ def test_factor_report():
     assert rep.coverage == 5
     assert list(rep.occurrences) == [(0, 1), (2, 3), (3, 4)]
     assert factor_report(t, 0, 2, 3).occurrences is None
+    # only 0 <= a <= b < n names a factor; no row index wraps around
+    for a, b in ((3, 1), (-2, 1), (0, 5), (-1, -1)):
+        for call in (factor_report, factor_occurrences):
+            with pytest.raises(IndexError, match=rf"factor \({a},{b}\)"):
+                call(t, 1, a, b)
 
 
 def test_seeds_on_texts_with_wildcards(rng):
