@@ -17,7 +17,7 @@ from .editcover import factor_coverage, precompute_special, prefix_coverage
 from .hamcover import coverage_sweep, factor_coverage_all
 from .lcpk import pref_k
 from .restricted import q_table_fast, restricted_covers_ed
-from .textcore import PenaltyMatrix, Text
+from .textcore import PenaltyMatrix, Text, restricted_candidates
 
 
 @dataclass
@@ -141,16 +141,12 @@ def bench_qtable_crossover(n: int = 24, seed: int = 10) -> tuple[float, float]:
     threshold.
     """
     t = random_text(n, 3, seed)
-    s = t.to_str()
     start = time.perf_counter()
     batched = restricted_covers_ed(t, QTABLE_PENALTY).thresholds
     mid = time.perf_counter()
     idx = precompute_special(t, QTABLE_PENALTY)
-    fast: dict[str, int] = {}
-    for a in range(n):
-        for b in range(a, min(n, a + n - 1)):
-            if s[a:b + 1] not in fast:
-                fast[s[a:b + 1]] = q_table_fast(t, a, b, QTABLE_PENALTY, idx)[0]
+    fast = {key: q_table_fast(t, a, b, QTABLE_PENALTY, idx)[0]
+            for a, group in restricted_candidates(t)[1].items() for b, key in group.items()}
     end = time.perf_counter()
     if fast != batched:
         raise AssertionError(f"Q-table engines disagree at n={n}, seed={seed}")

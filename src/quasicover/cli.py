@@ -15,8 +15,7 @@ import sys
 import click
 
 from . import bench as bench_mod
-from . import editcover, gadget, hamcover
-from .restricted import restricted_covers_ed, restricted_seeds_ed
+from . import editcover, gadget, hamcover, restricted
 from .textcore import DEFAULT_WILDCARD_CHAR, PenaltyMatrix, Text
 
 
@@ -146,6 +145,9 @@ _distance_opt = click.option(
 _k_opt = click.option("--k", type=click.IntRange(min=0), default=0, show_default=True)
 _hamming_k_opt = click.option("--k", type=click.IntRange(min=0), default=None,
                               help="Hamming only: mismatch budget (default 0).")
+_escalate_opt = click.option(
+    "--escalate", is_flag=True,
+    help="Hamming only: raise the budget until every factor resolves.")
 _penalty_opt = click.option(
     "--penalty", default=None,
     help="Penalty file for --distance edit, or 'unit' for unit costs.")
@@ -216,63 +218,58 @@ def _restricted_budget(command: str, distance: str, k: int | None, escalate: boo
     return k or 0
 
 
-def _threshold_rows(result: dict[str, int | None]) -> list[list]:
-    keys = sorted(sorted(result), key=len)  # stable: by length, then by string
-    return [[key, "none" if result[key] is None else result[key]] for key in keys]
+def _by_length(levels: dict) -> list[str]:
+    return sorted(sorted(levels), key=len)  # stable: by length, then by string
 
 
-def _edit_threshold_rows(report) -> list[list]:
-    keys = sorted(sorted(report.thresholds), key=len)
-    return [[key, report.thresholds[key], int(report.thresholds[key] == report.minimal)]
-            for key in keys]
+def _restricted_options(fn):
+    """The argument and options of ``covers`` and ``seeds``, as listed in help."""
+    for option in reversed((click.argument("input", required=False), _distance_opt,
+                            _hamming_k_opt, _escalate_opt, _penalty_opt, _format_opt,
+                            _wildcard_opt)):
+        fn = option(fn)
+    return fn
+
+
+def _restricted_report(command, input, distance, k, escalate, penalty, fmt, wildcard):
+    """The body of ``covers`` and ``seeds``.  The engines are looked up on
+    their modules per call, so wrappers installed there see every call."""
+    k = _restricted_budget(command, distance, k, escalate)
+    t, matrix = _prepare(input, distance, penalty, wildcard)
+    seeds = command == "seeds"
+    if distance == "hamming":
+        search = hamcover.k_restricted_seeds if seeds else hamcover.k_restricted_covers
+        # Thresholds are <= |C|, and the search stops once every candidate
+        # resolves, so a budget above every candidate length acts as "unbounded".
+        unbounded = (len(t) // 2 if seeds else len(t)) + 1
+        result = search(t, unbounded if escalate else k)
+        rows = [[key, "none" if result[key] is None else result[key]]
+                for key in _by_length(result)]
+        _emit(["factor", "min_level"], rows, fmt)
+        return
+    report_of = restricted.restricted_seeds_ed if seeds else restricted.restricted_covers_ed
+    report = report_of(t, matrix)
+    levels = report.thresholds
+    rows = [[key, levels[key], int(levels[key] == report.minimal)] for key in _by_length(levels)]
+    _emit(["factor", "threshold", "minimal"], rows, fmt)
 
 
 @cli.command()
-@click.argument("input", required=False)
-@_distance_opt
-@_hamming_k_opt
-@click.option("--escalate", is_flag=True,
-              help="Hamming only: raise the budget until every factor resolves.")
-@_penalty_opt
-@_format_opt
-@_wildcard_opt
-def covers(input, distance, k, escalate, penalty, fmt, wildcard):
+@_restricted_options
+def covers(**options):
     """Restricted approximate covers.
 
     Hamming: rows (factor, minimal level or 'none') for levels <= k.
     Edit: rows (factor, threshold, minimal-flag).
     """
-    k = _restricted_budget("covers", distance, k, escalate)
-    t, matrix = _prepare(input, distance, penalty, wildcard)
-    if distance == "hamming":
-        # Thresholds are <= |C| < |T|, and the search stops once every
-        # candidate resolves, so this budget acts as "unbounded".
-        result = hamcover.k_restricted_covers(t, len(t) + 1 if escalate else k)
-        _emit(["factor", "min_level"], _threshold_rows(result), fmt)
-        return
-    report = restricted_covers_ed(t, matrix)
-    _emit(["factor", "threshold", "minimal"], _edit_threshold_rows(report), fmt)
+    _restricted_report("covers", **options)
 
 
 @cli.command()
-@click.argument("input", required=False)
-@_distance_opt
-@_hamming_k_opt
-@click.option("--escalate", is_flag=True,
-              help="Hamming only: raise the budget until every factor resolves.")
-@_penalty_opt
-@_format_opt
-@_wildcard_opt
-def seeds(input, distance, k, escalate, penalty, fmt, wildcard):
+@_restricted_options
+def seeds(**options):
     """Restricted approximate seeds (candidates with 2|C| <= |T|)."""
-    k = _restricted_budget("seeds", distance, k, escalate)
-    t, matrix = _prepare(input, distance, penalty, wildcard)
-    if distance == "hamming":
-        result = hamcover.k_restricted_seeds(t, len(t) // 2 + 1 if escalate else k)
-        _emit(["factor", "min_level"], _threshold_rows(result), fmt)
-        return
-    report = restricted_seeds_ed(t, matrix)
-    _emit(["factor", "threshold", "minimal"], _edit_threshold_rows(report), fmt)
+    _restricted_report("seeds", **options)
 
 
 @cli.command()

@@ -13,18 +13,17 @@ Restricted covers and seeds take one pass per candidate start over lengths
 after Baeza-Yates and Gonnet), with saturating bit-sliced mismatch counters.
 Per start that is O(L_stop * k) big-int ops of ceil(m/64) words, plus
 O((1 + log k) * log m) per candidate (L_stop: stop length; m: target length).
-Seeds are covers of the text with floor(n/2) wildcards on each side: every
-seed candidate is at most that long, so windows inside a pad always match.
+Both take their target text and candidates from
+:func:`~quasicover.textcore.restricted_candidates`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
 
 from .lcpk import _lcp_k_row, lcp_k_all_pairs, pref_k
-from .textcore import WILDCARD, IntervalSet, Text, pad_for_seed
+from .textcore import WILDCARD, IntervalSet, Text, restricted_candidates
 
 
 @dataclass
@@ -33,7 +32,6 @@ class CoverageReport:
 
     subject: int | tuple[int, int]
     coverage: int
-    occurrences: IntervalSet | None = None
 
 
 @dataclass
@@ -170,24 +168,10 @@ def _occurrences(row: list[int], length: int) -> IntervalSet:
     return occ
 
 
-def factor_report(t: Text, k: int, a: int, b: int,
-                  with_occurrences: bool = False) -> CoverageReport:
-    """Coverage report for one factor, optionally with its occurrence set."""
+def factor_report(t: Text, k: int, a: int, b: int) -> CoverageReport:
+    """Coverage report for one factor."""
     row = _factor_row(t, k, a, b)
-    cov = coverage_sweep(row, len(t), b - a + 1)[b - a]
-    occ = _occurrences(row, b - a + 1) if with_occurrences else None
-    return CoverageReport((a, b), cov, occ)
-
-
-def _candidate_map(t: Text, pairs: Iterable[tuple[int, int]]) -> dict[str, tuple[int, int]]:
-    """Leftmost occurrence per distinct factor string, insertion-ordered."""
-    s = t.to_str()
-    out: dict[str, tuple[int, int]] = {}
-    for a, b in pairs:
-        key = s[a:b + 1]
-        if key not in out:
-            out[key] = (a, b)
-    return out
+    return CoverageReport((a, b), coverage_sweep(row, len(t), b - a + 1)[b - a])
 
 
 def _fills(alive: int, length: int, full: int) -> bool:
@@ -199,28 +183,26 @@ def _fills(alive: int, length: int, full: int) -> bool:
     return (alive | alive << (length - span)) & full == full
 
 
-def _restricted_levels(target: Text, offset: int, k: int,
-                       candidates: dict[str, tuple[int, int]]) -> dict[str, int | None]:
+def _restricted_levels(target: Text, candidates: dict[int, dict[int, str]],
+                       k: int) -> dict[str, int | None]:
     """Minimal level ell <= k at which each candidate covers ``target``.
 
-    A candidate (a, b) is read from start a + offset of ``target``.  A start
-    stops once level k's occurrences, smeared by its longest candidate, miss
-    a position: occurrence sets only shrink as the length grows.
+    ``candidates[a][b]`` names the factor target[a, b].  A start stops once
+    level k's occurrences, smeared by its longest candidate, miss a
+    position: occurrence sets only shrink as the length grows.
     """
     if k < 0:
         raise ValueError("mismatch budget must be nonnegative")
-    result: dict[str, int | None] = {key: None for key in candidates}
-    by_start: dict[int, dict[int, str]] = {}
-    for key, (a, b) in candidates.items():
-        by_start.setdefault(a + offset, {})[b - a + 1] = key
+    result: dict[str, int | None] = {
+        key: None for group in candidates.values() for key in group.values()}
     sym = target.symbols
     m = len(sym)
     full = (1 << m) - 1
     # miss[c]: positions holding neither c nor a wildcard; miss[WILDCARD] is 0.
     miss = [int("0" + "".join("0" if x in (c, WILDCARD) else "1" for x in reversed(sym)), 2)
             for c in range(target.alphabet_size)] + [0]
-    for start, lengths in by_start.items():
-        longest = max(lengths)
+    for start, group in candidates.items():
+        longest = max(group) - start + 1
         top = min(k, longest)
         over = [0] * (top + 1)  # over[e]: positions with more than e mismatches
         depth = 0  # offsets that mismatch somewhere: over[e] is empty for e >= depth
@@ -233,7 +215,7 @@ def _restricted_levels(target: Text, offset: int, k: int,
                 depth += 1
             if over[top] & 1:
                 break
-            key = lengths.get(length)
+            key = group.get(start + length - 1)
             if key is None:
                 continue
             valid = (1 << (m - length + 1)) - 1  # starts with room for the candidate
@@ -253,23 +235,13 @@ def k_restricted_covers(t: Text, k: int) -> dict[str, int | None]:
     to k suffices.  Coverage is monotone in the budget, so the first level
     reaching full coverage is minimal.
     """
-    n = len(t)
-    pairs = ((a, b) for a in range(n) for b in range(a, n) if b - a + 1 < n)
-    return _restricted_levels(t, 0, k, _candidate_map(t, pairs))
+    return _restricted_levels(*restricted_candidates(t), k)
 
 
 def k_restricted_seeds(t: Text, k: int) -> dict[str, int | None]:
-    """Minimal ell <= k making each factor with 2|C| <= |T| an ell-approximate seed.
-
-    Seeds of T are exactly covers of the wildcard-padded text, so the cover
-    search runs there, with candidates drawn from the middle (original)
-    region.  Every candidate has |C| <= floor(|T|/2), so pads of that width
-    suffice: all-wildcard windows still cover each pad.
-    """
-    n = len(t)
-    half = n // 2
-    pairs = ((a, b) for a in range(n) for b in range(a, min(n, a + half)))
-    return _restricted_levels(pad_for_seed(t, half), half, k, _candidate_map(t, pairs))
+    """Minimal ell <= k making each factor with 2|C| <= |T| an ell-approximate
+    seed: the cover search on the wildcard-padded text."""
+    return _restricted_levels(*restricted_candidates(t, seeds=True), k)
 
 
 def failure_function(t: Text) -> list[int]:

@@ -38,9 +38,13 @@ class LcpKTable:
     rows: list[list[int]]
 
     def entry(self, i: int, j: int) -> int:
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError(f"lcp_k({i},{j}) out of range for n={self.n}")
         return self.rows[i][j]
 
     def row(self, i: int) -> list[int]:
+        if not 0 <= i < self.n:
+            raise IndexError(f"lcp_k row {i} out of range for n={self.n}")
         return self.rows[i]
 
 

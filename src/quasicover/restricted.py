@@ -10,11 +10,8 @@ in O(sqrt(n log n)) with binary searches on the index's Pareto lists plus
 prefix minima over the table built so far, kept in a union-find forest
 (O(n^3 sqrt(n log n)) after the index build).  Reports use the first: it
 measured 2-4x faster than the second at n = 16..128, and one weighted covers
-run at n = 128 already takes tens of seconds.  Seeds reduce to covers of the
-text with floor(n/2) wildcards on each side: every seed candidate C is at
-most that long, so windows inside a pad cost nothing, and a window that
-reaches into the text through more than |C| wildcards costs what one through
-|C| does.
+run at n = 128 already takes tens of seconds.  Reports take their target
+text and candidates from :func:`~quasicover.textcore.restricted_candidates`.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from math import inf
 
 from .editcover import (SpecialPointIndex, _check_index, _dp_rows, _EditCosts,
                         _split_pairs, precompute_special)
-from .textcore import PenaltyMatrix, Text, pad_for_seed
+from .textcore import PenaltyMatrix, Text, restricted_candidates
 
 
 @dataclass
@@ -159,13 +156,12 @@ def q_table_fast(t: Text, a: int, b: int, p: PenaltyMatrix,
 class RestrictedReport:
     """Minimal thresholds per candidate factor plus the argmin set.
 
-    ``thresholds`` is keyed by factor string; ``occurrences`` lists every
-    (a, b) realizing a string; ``minimal`` is the best threshold and
-    ``argmin`` the strings achieving it (None/empty when no candidates).
+    ``thresholds`` is keyed by factor string; ``minimal`` is the best
+    threshold and ``argmin`` the strings achieving it (None/empty when no
+    candidates).
     """
 
     thresholds: dict[str, int]
-    occurrences: dict[str, list[tuple[int, int]]]
     minimal: int | None
 
     @property
@@ -175,34 +171,19 @@ class RestrictedReport:
         return [key for key, v in self.thresholds.items() if v == self.minimal]
 
 
-def _report_for_candidates(target: Text, p: PenaltyMatrix,
-                           candidates: list[tuple[int, int]],
-                           label_at: int = 0) -> RestrictedReport:
-    """Q[0]-thresholds for candidate factors of ``target``.
+def _report_for_candidates(target: Text, candidates: dict[int, dict[int, str]],
+                           p: PenaltyMatrix) -> RestrictedReport:
+    """Q[0]-thresholds of the factors ``candidates[a][b]`` = target[a, b].
 
-    One Q-table per distinct factor, at its first listed occurrence; the
-    tables of one start come from one DP pass per suffix (O(n^4) in total).
-    ``label_at`` shifts reported occurrence coordinates (used by the seed
-    reduction, whose candidates live in the middle of the padded text).
+    One Q-table per candidate; the tables of one start come from one DP pass
+    per suffix (O(n^4) in total).
     """
-    s = target.to_str()
-    occurrences: dict[str, list[tuple[int, int]]] = {}
-    canonical: dict[str, tuple[int, int]] = {}
-    ends: dict[int, list[int]] = {}
-    for a, b in candidates:
-        key = s[a:b + 1]
-        occurrences.setdefault(key, []).append((a - label_at, b - label_at))
-        if key not in canonical:
-            canonical[key] = (a, b)
-            ends.setdefault(a, []).append(b)
     costs = _EditCosts(target, p)
-    q0 = {}
-    for a, bs in ends.items():
-        for b, values in zip(bs, _q_tables_of_start(costs, a, bs)):
-            q0[a, b] = values[0]
-    thresholds = {key: q0[ab] for key, ab in canonical.items()}
-    minimal = min(thresholds.values(), default=None)
-    return RestrictedReport(thresholds, occurrences, minimal)
+    thresholds = {}
+    for a, group in candidates.items():
+        for key, values in zip(group.values(), _q_tables_of_start(costs, a, list(group))):
+            thresholds[key] = values[0]
+    return RestrictedReport(thresholds, min(thresholds.values(), default=None))
 
 
 def restricted_covers_ed(t: Text, p: PenaltyMatrix) -> RestrictedReport:
@@ -210,20 +191,10 @@ def restricted_covers_ed(t: Text, p: PenaltyMatrix) -> RestrictedReport:
 
     One Q-table per distinct factor, O(n^4) in all.
     """
-    n = len(t)
-    candidates = [(a, b) for a in range(n) for b in range(a, n) if b - a + 1 < n]
-    return _report_for_candidates(t, p, candidates)
+    return _report_for_candidates(*restricted_candidates(t), p)
 
 
 def restricted_seeds_ed(t: Text, p: PenaltyMatrix) -> RestrictedReport:
-    """Minimal seed threshold for every factor with 2|C| <= |T|.
-
-    Runs the cover machinery on t padded with floor(n/2) wildcards on each
-    side, with candidates drawn from the original region; reported
-    coordinates refer to t.
-    """
-    n = len(t)
-    half = n // 2
-    candidates = [(a + half, b + half) for a in range(n) for b in range(a, n)
-                  if 2 * (b - a + 1) <= n]
-    return _report_for_candidates(pad_for_seed(t, half), p, candidates, label_at=half)
+    """Minimal seed threshold for every factor with 2|C| <= |T|: the cover
+    report on the wildcard-padded text."""
+    return _report_for_candidates(*restricted_candidates(t, seeds=True), p)

@@ -118,14 +118,47 @@ def pad_for_seed(t: Text, width: int | None = None) -> Text:
     """Surround t with runs of ``width`` wildcards (default: its own length).
 
     Approximate seeds of t are exactly the approximate covers of the padded
-    word, so every seed question is answered on this text.  Any width of at
-    least the longest candidate length gives the same answer: windows that
-    lie inside a pad are all wildcards, and the windows that reach into t
-    are the same.  The default 3n-length text suits every candidate length;
-    only the oracle uses it, and the fast seed engines pass floor(n/2).
+    word, so every seed question is answered on this text.  The default
+    3n-length text suits every candidate length; only the oracle uses it.
+    :func:`restricted_candidates` gives the width the fast engines use.
     """
     pad = (WILDCARD,) * (len(t) if width is None else width)
     return Text(pad + t.symbols + pad, t.alphabet, t.wildcard_char)
+
+
+def restricted_candidates(t: Text, seeds: bool = False) -> tuple[Text, dict[int, dict[int, str]]]:
+    """The text a restricted cover or seed search runs on, and its candidates.
+
+    A restricted cover must be a proper factor of t; a restricted seed a
+    factor C with 2|C| <= |t|, searched as a cover of t padded with
+    floor(n/2) wildcards on each side.  That width suffices because no
+    candidate is longer: windows inside a pad are all wildcards, so they
+    cover the pad at cost 0; a Hamming window of length |C| reaches at most
+    |C| - 1 pad positions; and an edit window that reaches into t through
+    more than |C| wildcards costs what one through |C| does.  So any wider
+    pad gives the same answer, under Hamming and edit distance alike.
+
+    Returns (target, candidates): ``candidates[a][b]`` is the string T[a, b]
+    of the factor starting at a and ending at b in target coordinates, at
+    the leftmost (a, b) of each distinct string.  Starts, and the ends of
+    each start, come in increasing order; every group is nonempty.
+    """
+    n = len(t)
+    s = t.to_str()
+    shift = n // 2 if seeds else 0
+    longest = shift if seeds else n - 1
+    seen: set[str] = set()
+    candidates: dict[int, dict[int, str]] = {}
+    for a in range(n):
+        group = {}
+        for b in range(a, min(n, a + longest)):
+            key = s[a:b + 1]
+            if key not in seen:
+                seen.add(key)
+                group[b + shift] = key
+        if group:
+            candidates[a + shift] = group
+    return (pad_for_seed(t, shift) if seeds else t), candidates
 
 
 def hamming_distance(u: Text, v: Text) -> int:

@@ -154,6 +154,24 @@ def test_threshold_rows_by_length_then_string(capsys, monkeypatch):
                     assert factors == want, (cmd, dist)
 
 
+def test_restricted_rows_on_tiny_and_wildcard_texts(capsys, monkeypatch):
+    """covers and seeds, both metrics, tsv and json: no candidate on "" and
+    "a", and a wildcard is a candidate string of its own."""
+    pinned = {"": ([], []), "a": ([], []), "??": ([["?", 0]], [["?", 0, 1]]),
+              "a?": ([["?", 0], ["a", 0]], [["?", 0, 1], ["a", 0, 1]])}
+    for raw, (ham_rows, edit_rows) in pinned.items():
+        for cmd in ("covers", "seeds"):
+            for dist, want in ((["--distance", "hamming"], ham_rows),
+                               (["--distance", "edit", "--penalty", "unit"], edit_rows)):
+                code, js, err = run(capsys, monkeypatch, [cmd, *dist, "--format", "json"],
+                                    stdin=raw + "\n")
+                assert (code, err) == (0, "")
+                assert json.loads(js)["rows"] == want, (raw, cmd, dist)
+                code, tsv, err = run(capsys, monkeypatch, [cmd, *dist], stdin=raw + "\n")
+                assert (code, err) == (0, "")
+                assert tsv == "".join("\t".join(map(str, row)) + "\n" for row in want)
+
+
 def test_seeds_length_constraint(capsys, monkeypatch):
     code, out, _ = run(capsys, monkeypatch,
                        ["seeds", "--distance", "hamming", "--k", "1"], stdin="ab\n")

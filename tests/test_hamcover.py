@@ -259,11 +259,10 @@ def test_coverage_sweep_matches_definition(data):
 
 def test_factor_report():
     t = Text.from_str("abaab")
-    rep = factor_report(t, 1, 0, 1, with_occurrences=True)
+    rep = factor_report(t, 1, 0, 1)
     assert rep.subject == (0, 1)
     assert rep.coverage == 5
-    assert list(rep.occurrences) == [(0, 1), (2, 3), (3, 4)]
-    assert factor_report(t, 0, 2, 3).occurrences is None
+    assert list(factor_occurrences(t, 1, 0, 1)) == [(0, 1), (2, 3), (3, 4)]
     # only 0 <= a <= b < n names a factor; no row index wraps around
     for a, b in ((3, 1), (-2, 1), (0, 5), (-1, -1)):
         for call in (factor_report, factor_occurrences):

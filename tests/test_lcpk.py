@@ -24,6 +24,19 @@ def test_lcp_identical_suffixes():
             assert table.entry(i, i) == len(t) - i
 
 
+def test_table_indices_out_of_range():
+    """No index wraps around to another row or column."""
+    table = lcp_k_all_pairs(Text.from_str("abaab"), 1)
+    for i, j in ((-1, 0), (0, -1), (5, 0), (0, 5), (-5, -5)):
+        with pytest.raises(IndexError, match=rf"lcp_k\({i},{j}\)"):
+            table.entry(i, j)
+    for i in (-2, -1, 5):
+        with pytest.raises(IndexError, match=rf"row {i}\b"):
+            table.row(i)
+    with pytest.raises(IndexError):
+        lcp_k_all_pairs(Text.from_str(""), 0).row(0)
+
+
 def test_pref_k_examples():
     t = Text.from_str("aabaa")
     assert pref_k(t, 0).values == [5, 1, 0, 2, 1]

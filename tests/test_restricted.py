@@ -1,6 +1,6 @@
 from quasicover import oracle
 from quasicover.editcover import _EditCosts, block_size, precompute_special
-from quasicover.hamcover import k_restricted_covers
+from quasicover.hamcover import k_restricted_covers, k_restricted_seeds
 from quasicover.restricted import (
     _q_tables_of_start,
     _report_for_candidates,
@@ -9,7 +9,8 @@ from quasicover.restricted import (
     restricted_covers_ed,
     restricted_seeds_ed,
 )
-from quasicover.textcore import PenaltyMatrix, Text, edit_distance, pad_for_seed
+from quasicover.textcore import (PenaltyMatrix, Text, edit_distance, pad_for_seed,
+                                 restricted_candidates)
 
 from conftest import random_metric, random_text_str
 
@@ -75,15 +76,6 @@ def test_fast_equals_quadratic_block_size_three(rng):
                 q_table_quadratic(t, a, b, p).values
 
 
-def cover_candidates(n: int) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(n) for b in range(a, n) if b - a + 1 < n]
-
-
-def seed_candidates(n: int, half: int) -> list[tuple[int, int]]:
-    return [(a + half, b + half) for a in range(n) for b in range(a, n)
-            if 2 * (b - a + 1) <= n]
-
-
 def test_batched_tables_equal_fast_on_every_entry(rng):
     """Every entry of every batched table, for every canonical candidate of
     the covers text and of the floor(n/2)-padded seeds text, equals the
@@ -94,21 +86,48 @@ def test_batched_tables_equal_fast_on_every_entry(rng):
         wildcard_prob = 0.15 if trial % 4 < 2 else 0.0
         t = Text.from_str(random_text_str(rng, n, len(alphabet), wildcard_prob), alphabet)
         p = PenaltyMatrix.unit(alphabet) if trial % 3 == 0 else random_metric(alphabet, rng)
-        half = n // 2
-        for target, candidates in ((t, cover_candidates(n)),
-                                   (pad_for_seed(t, half), seed_candidates(n, half))):
-            s = target.to_str()
-            canonical: dict[str, tuple[int, int]] = {}
-            for a, b in candidates:
-                canonical.setdefault(s[a:b + 1], (a, b))
-            ends: dict[int, list[int]] = {}
-            for a, b in canonical.values():
-                ends.setdefault(a, []).append(b)
+        for target, candidates in (restricted_candidates(t),
+                                   restricted_candidates(t, seeds=True)):
             costs = _EditCosts(target, p)
             idx = precompute_special(target, p)
-            for a, bs in ends.items():
+            for a, group in candidates.items():
+                bs = list(group)
                 for b, values in zip(bs, _q_tables_of_start(costs, a, bs)):
                     assert values == q_table_fast(target, a, b, p, idx).values
+
+
+def brute_candidates(s: str, seeds: bool) -> list[tuple[int, int, str]]:
+    """(a, b, T[a, b]) in t coordinates for every distinct candidate string
+    at its leftmost start, by (a, b)."""
+    n = len(s)
+    fits = (lambda length: 2 * length <= n) if seeds else (lambda length: length < n)
+    strings = {s[a:b + 1] for a in range(n) for b in range(a, n) if fits(b - a + 1)}
+    return sorted((s.find(c), s.find(c) + len(c) - 1, c) for c in strings)
+
+
+def test_restricted_candidates_match_brute_enumeration(rng):
+    """Keys, leftmost coordinates, target text and order, for covers and
+    seeds; the Hamming (k = n) and unit-cost edit reports list the same keys
+    in the same order."""
+    texts = [""] + [random_text_str(rng, n, sigma, wildcard_prob)
+                    for n in range(1, 13) for sigma in (1, 2, 3)
+                    for wildcard_prob in (0.0, 0.3)]
+    texts += ["?", "??", "a?", "?a?a", "abab"]
+    for s in texts:
+        t = Text.from_str(s)
+        n = len(t)
+        p = PenaltyMatrix.unit(t.alphabet)
+        for seeds, width, ham, edit in ((False, 0, k_restricted_covers, restricted_covers_ed),
+                                        (True, n // 2, k_restricted_seeds, restricted_seeds_ed)):
+            target, candidates = restricted_candidates(t, seeds=seeds)
+            assert target.to_str() == "?" * width + s + "?" * width
+            assert target.alphabet == t.alphabet
+            got = [(a, b, key) for a, group in candidates.items() for b, key in group.items()]
+            assert got == [(a + width, b + width, c) for a, b, c in brute_candidates(s, seeds)]
+            assert all(candidates.values())
+            keys = [key for _, _, key in got]
+            assert list(ham(t, n)) == keys
+            assert list(edit(t, p).thresholds) == keys
 
 
 def test_q_tables_match_tiling_oracle(rng):
@@ -157,7 +176,6 @@ def test_restricted_covers_examples():
     rep = restricted_covers_ed(Text.from_str("abab"), PenaltyMatrix.unit("ab"))
     assert rep.minimal == 0
     assert rep.argmin == ["ab"]
-    assert rep.occurrences["ab"] == [(0, 1), (2, 3)]
     rep = restricted_covers_ed(Text.from_str("aaa", "a"), PenaltyMatrix.unit("a"))
     assert rep.minimal == 0 and "a" in rep.argmin
 
@@ -212,12 +230,14 @@ def test_weighted_seeds_on_texts_with_wildcards(rng):
 
 def full_width_seeds(t: Text, p: PenaltyMatrix):
     """Seeds as covers of t padded with |t| wildcards on each side."""
-    n = len(t)
-    return _report_for_candidates(pad_for_seed(t), p, seed_candidates(n, n), label_at=n)
+    shift = len(t) - len(t) // 2
+    candidates = {a + shift: {b + shift: key for b, key in group.items()}
+                  for a, group in restricted_candidates(t, seeds=True)[1].items()}
+    return _report_for_candidates(pad_for_seed(t), candidates, p)
 
 
 def report_items(rep):
-    return list(rep.thresholds.items()), list(rep.occurrences.items()), rep.minimal
+    return list(rep.thresholds.items()), rep.minimal
 
 
 def test_seeds_match_full_width_padding(rng):
@@ -230,11 +250,6 @@ def test_seeds_match_full_width_padding(rng):
         for p in (PenaltyMatrix.unit(alphabet), random_metric(alphabet, rng)):
             assert report_items(restricted_seeds_ed(t, p)) == \
                 report_items(full_width_seeds(t, p))
-
-
-def test_restricted_seed_occurrence_coordinates():
-    rep = restricted_seeds_ed(Text.from_str("abab"), PenaltyMatrix.unit("ab"))
-    assert rep.occurrences["ab"] == [(0, 1), (2, 3)]  # reported in t coordinates
 
 
 def test_no_candidates():
