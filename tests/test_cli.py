@@ -317,4 +317,5 @@ def test_bench_quick_runs(capsys, monkeypatch):
     assert "pref-k" in tasks
     assert "pref-k-wildcards" in tasks
     assert "prefix-coverage-levenshtein" in tasks
+    assert "restricted-covers-edit" in tasks
     assert "qtable-quadratic-vs-fast" in tasks

@@ -96,6 +96,26 @@ def test_batched_tables_equal_fast_on_every_entry(rng):
                     assert values == q_table_fast(target, a, b, p, idx).values
 
 
+def test_report_thresholds_equal_quadratic_q_tables(rng):
+    """Every report threshold, for every candidate of the covers text and of
+    the floor(n/2)-padded seeds text, is Q[0] of the quadratic recurrence:
+    n = 0..20, with and without wildcards (zero-cost wildcard indels), under
+    the unit metric and random metrics with costs up to 8 and up to 2."""
+    for n in range(21):
+        for wildcard_prob in (0.0, 0.2):
+            s = random_text_str(rng, n, 3, wildcard_prob)
+            t = Text.from_str(s, "abc")
+            for p in (PenaltyMatrix.unit("abc"), random_metric("abc", rng, max_cost=8),
+                      random_metric("abc", rng, max_cost=2)):
+                for target, candidates in (restricted_candidates(t),
+                                           restricted_candidates(t, seeds=True)):
+                    rep = _report_for_candidates(target, candidates, p)
+                    expected = {key: q_table_quadratic(target, a, b, p)[0]
+                                for a, group in candidates.items()
+                                for b, key in group.items()}
+                    assert list(rep.thresholds.items()) == list(expected.items()), s
+
+
 def brute_candidates(s: str, seeds: bool) -> list[tuple[int, int, str]]:
     """(a, b, T[a, b]) in t coordinates for every distinct candidate string
     at its leftmost start, by (a, b)."""
