@@ -11,12 +11,18 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain, count, repeat
+from typing import TYPE_CHECKING, Iterable
 
 import click
 
-from . import bench as bench_mod
-from . import editcover, gadget, hamcover, restricted
+# The restricted, gadget and bench modules are imported by the commands that
+# use them, so a request loads only its own engines.
+from . import editcover, hamcover
 from .textcore import DEFAULT_WILDCARD_CHAR, PenaltyMatrix, Text
+
+if TYPE_CHECKING:
+    from . import gadget
 
 
 class InputDataError(Exception):
@@ -124,14 +130,22 @@ def _load_penalty(spec: str | None, raw_text: str, wildcard: str) -> PenaltyMatr
     return matrix
 
 
-def _emit(columns: list[str], rows: list[list], fmt: str) -> None:
-    # Verbatim, one write per row: click.echo strips ANSI escapes off a non-TTY.
+def _emit(columns: list[str], rows: Iterable[tuple], fmt: str) -> None:
+    """Write a report of tuples: one JSON object, or one TSV line per row.
+
+    Each TSV line comes from one ``%`` template per table (``"%s" % x`` equals
+    ``str(x)`` for the ints and strings of every report) and is written by
+    its own call, so a stream that samples lines sees every row start a write.
+    """
+    # Verbatim: click.echo strips ANSI escapes off a non-TTY.
     out = sys.stdout
     if fmt == "json":
-        out.write(json.dumps({"columns": columns, "rows": rows}) + "\n")
+        out.write(json.dumps({"columns": columns, "rows": list(rows)}) + "\n")
     else:
+        template = "\t".join(["%s"] * len(columns)) + "\n"
+        write = out.write
         for row in rows:
-            out.write("\t".join(map(str, row)) + "\n")
+            write(template % row)
     out.flush()
 
 
@@ -195,12 +209,11 @@ def coverage(input, distance, k, mode, penalty, fmt, wildcard):
     try:
         if mode == "prefix":
             cov = editcover.prefix_coverage(t, distance, k, matrix)
-            rows = [[ell, cov[ell - 1]] for ell in range(1, n + 1)]
-            _emit(["ell", "coverage"], rows, fmt)
+            _emit(["ell", "coverage"], zip(range(1, n + 1), cov), fmt)
             return
         per_start = editcover.factor_coverage(t, distance, k, matrix)
-        rows = [[a, a + off, val]
-                for a, row in enumerate(per_start) for off, val in enumerate(row)]
+        rows = chain.from_iterable(zip(repeat(a), count(a), row)
+                                   for a, row in enumerate(per_start))
         _emit(["a", "b", "coverage"], rows, fmt)
     except ValueError as exc:
         raise InputDataError(str(exc))
@@ -243,14 +256,15 @@ def _restricted_report(command, input, distance, k, escalate, penalty, fmt, wild
         # resolves, so a budget above every candidate length acts as "unbounded".
         unbounded = (len(t) // 2 if seeds else len(t)) + 1
         result = search(t, unbounded if escalate else k)
-        rows = [[key, "none" if result[key] is None else result[key]]
-                for key in _by_length(result)]
+        rows = ((key, "none" if result[key] is None else result[key])
+                for key in _by_length(result))
         _emit(["factor", "min_level"], rows, fmt)
         return
+    from . import restricted
     report_of = restricted.restricted_seeds_ed if seeds else restricted.restricted_covers_ed
     report = report_of(t, matrix)
-    levels = report.thresholds
-    rows = [[key, levels[key], int(levels[key] == report.minimal)] for key in _by_length(levels)]
+    levels, minimal = report.thresholds, report.minimal
+    rows = ((key, levels[key], int(levels[key] == minimal)) for key in _by_length(levels))
     _emit(["factor", "threshold", "minimal"], rows, fmt)
 
 
@@ -288,10 +302,10 @@ def enhanced(input, variant, k, fmt, wildcard):
     else:
         best = hamcover.enhanced_cover_approx_border(t, k)
     if best is None:
-        _emit(["candidate", "start", "end", "coverage"], [["none", "", "", ""]], fmt)
+        _emit(["candidate", "start", "end", "coverage"], [("none", "", "", "")], fmt)
     else:
         _emit(["candidate", "start", "end", "coverage"],
-              [[best.candidate, best.start, best.end, best.coverage]], fmt)
+              [(best.candidate, best.start, best.end, best.coverage)], fmt)
 
 
 @cli.group()
@@ -303,6 +317,7 @@ cli.add_command(gadget_cmd, name="gadget")
 
 
 def _load_instance(path: str) -> gadget.ConsensusInstance:
+    from . import gadget
     try:
         with open(path, "r", encoding="ascii") as fh:
             content = fh.read()
@@ -319,8 +334,9 @@ def _load_instance(path: str) -> gadget.ConsensusInstance:
 @_format_opt
 def gadget_build_cover(instance, fmt):
     """Encode the instance as the cover text T with target length c."""
+    from . import gadget
     enc = gadget.build_cover_instance(_load_instance(instance))
-    _emit(["text", "target_length"], [[enc.text, enc.target_length]], fmt)
+    _emit(["text", "target_length"], [(enc.text, enc.target_length)], fmt)
 
 
 @gadget_cmd.command("build-seed")
@@ -328,8 +344,9 @@ def gadget_build_cover(instance, fmt):
 @_format_opt
 def gadget_build_seed(instance, fmt):
     """Encode the instance as the seed text T' with target length c'."""
+    from . import gadget
     enc = gadget.build_seed_instance(_load_instance(instance))
-    _emit(["text", "target_length"], [[enc.text, enc.target_length]], fmt)
+    _emit(["text", "target_length"], [(enc.text, enc.target_length)], fmt)
 
 
 @gadget_cmd.command("verify")
@@ -337,16 +354,17 @@ def gadget_build_seed(instance, fmt):
 @_format_opt
 def gadget_verify(instance, fmt):
     """Run the structural validators and the forward reduction check."""
+    from . import gadget
     inst = _load_instance(instance)
     rows = []
     failed = False
     density = gadget.validate_phi_density(inst)
-    rows.append(["phi-window-density", "pass" if density.holds else "FAIL",
-                 "" if density.holds else str(density.violations[:3])])
+    rows.append(("phi-window-density", "pass" if density.holds else "FAIL",
+                 "" if density.holds else str(density.violations[:3])))
     failed |= not density.holds
     overlaps = gadget.validate_prefix_suffix_overlaps(inst)
-    rows.append(["prefix-suffix-overlaps", "pass" if overlaps.holds else "FAIL",
-                 "" if overlaps.holds else str(overlaps.violations[:3])])
+    rows.append(("prefix-suffix-overlaps", "pass" if overlaps.holds else "FAIL",
+                 "" if overlaps.holds else str(overlaps.violations[:3])))
     failed |= not overlaps.holds
     try:
         verdict = gadget.reduction_forward_check(inst)
@@ -355,7 +373,7 @@ def gadget_verify(instance, fmt):
     detail = f"consensus={verdict.consensus}"
     if verdict.notes:
         detail += "; " + "; ".join(verdict.notes)
-    rows.append(["reduction-forward", "pass" if verdict.passed else "FAIL", detail])
+    rows.append(("reduction-forward", "pass" if verdict.passed else "FAIL", detail))
     failed |= not verdict.passed
     _emit(["check", "status", "detail"], rows, fmt)
     if failed:
@@ -367,15 +385,16 @@ def gadget_verify(instance, fmt):
 @_format_opt
 def bench_command(quick, fmt):
     """Doubling-size timings with growth ratios for the main engines."""
+    from . import bench
     rows = []
-    for r in bench_mod.run_all(quick=quick):
+    for r in bench.run_all(quick=quick):
         status = "ok" if r.within_bound else "over-bound"
-        rows.append([r.task, r.n_small, r.n_big, _fmt_num(r.seconds_small),
+        rows.append((r.task, r.n_small, r.n_big, _fmt_num(r.seconds_small),
                      _fmt_num(r.seconds_big), _fmt_num(r.ratio),
-                     _fmt_num(r.exponent), _fmt_num(r.bound), status])
-    report, fast = bench_mod.bench_qtable_crossover(n=16 if quick else 24)
-    rows.append(["qtable-quadratic-vs-fast", "", "", _fmt_num(report),
-                 _fmt_num(fast), "", "", "", "informational"])
+                     _fmt_num(r.exponent), _fmt_num(r.bound), status))
+    report, fast = bench.bench_qtable_crossover(n=16 if quick else 24)
+    rows.append(("restricted-report-vs-qtable-fast", "", "", _fmt_num(report),
+                 _fmt_num(fast), "", "", "", "informational"))
     _emit(["task", "n_small", "n_big", "seconds_small", "seconds_big",
            "ratio", "exponent", "bound", "status"], rows, fmt)
 

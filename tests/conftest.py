@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import quasicover
 from quasicover.textcore import PenaltyMatrix, Text, symbols_match
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter that imports this quasicover."""
+    src = os.path.dirname(os.path.dirname(quasicover.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
 
 
 def random_text_str(rng: random.Random, n: int, sigma: int = 2,

@@ -3,12 +3,15 @@ import random
 
 import pytest
 
+from quasicover import editcover, gadget
 from quasicover.cli import main, parse_penalty_file
 from quasicover.cli import InputDataError
-from quasicover.hamcover import k_restricted_covers, k_restricted_seeds
-from quasicover.textcore import Text
+from quasicover.hamcover import (enhanced_cover_approx_border, enhanced_cover_exact_border,
+                                 k_restricted_covers, k_restricted_seeds)
+from quasicover.restricted import restricted_covers_ed, restricted_seeds_ed
+from quasicover.textcore import PenaltyMatrix, Text
 
-from conftest import random_text_str
+from conftest import random_text_str, run_fresh
 
 
 def run(capsys, monkeypatch, argv, stdin=""):
@@ -37,21 +40,81 @@ def test_coverage_factor_rows_order(capsys, monkeypatch):
         ("0", "0"), ("0", "1"), ("0", "2"), ("1", "1"), ("1", "2"), ("2", "2")]
 
 
-def test_tsv_and_json_carry_identical_data(capsys, monkeypatch):
-    for args, stdin in [
-        (["coverage", "--k", "1", "--mode", "factor"], "abaab\n"),
-        (["covers", "--distance", "hamming", "--k", "1"], "abab\n"),
-        (["seeds", "--distance", "edit", "--penalty", "unit"], "abaab\n"),
-        (["enhanced", "--variant", "exact-border", "--k", "1"], "abaab\n"),
-    ]:
-        code, tsv, _ = run(capsys, monkeypatch, args + ["--format", "tsv"], stdin)
+def _rendered(rows) -> str:
+    """TSV as rendered before one template per table: str() of each field."""
+    return "".join("\t".join(map(str, row)) + "\n" for row in rows)
+
+
+def test_tsv_and_json_carry_identical_data(capsys, monkeypatch, tmp_path):
+    """Every command's TSV bytes equal the str() rendering of the library's
+    result, and its JSON rows carry the same values."""
+    unit = PenaltyMatrix.unit("ab")
+
+    def by_length(levels):
+        return sorted(levels, key=lambda s: (len(s), s))
+
+    def prefix(raw, distance, k, p=None):
+        cov = editcover.prefix_coverage(Text.from_str(raw), distance, k, p)
+        return [[ell, cov[ell - 1]] for ell in range(1, len(raw) + 1)]
+
+    def factor(raw, distance, k, p=None):
+        per_start = editcover.factor_coverage(Text.from_str(raw), distance, k, p)
+        return [[a, a + off, val] for a, row in enumerate(per_start)
+                for off, val in enumerate(row)]
+
+    def hamming(search, raw, k):
+        levels = search(Text.from_str(raw), k)
+        return [[key, "none" if levels[key] is None else levels[key]]
+                for key in by_length(levels)]
+
+    def edit(report_of, raw):
+        report = report_of(Text.from_str(raw, "ab"), unit)
+        levels = report.thresholds
+        return [[key, levels[key], int(levels[key] == report.minimal)]
+                for key in by_length(levels)]
+
+    def enhanced(search, raw, k):
+        best = search(Text.from_str(raw), k)
+        if best is None:
+            return [["none", "", "", ""]]
+        return [[best.candidate, best.start, best.end, best.coverage]]
+
+    inst = tmp_path / "inst"
+    inst.write_text("1 1 0\n0\n")
+    enc = gadget.build_cover_instance(gadget.parse_instance(inst.read_text()))
+    edit_unit = ["--distance", "edit", "--penalty", "unit"]
+    cases = [
+        (["coverage", "--k", "1"], "abaab", prefix("abaab", "hamming", 1)),
+        (["coverage", "--k", "1", "--mode", "factor"], "abaab",
+         factor("abaab", "hamming", 1)),
+        (["coverage", "--k", "1", "--distance", "levenshtein"], "abaab",
+         prefix("abaab", "levenshtein", 1)),
+        (["coverage", "--k", "1", "--distance", "levenshtein", "--mode", "factor"],
+         "abaab", factor("abaab", "levenshtein", 1)),
+        (["coverage", "--k", "1", *edit_unit], "abaab", prefix("abaab", "edit", 1, unit)),
+        (["coverage", "--k", "1", "--mode", "factor", *edit_unit], "abaab",
+         factor("abaab", "edit", 1, unit)),
+        (["covers", "--distance", "hamming", "--k", "1"], "abab",
+         hamming(k_restricted_covers, "abab", 1)),
+        (["seeds", "--k", "1"], "abaab", hamming(k_restricted_seeds, "abaab", 1)),
+        (["covers", *edit_unit], "abaab", edit(restricted_covers_ed, "abaab")),
+        (["seeds", *edit_unit], "abaab", edit(restricted_seeds_ed, "abaab")),
+        (["enhanced", "--variant", "exact-border", "--k", "1"], "abaab",
+         enhanced(enhanced_cover_exact_border, "abaab", 1)),
+        (["enhanced", "--variant", "approx-border", "--k", "0"], "abab",
+         enhanced(enhanced_cover_approx_border, "abab", 0)),
+        (["enhanced", "--variant", "exact-border", "--k", "0"], "ab",
+         [["none", "", "", ""]]),
+        (["gadget", "build-cover", str(inst)], "", [[enc.text, enc.target_length]]),
+    ]
+    for args, raw, want in cases:
+        assert want, args
+        code, tsv, _ = run(capsys, monkeypatch, args + ["--format", "tsv"], raw + "\n")
         assert code == 0
-        code, js, _ = run(capsys, monkeypatch, args + ["--format", "json"], stdin)
+        assert tsv == _rendered(want), args
+        code, js, _ = run(capsys, monkeypatch, args + ["--format", "json"], raw + "\n")
         assert code == 0
-        payload = json.loads(js)
-        tsv_rows = [line.split("\t") for line in tsv.splitlines()]
-        json_rows = [[str(v) for v in row] for row in payload["rows"]]
-        assert tsv_rows == json_rows
+        assert json.loads(js)["rows"] == want, args
 
 
 def test_byte_determinism(capsys, monkeypatch):
@@ -169,7 +232,7 @@ def test_restricted_rows_on_tiny_and_wildcard_texts(capsys, monkeypatch):
                 assert json.loads(js)["rows"] == want, (raw, cmd, dist)
                 code, tsv, err = run(capsys, monkeypatch, [cmd, *dist], stdin=raw + "\n")
                 assert (code, err) == (0, "")
-                assert tsv == "".join("\t".join(map(str, row)) + "\n" for row in want)
+                assert tsv == _rendered(want)
 
 
 def test_seeds_length_constraint(capsys, monkeypatch):
@@ -318,4 +381,23 @@ def test_bench_quick_runs(capsys, monkeypatch):
     assert "pref-k-wildcards" in tasks
     assert "prefix-coverage-levenshtein" in tasks
     assert "restricted-covers-edit" in tasks
-    assert "qtable-quadratic-vs-fast" in tasks
+    assert "restricted-report-vs-qtable-fast" in tasks
+
+
+def test_cli_imports_engines_on_first_use():
+    """A Hamming coverage request loads none of the restricted, gadget, oracle
+    and bench modules; an edit covers request then loads restricted alone."""
+    proc = run_fresh("""
+import io, sys
+from quasicover.cli import main
+
+lazy = ["quasicover.restricted", "quasicover.gadget", "quasicover.oracle",
+        "quasicover.bench"]
+for argv in (["coverage", "--k", "1"], ["covers", "--distance", "edit", "--penalty", "unit"]):
+    sys.stdin, sys.stdout = io.StringIO("abaab\\n"), io.StringIO()
+    code = main(argv)
+    sys.stdout = sys.__stdout__
+    print(code, *[m for m in lazy if m in sys.modules])
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0", "0 quasicover.restricted"]

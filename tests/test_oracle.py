@@ -11,7 +11,7 @@ from quasicover.textcore import (
     interval_union_size,
 )
 
-from conftest import random_metric, random_text_str
+from conftest import random_metric, random_text_str, run_fresh
 
 
 def test_brute_occurrences_examples():
@@ -140,3 +140,57 @@ def test_package_exports_no_module_but_oracle():
                if isinstance(getattr(quasicover, name), types.ModuleType)]
     assert modules == ["oracle"]
     assert all(hasattr(quasicover, name) for name in quasicover.__all__)
+
+
+#: Each public name of the package, by the submodule that defines it.
+PUBLIC_NAMES = {
+    "textcore": ["WILDCARD", "DTable", "IntervalSet", "PenaltyMatrix", "Text", "Violation",
+                 "build_d_table", "edit_distance", "hamming_distance",
+                 "interval_union_size", "pad_for_seed", "symbols_match",
+                 "validate_penalty_matrix"],
+    "lcpk": ["ExactLce", "LcpKTable", "PrefKTable", "kangaroo_lcp_k", "lcp_k_all_pairs",
+             "pref_k"],
+    "hamcover": ["CoverageReport", "EnhancedCover", "border_lengths",
+                 "enhanced_cover_approx_border", "enhanced_cover_exact_border",
+                 "factor_coverage_all", "factor_occurrences", "k_restricted_covers",
+                 "k_restricted_seeds", "prefix_coverage"],
+    "editcover": ["LevPrefixTable", "ParetoList", "SpecialPointIndex", "block_size",
+                  "factor_coverage", "p_ed_entry", "p_lev_table", "pareto_list_build",
+                  "pareto_list_from_row", "precompute_special"],
+    "restricted": ["QTable", "RestrictedReport", "q_table_fast", "q_table_quadratic",
+                   "restricted_covers_ed", "restricted_seeds_ed"],
+    "gadget": ["ConsensusInstance", "GadgetEncoding", "ScanVerdict", "ReductionVerdict",
+               "build_cover_instance", "build_seed_instance", "format_instance", "gamma",
+               "parse_instance", "phi", "psi", "reduction_forward_check",
+               "validate_phi_density", "validate_prefix_suffix_overlaps"],
+    "oracle": ["oracle"],
+}
+
+
+def test_package_names_resolve_on_first_access():
+    """In a fresh interpreter, ``import quasicover`` loads no submodule; then
+    ``from quasicover import *``, ``dir`` and attribute access give every
+    public name as its defining module has it, and other names raise."""
+    proc = run_fresh(f"""
+import importlib, sys
+import quasicover
+
+assert not [m for m in sys.modules if m.startswith("quasicover.")]
+star = {{}}
+exec("from quasicover import *", star)
+assert sorted(star) == sorted(["__builtins__", *quasicover.__all__])
+assert set(quasicover.__all__) <= set(dir(quasicover))
+public = {PUBLIC_NAMES!r}
+assert quasicover.__all__ == [name for names in public.values() for name in names]
+for module, names in public.items():
+    home = importlib.import_module("quasicover." + module)
+    for name in names:
+        assert getattr(quasicover, name) is (home if name == module else getattr(home, name))
+try:
+    quasicover.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("quasicover.no_such_name resolved")
+""")
+    assert proc.returncode == 0, proc.stderr
