@@ -89,6 +89,13 @@ def bench_prefix_sweep(n: int = 2 ** 15, k: int = 1, repeats: int = 3,
     return _doubling("prefix-coverage-sweep", n, 3.0, repeats, seed, make)
 
 
+def bench_prefix_hamming(n: int = 2 ** 15, k: int = 2, repeats: int = 3,
+                         seed: int = 7) -> BenchResult:
+    """Hamming prefix coverage by the per-start routine, mask setup included."""
+    return _doubling("prefix-coverage-hamming", n, 3.0, repeats, seed,
+                     lambda t: lambda: prefix_coverage(t, "hamming", k))
+
+
 def bench_pref_k(n: int = 2 ** 15, k: int = 2, repeats: int = 3,
                  seed: int = 7) -> BenchResult:
     """PREF_k by kangaroo jumps over direct-comparison LCE, build included."""
@@ -167,6 +174,7 @@ def run_all(quick: bool = False) -> list[BenchResult]:
     if quick:
         return [
             bench_prefix_sweep(n=2 ** 12, repeats=2),
+            bench_prefix_hamming(n=2 ** 12, repeats=2),
             bench_pref_k(n=2 ** 12, repeats=2),
             bench_pref_k_wildcards(n=2 ** 12, repeats=2),
             bench_factor_hamming(n=64, repeats=2),
@@ -174,6 +182,7 @@ def run_all(quick: bool = False) -> list[BenchResult]:
             bench_prefix_lev(n=64, repeats=2),
             bench_restricted_covers_ed(n=16, repeats=2),
         ]
-    return [bench_prefix_sweep(), bench_pref_k(), bench_pref_k_wildcards(),
+    return [bench_prefix_sweep(), bench_prefix_hamming(), bench_pref_k(),
+            bench_pref_k_wildcards(),
             bench_factor_hamming(), bench_factor_lev(), bench_prefix_lev(),
             bench_restricted_covers_ed()]

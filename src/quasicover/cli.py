@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from typing import TYPE_CHECKING, Iterable
 
 import click
@@ -130,17 +130,30 @@ def _load_penalty(spec: str | None, raw_text: str, wildcard: str) -> PenaltyMatr
     return matrix
 
 
+#: Rows rendered per write of a streamed JSON report.
+_JSON_ROWS = 4096
+
+
 def _emit(columns: list[str], rows: Iterable[tuple], fmt: str) -> None:
     """Write a report of tuples: one JSON object, or one TSV line per row.
 
     Each TSV line comes from one ``%`` template per table (``"%s" % x`` equals
     ``str(x)`` for the ints and strings of every report) and is written by
     its own call, so a stream that samples lines sees every row start a write.
+    JSON is streamed too, in the bytes of ``json.dumps({"columns": columns,
+    "rows": rows}) + "\n"``: the object up to the row list, the rows joined
+    by ", " in chunks of :data:`_JSON_ROWS`, then the closing brackets.
     """
     # Verbatim: click.echo strips ANSI escapes off a non-TTY.
     out = sys.stdout
     if fmt == "json":
-        out.write(json.dumps({"columns": columns, "rows": list(rows)}) + "\n")
+        out.write(json.dumps({"columns": columns, "rows": []})[:-2])
+        rows = iter(rows)
+        sep = ""
+        while chunk := list(islice(rows, _JSON_ROWS)):
+            out.write(sep + json.dumps(chunk)[1:-1])
+            sep = ", "
+        out.write("]}\n")
     else:
         template = "\t".join(["%s"] * len(columns)) + "\n"
         write = out.write

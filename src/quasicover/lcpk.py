@@ -9,8 +9,7 @@ as a mismatch):
   longest-common-extension jumps;
 * ``_lcp_k_row`` answers lcp_k(a, j) for one a and every j with n such
   queries: O(nk) jumps, and Theta(n^2) compares on unary text.
-  :func:`pref_k` is its row 0, and ``hamcover.factor_report`` and
-  ``factor_occurrences`` read their one row from it.
+  :func:`pref_k` is its row 0.
 
 The last two share one jump loop.  A jump compares up to 8 symbols
 inline, so a short jump costs no function call; in counts on random binary
@@ -19,6 +18,13 @@ and on noisy periodic text with 1% wildcards (n = 20000-32768, k = 2),
 them is finished by :meth:`ExactLce.extension`, a direct comparison that
 gallops over slices: O(L) C-level symbol compares for an answer L, but one
 interpreter step per wildcard it crosses.
+
+The coverage engines of ``hamcover`` do not read whole rows or tables.
+They run a bit-parallel mask pass per start and ask the jump loop only
+for the few starts that survive it.  So :func:`lcp_k_all_pairs` and
+:func:`pref_k` are references for the tests and for the enhanced cover
+with an approximate border, which reads PREF_k of the text and of its
+reverse.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .textcore import WILDCARD, Text, symbols_match
+from .textcore import Text, symbols_match
 
 
 @dataclass
@@ -87,6 +93,11 @@ def lcp_k_all_pairs(t: Text, k: int) -> LcpKTable:
     return LcpKTable(n, k, rows)
 
 
+def string_image(t: Text) -> str:
+    """The text as a string: symbol x is chr(x + 1) and the wildcard chr(0)."""
+    return "".join([chr(x + 1) for x in t.symbols])
+
+
 #: Segments between wildcards up to this length are compared in one slice;
 #: a longer one is galloped over, so an early mismatch does not copy it all.
 _WHOLE_SEGMENT = 256
@@ -104,12 +115,15 @@ class ExactLce:
     def __init__(self, t: Text):
         self.text = t
         self.n = n = len(t)
-        sym = t.symbols
-        self._s = "".join([chr(x + 1) for x in sym])  # the wildcard is chr(0)
-        if WILDCARD in sym:
-            self._next_wild = nxt = [n] * (n + 1)
-            for p in range(n - 1, -1, -1):
-                nxt[p] = p if sym[p] == WILDCARD else nxt[p + 1]
+        self._s = s = string_image(t)
+        if "\0" in s:
+            # _next_wild[p]: the first wildcard at or after p, else n
+            self._next_wild = nxt = []
+            p = s.find("\0")
+            while p >= 0:
+                nxt += [p] * (p + 1 - len(nxt))
+                p = s.find("\0", p + 1)
+            nxt += [n] * (n + 1 - len(nxt))
         else:
             self.extension = self.exact  # no wildcard to restart after
 

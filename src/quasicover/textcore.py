@@ -37,9 +37,9 @@ class Text:
         self.alphabet = alphabet
         self.wildcard_char = wildcard_char
         sigma = len(alphabet)
-        for s in self.symbols:
-            if s != WILDCARD and not 0 <= s < sigma:
-                raise ValueError(f"symbol id {s} outside alphabet of size {sigma}")
+        if self.symbols and (min(self.symbols) < WILDCARD or max(self.symbols) >= sigma):
+            bad = next(s for s in self.symbols if s != WILDCARD and not 0 <= s < sigma)
+            raise ValueError(f"symbol id {bad} outside alphabet of size {sigma}")
 
     @classmethod
     def from_str(cls, text: str, alphabet: str | None = None,
@@ -55,14 +55,11 @@ class Text:
         if wildcard_char in alphabet:
             raise ValueError("wildcard character must not appear in the alphabet")
         index = {ch: i for i, ch in enumerate(alphabet)}
-        symbols = []
-        for ch in text:
-            if ch == wildcard_char:
-                symbols.append(WILDCARD)
-            elif ch in index:
-                symbols.append(index[ch])
-            else:
-                raise ValueError(f"character {ch!r} not in alphabet {alphabet!r}")
+        index[wildcard_char] = WILDCARD
+        try:
+            symbols = tuple(map(index.__getitem__, text))
+        except KeyError as exc:  # the first character outside the alphabet
+            raise ValueError(f"character {exc.args[0]!r} not in alphabet {alphabet!r}") from None
         return cls(symbols, alphabet, wildcard_char)
 
     @classmethod

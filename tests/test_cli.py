@@ -115,6 +115,38 @@ def test_tsv_and_json_carry_identical_data(capsys, monkeypatch, tmp_path):
         code, js, _ = run(capsys, monkeypatch, args + ["--format", "json"], raw + "\n")
         assert code == 0
         assert json.loads(js)["rows"] == want, args
+        # the streamed JSON has the bytes of one json.dumps of the whole report
+        assert js == json.dumps({"columns": _columns(args), "rows": want}) + "\n", args
+
+
+def _columns(args: list[str]) -> list[str]:
+    """The JSON columns of a report command."""
+    if args[0] == "coverage":
+        return ["a", "b", "coverage"] if "factor" in args else ["ell", "coverage"]
+    if args[0] in ("covers", "seeds"):
+        return ["factor", "threshold", "minimal"] if "edit" in args else ["factor", "min_level"]
+    if args[0] == "enhanced":
+        return ["candidate", "start", "end", "coverage"]
+    return ["text", "target_length"]
+
+
+def test_json_stream_over_many_chunks(capsys, monkeypatch):
+    """Reports longer than one JSON chunk, and an empty one, keep the bytes of
+    one json.dumps of the whole report."""
+    from quasicover import cli
+    raw = random_text_str(random.Random(5), 130, 2, wildcard_prob=0.1)
+    for args, n_rows in ((["coverage", "--k", "1", "--mode", "factor"], 130 * 131 // 2),
+                         (["coverage", "--k", "2"], 130), (["covers"], 0)):
+        monkeypatch.setattr(cli, "_JSON_ROWS", 7)
+        text = raw if n_rows else ""
+        code, js, _ = run(capsys, monkeypatch, args + ["--format", "json"], text + "\n")
+        assert code == 0
+        monkeypatch.undo()
+        code, tsv, _ = run(capsys, monkeypatch, args, text + "\n")
+        rows = [[int(x) if x.isdigit() else x for x in line.split("\t")]
+                for line in tsv.splitlines()]
+        assert code == 0 and len(rows) == n_rows
+        assert js == json.dumps({"columns": _columns(args), "rows": rows}) + "\n"
 
 
 def test_byte_determinism(capsys, monkeypatch):
@@ -377,6 +409,7 @@ def test_bench_quick_runs(capsys, monkeypatch):
     payload = json.loads(out)
     tasks = [row[0] for row in payload["rows"]]
     assert "prefix-coverage-sweep" in tasks
+    assert "prefix-coverage-hamming" in tasks
     assert "pref-k" in tasks
     assert "pref-k-wildcards" in tasks
     assert "prefix-coverage-levenshtein" in tasks

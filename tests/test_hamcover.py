@@ -1,9 +1,12 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasicover import oracle
+from quasicover import hamcover, oracle
 from quasicover.hamcover import (
+    EnhancedCover,
     SweepState,
     border_lengths,
     coverage_sweep,
@@ -53,6 +56,62 @@ def test_prefix_and_factor_match_oracle(rng):
             for b in range(a, n):
                 want = oracle.brute_coverage(t.factor(a, b), t, "hamming", k)
                 assert rows[a][b - a] == want
+
+
+def test_per_start_routine_matches_references_at_word_boundaries(rng, monkeypatch):
+    """Prefix and factor coverage, factor reports and occurrences against
+    coverage_sweep over PREF_k and lcp_k table rows, on dense and wildcard
+    texts around 64 and 128 symbols.  The sweep gets the lcp_k values of the
+    live starts both ways: from the jump loop and from the mask pass read on."""
+    routes = {"_jumps": 0, "_deaths": 0}
+
+    def counted(name):
+        route = getattr(hamcover._StartCoverage, name)
+
+        def wrapper(*args):
+            routes[name] += 1
+            return route(*args)
+        return wrapper
+
+    for name in routes:
+        monkeypatch.setattr(hamcover._StartCoverage, name, counted(name))
+    word = random_text_str(rng, 40, 4)
+    for n in (63, 64, 65, 127, 128, 129):
+        texts = [("a" * n), ("ab" * n)[:n], ("abc" * n)[:n], (word * 4)[:n],
+                 random_text_str(rng, n, 2, wildcard_prob=0.3)]
+        for s, k in product(texts, range(4)):
+            t = Text.from_str(s)
+            assert prefix_coverage(t, k) == coverage_sweep(pref_k(t, k).values, n, n), (s, k)
+            table = lcp_k_all_pairs(t, k)
+            rows = factor_coverage_all(t, k)
+            for a in range(n):
+                assert rows[a] == coverage_sweep(table.row(a), n, n - a), (s, k, a)
+            for a in range(0, n, 9):
+                for b in {a, min(a + 63, n - 1), min(a + 64, n - 1), n - 1}:
+                    length = b - a + 1
+                    assert factor_report(t, k, a, b).coverage == rows[a][b - a]
+                    want = [(i, i + length - 1) for i, v in enumerate(table.row(a))
+                            if v >= length]
+                    assert list(factor_occurrences(t, k, a, b)) == want, (s, k, a, b)
+            assert enhanced_cover_approx_border(t, k) == reference_approx_border(t, k), (s, k)
+    assert routes["_jumps"] and routes["_deaths"], routes
+
+
+def reference_approx_border(t: Text, k: int):
+    """The approximate-border enhanced cover from the full lcp_k table and
+    one coverage sweep per start."""
+    table = lcp_k_all_pairs(t, k)
+    n = len(t)
+    rows = [coverage_sweep(table.row(a), n, n - a) for a in range(n)]
+    best = None
+    for length in range(1, n + 1):
+        for a in range(n - length + 1):
+            if table.entry(0, a) >= length and table.entry(a, n - length) >= length:
+                c = rows[a][length - 1]
+                if best is None or c > best.coverage:
+                    best = EnhancedCover(t.factor(a, a + length - 1).to_str(),
+                                         a, a + length - 1, c)
+    return best
 
 
 def test_coverage_monotone_in_k(rng):

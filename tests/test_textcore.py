@@ -41,6 +41,24 @@ def test_text_rejects_unknown_character():
         Text.from_str("abz", alphabet="ab")
 
 
+def test_text_error_messages():
+    """The first offending character or symbol id is named, word for word."""
+    with pytest.raises(ValueError) as exc:
+        Text.from_str("abzy?", alphabet="ab")
+    assert str(exc.value) == "character 'z' not in alphabet 'ab'"
+    with pytest.raises(ValueError) as exc:
+        Text.from_str("a*b", alphabet="ab", wildcard_char="?")
+    assert str(exc.value) == "character '*' not in alphabet 'ab'"
+    # the wildcard maps to WILDCARD, and another text's wildcard is an unknown character
+    assert Text.from_str("a*b", alphabet="ab", wildcard_char="*").symbols == (0, WILDCARD, 1)
+    for symbols, bad in (((0, 2, -2), 2), ((0, -1, -2, 5), -2), ((3,), 3), ((-7, 1), -7)):
+        with pytest.raises(ValueError) as exc:
+            Text(symbols, "ab")
+        assert str(exc.value) == f"symbol id {bad} outside alphabet of size 2"
+    assert Text((), "").symbols == ()
+    assert Text((WILDCARD, 0), "a").symbols == (WILDCARD, 0)
+
+
 def test_factor_prefix_suffix():
     t = Text.from_str("abcab")
     assert t.factor(1, 3).to_str() == "bca"
