@@ -120,7 +120,7 @@ def bench_factor_hamming(n: int = 160, k: int = 1, repeats: int = 3,
 
 def bench_factor_lev(n: int = 28, k: int = 1, repeats: int = 3,
                      seed: int = 9) -> BenchResult:
-    """Cubic all-factor Levenshtein coverage at small n."""
+    """All-factor Levenshtein coverage from the bit masks at small n."""
     return _doubling("factor-coverage-levenshtein", n, 9.0, repeats, seed,
                      lambda t: lambda: factor_coverage(t, "levenshtein", k))
 

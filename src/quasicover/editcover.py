@@ -1,12 +1,11 @@
 """Levenshtein and weighted-edit k-coverage.
 
-Coverage reads P_k[a, b, a'] (the largest b' with d(T[a,b], T[a',b']) <= k)
-as one stream per suffix pair (a, a'), b = a, a+1, ... until it turns -1.
-Unit costs get all streams from their neighbours (O(k n^3) at worst), or one
-start's from the top furthest-reach wave (h-wave) of each pair, built with
-LCE jumps by :func:`_suffix_pair_frontier`; weighted costs read the last live
-column of each edit-DP row cut to the cells within budget (Ukkonen's
-cut-off).  One per-start routine turns any stream into interval-union sizes.
+Coverage reads P_k[a, b, a'], the largest b' with d(T[a,b], T[a',b']) <= k.
+Under Levenshtein, bit masks over a' give every start at once
+(:func:`_lev_masks`) and LCE-driven furthest-reach waves the streams of one
+start; weighted costs read the last live column of each edit-DP row cut to
+the budget (Ukkonen's cut-off).  One per-start routine turns streams into
+interval-union sizes.
 
 The paper's special-point index (Pareto lists at multiples of
 M = floor(sqrt(n / log2 n)), built on demand, plus small DP blocks) answers
@@ -17,29 +16,25 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, islice, zip_longest
+from itertools import accumulate, islice
 from math import inf, log2, sqrt
 from typing import Iterator
 
 from . import hamcover
 from .lcpk import ExactLce
-from .textcore import (
-    WILDCARD,
-    DTable,
-    PenaltyMatrix,
-    Text,
-    _check_symbols_covered,
-)
+from .textcore import WILDCARD, DTable, PenaltyMatrix, Text, _check_symbols_covered
 
 
-def _lev_check(t: Text, k: int, what: str) -> None:
-    """Check the inputs of a Levenshtein engine."""
+def _lev_check(t: Text, k: int, what: str) -> int:
+    """Check the inputs of a Levenshtein engine and return the budget capped
+    at n: Lev(C, W) <= max(|C|, |W|) <= n, so a larger one changes nothing."""
     if WILDCARD in t.symbols:
         raise ValueError(
             f"{what} requires a wildcard-free text; use the weighted edit "
             "metric with unit costs for partial words")
     if k < 0:
         raise ValueError("budget must be nonnegative")
+    return min(k, len(t))
 
 
 def _suffix_pair_frontier(t: Text, a: int, ap: int, k: int,
@@ -52,9 +47,7 @@ def _suffix_pair_frontier(t: Text, a: int, ap: int, k: int,
     matches with one LCE jump (Landau-Vishkin); only wave g-1 is kept.  Both
     suffixes end where T ends, so an LCE jump inside T never overruns either.
     """
-    n = len(t)
-    m, n2 = n - a, n - ap
-    extension = lce.extension
+    m, n2, extension = len(t) - a, len(t) - ap, lce.extension
     wave: list[int] = []
     for g in range(k + 1):
         # prev[d + g + 1] is wave g-1 on diagonal d, -1 where it has none.
@@ -89,61 +82,67 @@ def _lev_ends(t: Text, a: int, ap: int, k: int, lce: ExactLce) -> Iterator[int]:
         yield ap + i + d - 1
 
 
-def _lev_streams(t: Text, k: int) -> Iterator[tuple[int, list[list[int]]]]:
-    """Yield (a, [S_k(a, a') for a' < n]) for a = n-1 down to 0: S_e(a, a') is
-    the stream of :func:`_lev_ends`, read off neighbours with the same ends.
-    ed(xA, xB) = ed(A, B) prepends min(a'+e, n-1) to S_e(a+1, a'+1); ed(xA, yB)
-    = 1 + min(ed(A, B), ed(A, yB), ed(xA, B)) is an elementwise max at budget
-    e-1.  Rows a, a+1 hold 2(k+1)(n+1) lists; O(k n^3) at worst (unary text)."""
+def _lev_masks(t: Text, k: int) -> Iterator[tuple[int, list[int]]]:
+    """Yield (a, [R(a, i) for i = 0 .. n-1-a]) for a = n-1 down to 0, 0 <= k <= n.
+
+    R(a, i) has 2k+1 slots of W = n+2 bits: bit a' (0..n, n the empty suffix)
+    of slot d+k is set iff T[a, a+i] is within k edits of some T[a', b'] with
+    b' >= a'+i+d, so slot d+1 is a subset of slot d.  Per budget e, a match
+    prepends (ed(xA, xB) = ed(A, B): one bit down); a mismatch ORs the masks
+    at e-1 of substitution, deletion (one slot down) and insertion (one slot
+    up, the lowest slot its own), after Wu and Manber.  O(k n^2) operations.
+    """
     s, n = t.symbols, len(t)
-    below = [[[]] * (n + 1)] * (k + 1)  # S_e(n, .) = []; no stream is mutated
+    w, full = n + 2, (1 << n + 1) - 1
+    rep = ((1 << (2 * k + 1) * w) - 1) // ((1 << w) - 1)  # bit 0 of every slot
+    at = dict.fromkeys(s, 0)
+    for ap, x in enumerate(s):
+        at[x] |= 1 << ap
+    # Each row starts at i = -1: the empty factor is within d edits of T[a', b']
+    # iff b'-a' < d, so every a' sits in the slots below 0 and a' <= n-d in d.
+    below, empty = [], full * (rep & (1 << k * w) - 1)  # rows of a+1, per budget
+    for d in range(k + 1):
+        empty |= (2 << n - d) - 1 << (d + k) * w
+        below.append([empty])
     for a in range(n - 1, -1, -1):
-        x, row = s[a], []
-        for e in range(k + 1):
-            cur = [[]] * n + [[n - 1] * min(e, n - a)]  # S_e(a, n): empty text
-            # S_e(a+1, .), S_{e-1}(a+1, .) and S_{e-1}(a, .)
-            same, sub, left = below[e], below[e - 1], row[-1] if row else None
-            for ap in range(n):
-                if s[ap] == x:
-                    cur[ap] = [min(ap + e, n - 1), *same[ap + 1]]
-                elif e:  # x against at most e symbols costs <= e; -2 pads below every end
-                    x0 = ap + min(e, n - ap) - 1
-                    cur[ap] = [*map(max, zip_longest((x0, *sub[ap + 1]), (x0, *sub[ap]),
-                                                     left[ap + 1], fillvalue=-2))]
-            row.append(cur)
-        below = row
-        yield a, row[k][:n]
+        hit, miss = at[s[a]] * rep, (full ^ at[s[a]]) * rep
+        rows = [[below[0][0], *[hit & r >> 1 for r in below[0]]]]
+        for e in range(1, k + 1):
+            # r = R_e(a+1, i-1) on a match; u = R_{e-1}(a+1, i-1) substitutes
+            # (>> 1) or deletes T[a] (>> W); y = R_{e-1}(a, i) inserts T[a']
+            rows.append([below[e][0], *[
+                hit & r >> 1 | miss & ((u | y << w | y & full) >> 1 | u >> w)
+                for r, u, y in zip(below[e], below[e - 1], rows[-1][1:])]])
+        below = rows
+        yield a, rows[k][1:]
 
 
 class LevPrefixTable:
-    """Dense P_k table under the Levenshtein distance.
+    """P_k under the Levenshtein distance for all (a, b, a'), k capped at n.
 
     ``get(a, b, ap)`` is the largest b' >= ap-1 with Lev(T[a,b], T[ap,b'])
-    <= k, or -1.  Dense storage: meant for moderate n (tests, API); factor
-    coverage streams the same values without materializing them.
+    <= k, or -1: ap+b-a+d for the highest slot d of the :func:`_lev_masks`
+    mask of T[a, b] that holds ap.  Meant for moderate n (tests, API).
     """
 
-    def __init__(self, n: int, k: int, data: list[list[list[int]]]):
+    def __init__(self, n: int, k: int, masks: list[list[int]]):
         self.n = n
         self.k = k
-        self._data = data
+        self._masks = masks
+        self._rep = ((1 << (2 * k + 1) * (n + 2)) - 1) // ((1 << n + 2) - 1)
 
     def get(self, a: int, b: int, ap: int) -> int:
         if not (0 <= a <= b < self.n and 0 <= ap < self.n):
             raise IndexError(f"P_k[{a},{b},{ap}] out of range")
-        return self._data[a][b - a][ap]
+        slots = self._masks[a][b - a] >> ap & self._rep  # bit ap of every slot
+        return ap + b - a + (slots.bit_length() - 1) // (self.n + 2) - self.k if slots else -1
 
 
 def p_lev_table(t: Text, k: int) -> LevPrefixTable:
-    """P_k under Levenshtein for all (a, b, a'), from :func:`_lev_streams`: O(k n^3)."""
-    _lev_check(t, k, "the Levenshtein P_k table")
-    n = len(t)
-    data = [[[-1] * n for _ in range(n - a)] for a in range(n)]
-    for a, streams in _lev_streams(t, k):
-        for ap, stream in enumerate(streams):
-            for row, bp in zip(data[a], stream):
-                row[ap] = bp
-    return LevPrefixTable(n, k, data)
+    """P_k under Levenshtein for all (a, b, a'), kept as the masks of
+    :func:`_lev_masks`: O(k n^2) operations on (2k+1)(n+2)-bit ints."""
+    k = _lev_check(t, k, "the Levenshtein P_k table")
+    return LevPrefixTable(len(t), k, [row for _, row in _lev_masks(t, k)][::-1])
 
 
 @dataclass(frozen=True)
@@ -162,9 +161,7 @@ class ParetoList:
     def pred(self, x: int) -> tuple[int, int] | None:
         """Maximal pair with distance <= x, or None (the infinity sentinel)."""
         idx = bisect_right(self.dists, x) - 1
-        if idx < 0:
-            return None
-        return self.dists[idx], self.ends[idx]
+        return None if idx < 0 else (self.dists[idx], self.ends[idx])
 
 
 def pareto_list_build(costs: list[int], first_end: int) -> ParetoList:
@@ -173,8 +170,7 @@ def pareto_list_build(costs: list[int], first_end: int) -> ParetoList:
     ``costs[t]`` is the distance for end position ``first_end + t``; a pair
     survives iff its cost is strictly below every later cost.
     """
-    dists, ends = [], []
-    best = inf
+    dists, ends, best = [], [], inf
     for offset in range(len(costs) - 1, -1, -1):
         if costs[offset] < best:
             best = costs[offset]
@@ -189,9 +185,7 @@ def pareto_list_from_row(dt: DTable, b: int) -> ParetoList:
 
 def block_size(n: int) -> int:
     """M = floor(sqrt(n / log2 n)), clamped to at least 1."""
-    if n <= 2:
-        return 1
-    return max(1, int(sqrt(n / log2(n))))
+    return 1 if n <= 2 else max(1, int(sqrt(n / log2(n))))
 
 
 class _EditCosts:
@@ -285,12 +279,9 @@ class SpecialPointIndex:
 
     def __init__(self, text: Text, penalty: PenaltyMatrix, m: int,
                  blocks: list[list[list[list[int]]]], costs: _EditCosts):
-        self.text = text
-        self.penalty = penalty
-        self.M = m
-        self.blocks = blocks
+        self.text, self.penalty, self.M = text, penalty, m
+        self.blocks, self._costs = blocks, costs
         self.lists: dict[tuple[int, int], list[ParetoList]] = {}
-        self._costs = costs
         self._pending: dict[tuple[int, int], Iterator[list[int]]] = {}
 
     def block_entry(self, a: int, ap: int, b: int, bp: int) -> int:
@@ -346,8 +337,7 @@ def _split_pairs(m: int, a: int, ap: int) -> list[tuple[int, int]]:
     first special point >= ap with c free in [a, a+M); an alignment that
     leaves the leading M x M block passes through one of them.
     """
-    s = a + (-a) % m
-    sp = ap + (-ap) % m
+    s, sp = a + (-a) % m, ap + (-ap) % m
     return [(s, cp) for cp in range(ap, ap + m)] + [(c, sp) for c in range(a, a + m)]
 
 
@@ -358,9 +348,7 @@ def p_ed_entry(idx: SpecialPointIndex, a: int, b: int, ap: int, k: int) -> int:
     split at a special point, where the stored Pareto list answers a
     predecessor query on the remaining budget.
     """
-    n = len(idx.text)
-    m = idx.M
-    res = -1
+    n, m, res = len(idx.text), idx.M, -1
     if b - a < m - 1:
         block_row = idx.blocks[a][ap][b - a + 1]
         for bp in range(ap - 1, min(ap + m - 1, n)):
@@ -390,8 +378,7 @@ def _pk_ends(t: Text, metric: str, k: int, p: PenaltyMatrix | None):
     """Check the inputs of an edit-metric coverage query and return the P_k
     streams of start a, one per a' < n, as ``ends(a)`` (Levenshtein: LCE waves)."""
     if metric == "levenshtein":
-        _lev_check(t, k, "Levenshtein coverage")
-        lce = ExactLce(t)
+        k, lce = _lev_check(t, k, "Levenshtein coverage"), ExactLce(t)
         return lambda a: (_lev_ends(t, a, ap, k, lce) for ap in range(len(t)))
     if metric != "edit":
         raise ValueError(f"unknown metric {metric!r}")
@@ -418,15 +405,27 @@ def factor_coverage(t: Text, metric: str, k: int,
                     p: PenaltyMatrix | None = None) -> list[list[int]]:
     """k-coverage of every factor: rows[a][b-a] covers T[a, b].
 
-    Hamming uses the linear sweeps; Levenshtein (:func:`_lev_streams`,
-    O(k n^3) at worst) and weighted edit (O(k n^3) when every indel costs at
-    least 1, O(n^4) at worst) run the one per-start routine on their streams.
+    Hamming uses the mask passes and sweeps.  Levenshtein smears the lowest
+    slot of nonempty occurrences of each :func:`_lev_masks` mask (O(k n^2)
+    operations on (2k+1)(n+2)-bit ints) and adds the one end bit each higher
+    slot gives.  Weighted edit (O(k n^3) when every indel costs at least 1,
+    O(n^4) at worst) runs the per-start routine.
     """
     if metric == "hamming":
         return hamcover.factor_coverage_all(t, k)
     if metric == "levenshtein":
-        _lev_check(t, k, "Levenshtein coverage")
-        return [_coverage_row(len(t), a, ss) for a, ss in _lev_streams(t, k)][::-1]
+        k, n = _lev_check(t, k, "Levenshtein coverage"), len(t)
+        full, rows = (1 << n + 1) - 1, []
+        tops = range(n + 1 + k, (2 * k + 1) * (n + 1), n + 1)  # r >> top-i: ends of slot 1..2k
+        for _, row in _lev_masks(t, k):
+            rows.append(cov := [])
+            for i, r in enumerate(row):
+                s = k - i if i < k else 0  # lowest slot d >= -i: nonempty occurrences
+                bits = hamcover._smear(r >> s * (n + 2) & full, i + 1 + s - k)
+                for sh in tops[s:]:
+                    bits |= r >> sh - i
+                cov.append((bits & full >> 1).bit_count())
+        return rows[::-1]
     ends = _pk_ends(t, metric, k, p)
     return [_coverage_row(len(t), a, ends(a)) for a in range(len(t))]
 

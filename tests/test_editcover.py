@@ -9,7 +9,6 @@ from quasicover.editcover import (
     _dp_rows,
     _EditCosts,
     _lev_ends,
-    _lev_streams,
     block_size,
     factor_coverage,
     p_ed_entry,
@@ -75,40 +74,64 @@ def test_p_lev_rejects_wildcards():
     t = Text.from_str("a?b")
     with pytest.raises(ValueError):
         p_lev_table(t, 1)
-    # the recurrence builds no ExactLce, so the entry points check themselves
+    # the bit masks need no ExactLce, so the entry points check themselves
     for call in (factor_coverage, prefix_coverage):
         with pytest.raises(ValueError, match="wildcard-free"):
             call(t, "levenshtein", 1)
 
 
-def test_lev_streams_equal_wave_streams_at_every_start(rng):
-    """The neighbour recurrence gives S_k(a, a') exactly as the LCE wave
-    engine does, for every suffix pair and budgets up to n+2."""
+def dense(table, n):
+    return [[[table.get(a, b, ap) for ap in range(n)] for b in range(a, n)]
+            for a in range(n)]
+
+
+def test_lev_masks_decode_to_wave_ends_at_every_start(rng):
+    """The table decoded from the bit masks gives S_k(a, a') exactly as the
+    LCE wave engine does, for every suffix pair and budgets up to n+2."""
     texts = [random_text_str(rng, rng.randint(0, 11), rng.choice((2, 3)))
              for _ in range(40)]
     texts += ["", "a", "b", "a" * 9, "ab" * 5, "abc" * 4, "aab" * 3, "abaababaab"]
     for s in texts:
         t = Text.from_str(s, "abc")
-        lce = ExactLce(t)
-        for k in range(len(t) + 3):
-            got = dict(_lev_streams(t, k))
-            assert sorted(got) == list(range(len(t)))
-            for a, streams in got.items():
-                assert len(streams) == len(t)
-                for ap, stream in enumerate(streams):
-                    assert stream == list(_lev_ends(t, a, ap, k, lce)), (s, k, a, ap)
+        n, lce = len(t), ExactLce(t)
+        for k in range(n + 3):
+            table = p_lev_table(t, k)
+            for a in range(n):
+                for ap in range(n):
+                    got = [table.get(a, b, ap) for b in range(a, n)]
+                    want = list(_lev_ends(t, a, ap, k, lce))
+                    assert got == want + [-1] * (n - a - len(want)), (s, k, a, ap)
+
+
+def test_lev_factor_coverage_equals_unit_edit_rows(rng):
+    """Mask coverage rows equal the unit-cost edit engine's, whose per-start
+    routine unions the occurrence intervals one by one; ends alone would not
+    show a wrong union."""
+    unit = PenaltyMatrix.unit("ab")
+    for trial in range(30):
+        n = rng.randint(0, 40)
+        period = "".join(rng.choice("ab") for _ in range(rng.randint(1, 6)))
+        s = (random_text_str(rng, n, 2), "a" * n, (period * n)[:n])[trial % 3]
+        t = Text.from_str(s, "ab")
+        for k in {0, rng.randint(0, 3), rng.randint(0, n + 2)}:
+            assert factor_coverage(t, "levenshtein", k) == factor_coverage(
+                t, "edit", k, unit), (s, k)
+
+
+def test_lev_budget_capped_at_length(rng):
+    """Lev(C, W) <= n, so any budget past n gives the rows of budget n."""
+    for n in range(13):
+        t = Text.from_str(random_text_str(rng, n, 2), "ab")
+        for call in (factor_coverage, prefix_coverage):
+            assert call(t, "levenshtein", 10**6) == call(t, "levenshtein", n)
+        assert dense(p_lev_table(t, 10**6), n) == dense(p_lev_table(t, n), n)
 
 
 def test_lev_all_starts_build_no_lce(monkeypatch):
-    """Factor coverage and the dense table run on the recurrence alone."""
+    """Factor coverage and the dense table run on the bit masks alone."""
     t = Text.from_str("abaabab")
     n = len(t)
-
-    def dense(table):
-        return [[[table.get(a, b, ap) for ap in range(n)] for b in range(a, n)]
-                for a in range(n)]
-
-    want = factor_coverage(t, "levenshtein", 2), dense(p_lev_table(t, 2))
+    want = factor_coverage(t, "levenshtein", 2), dense(p_lev_table(t, 2), n)
 
     def forbidden(*args):
         raise AssertionError("LCE wave engine called")
@@ -116,7 +139,7 @@ def test_lev_all_starts_build_no_lce(monkeypatch):
     monkeypatch.setattr(editcover, "ExactLce", forbidden)
     monkeypatch.setattr(editcover, "_suffix_pair_frontier", forbidden)
     assert factor_coverage(t, "levenshtein", 2) == want[0]
-    assert dense(p_lev_table(t, 2)) == want[1]
+    assert dense(p_lev_table(t, 2), n) == want[1]
     with pytest.raises(AssertionError):
         prefix_coverage(t, "levenshtein", 2)
 
