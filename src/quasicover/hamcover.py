@@ -84,8 +84,8 @@ class SweepState:
     is below ``ell`` there must not be given.
     """
 
-    def __init__(self, vals: list[int], n: int, max_len: int,
-                 starts: list[int] | None = None, ell: int = 0):
+    def __init__(self, vals: list[int], n: int, starts: list[int] | None = None,
+                 ell: int = 0):
         # Node x+1 stands for position x; node 0 is the left sentinel (never
         # an occurrence, its gap never counted) and node n+1 stands for
         # position n.
@@ -111,10 +111,6 @@ class SweepState:
         self.gone = list(map(nodes.__getitem__, order))
         self.due = [*map(vals.__getitem__, order), inf]
         self.removed = 0
-
-    def step(self, ell: int) -> int:
-        """Advance to subject length ell and return its coverage."""
-        return self.steps(ell, ell)[0]
 
     def steps(self, first: int, last: int) -> list[int]:
         """Advance through subject lengths first..last, one after another
@@ -184,7 +180,7 @@ def coverage_sweep(vals: list[int], n: int, max_len: int) -> list[int]:
     O(n) overall: at most 2n-1 gaps exist over the whole sweep.  The
     reference for :class:`_StartCoverage`.
     """
-    return SweepState(vals, n, max_len).steps(1, max_len)
+    return SweepState(vals, n).steps(1, max_len)
 
 
 class _MissMasks(dict):
@@ -298,7 +294,7 @@ class _StartCoverage:
             vals = self._jumps(a, starts)
         else:
             vals = self._deaths(a, stop, length, starts, live, over, depth)
-        cov += SweepState(vals, n, stop, starts, length).steps(length + 1, stop)
+        cov += SweepState(vals, n, starts, length).steps(length + 1, stop)
         return cov, [i for i, v in zip(starts, vals) if v >= stop]
 
     def _jumps(self, a: int, starts: list[int]) -> list[int]:

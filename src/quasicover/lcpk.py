@@ -7,9 +7,8 @@ as a mismatch):
   by sliding a window of mismatch positions along each diagonal;
 * :func:`kangaroo_lcp_k` answers a single query with at most k+1
   longest-common-extension jumps;
-* ``_lcp_k_row`` answers lcp_k(a, j) for one a and every j with n such
-  queries: O(nk) jumps, and Theta(n^2) compares on unary text.
-  :func:`pref_k` is its row 0.
+* :func:`pref_k` answers lcp_k(0, j) for every j with n such queries:
+  O(nk) jumps, and Theta(n^2) compares on unary text.
 
 The last two share one jump loop.  A jump compares up to 8 symbols
 inline, so a short jump costs no function call; in counts on random binary
@@ -246,18 +245,12 @@ def kangaroo_lcp_k(t: Text, i: int, j: int, k: int,
     return _lcp_k(lce._s, lce.extension, i, j, n - max(i, j), k)
 
 
-def _lcp_k_row(t: Text, a: int, k: int) -> list[int]:
-    """[lcp_k(a, j) for j < n] by one kangaroo query per position, all on
-    one :class:`ExactLce` built here: O(nk) jumps.  Callers check 0 <= a < n."""
+def pref_k(t: Text, k: int) -> PrefKTable:
+    """PREF_k table, [lcp_k(0, j) for j < n], by one kangaroo query per
+    position, all on one :class:`ExactLce` built here: O(nk) jumps."""
     n = len(t)
     if k < 0:
         raise ValueError("mismatch budget must be nonnegative")
     lce = ExactLce(t)
     s, extension = lce._s, lce.extension
-    # n - max(a, j), without a call per position
-    return [_lcp_k(s, extension, a, j, n - (j if j > a else a), k) for j in range(n)]
-
-
-def pref_k(t: Text, k: int) -> PrefKTable:
-    """PREF_k table (lcp_k against position 0): row 0 of ``_lcp_k_row``."""
-    return PrefKTable(k, _lcp_k_row(t, 0, k))
+    return PrefKTable(k, [_lcp_k(s, extension, 0, j, n - j, k) for j in range(n)])

@@ -14,8 +14,9 @@ after the index build).
 Reports need only Q[0], the largest over positions x of the cost of the
 cheapest occurrence containing x.  They read it off one free-start edit DP
 per candidate start and one free-end DP per candidate end (Sellers'
-approximate-matching DP, run forward and backward): O(n^3) DP cells, plus
-one C-level minimum per candidate and position.  At n = 40 to 64 on random
+approximate-matching DP, run forward and backward, both as free-start rows
+of the ``editcover._dp_rows`` kernel): O(n^3) DP cells, plus one C-level
+minimum per candidate and position.  At n = 40 to 64 on random
 ternary text this measured 3 to 5x faster than the batched quadratic tables
 (2 vCPUs, CPython 3.11).
 Reports take their target text and candidates from
@@ -181,37 +182,6 @@ class RestrictedReport:
         return [key for key, v in self.thresholds.items() if v == self.minimal]
 
 
-def _free_start_rows(costs: _EditCosts, a: int, height: int) -> list[list[int]]:
-    """Rows r = 0 .. height-1 of the free-start edit DP of T[a, a+height-2]
-    against the whole text.
-
-    Row r, column x, is the least cost of turning T[a, a+r-1] into some
-    window T[x', x-1] with x' <= x, so row 0 is all zero.  The loop is the
-    ``_dp_rows`` kernel on another first row.
-    """
-    ins = costs.ins
-    row = [0] * (len(ins) + 1)
-    rows = [row]
-    for s in range(a, a + height - 1):
-        dl = costs.dele[s]
-        left = row[0] + dl
-        new = [left]
-        append = new.append
-        for diag, up, sc, ic in zip(row, islice(row, 1, None),
-                                    costs.sub[costs.symbols[s]], ins):
-            left += ic
-            diag += sc
-            if diag < left:
-                left = diag
-            up += dl
-            if up < left:
-                left = up
-            append(left)
-        rows.append(new)
-        row = new
-    return rows
-
-
 def _report_for_candidates(target: Text, candidates: dict[int, dict[int, str]],
                            p: PenaltyMatrix) -> RestrictedReport:
     """Q[0]-thresholds of the factors ``candidates[a][b]`` = target[a, b].
@@ -248,7 +218,7 @@ def _report_for_candidates(target: Text, candidates: dict[int, dict[int, str]],
     for b, lo in lowest.items():
         # r_rows[i] is s = b + 1 - i, its entry k at x = m - k; H rows run
         # over x = m - 1 .. 0; symbol j of the reversed text is T[m - 1 - j].
-        r_rows = _free_start_rows(rev, m - 1 - b, b - lo + 2)
+        r_rows = _dp_rows(rev, m - 1 - b, 0, b - lo + 2, free_start=True)
         h_rows = [rev.ins]
         for j, (done, row) in zip(range(m - 1 - b, m - lo), pairwise(r_rows)):
             h_rows.append(list(map(min, map(add, rev.ins, row),
@@ -257,7 +227,7 @@ def _report_for_candidates(target: Text, candidates: dict[int, dict[int, str]],
         h_cols[b] = lo, list(zip(*h_rows))[::-1]
     thresholds = {}
     for a, group in candidates.items():
-        f_cols = list(zip(*_free_start_rows(costs, a, max(group) - a + 2)))
+        f_cols = list(zip(*_dp_rows(costs, a, 0, max(group) - a + 2, free_start=True)))
         for b, key in group.items():
             lo, cols = h_cols[b]
             off = a - lo

@@ -181,7 +181,8 @@ class Violation(NamedTuple):
 class PenaltyMatrix:
     """Substitution, insertion and deletion costs over an alphabet.
 
-    Costs are nonnegative integers.  Construction checks shape and sign only;
+    Costs are nonnegative integers.  Construction checks that the alphabet
+    has distinct symbols and the costs' shape and sign only;
     use :func:`validate_penalty_matrix` / :meth:`require_metric` to verify the
     metric axioms.  Wildcard rows are implicit: every cost involving the
     wildcard is zero, including insertion and deletion.
@@ -196,6 +197,8 @@ class PenaltyMatrix:
         self.ins = tuple(ins)
         self.dele = tuple(dele)
         sigma = len(alphabet)
+        if len(set(alphabet)) != sigma:
+            raise ValueError(f"alphabet {alphabet!r} repeats a symbol")
         if len(self.sub) != sigma or any(len(row) != sigma for row in self.sub):
             raise ValueError(f"substitution table must be {sigma}x{sigma}")
         if len(self.ins) != sigma or len(self.dele) != sigma:

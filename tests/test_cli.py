@@ -366,6 +366,13 @@ def test_penalty_file_end_to_end(capsys, monkeypatch, tmp_path):
     # substitution now costs 2 > k, but single-symbol indels still enable
     # approximate occurrences at budget 1
     assert len(out.splitlines()) == 4
+    repeated = tmp_path / "repeated"
+    repeated.write_text("alphabet aab\nsub 0 1 1\nsub 1 0 1\nsub 1 1 0\nins 1 1 1\ndel 1 1 1\n")
+    code, out, err = run(capsys, monkeypatch,
+                         ["covers", "--distance", "edit", "--penalty", str(repeated)],
+                         stdin="abab\n")
+    assert code == 2 and out == ""
+    assert "input error: invalid penalty matrix: alphabet 'aab' repeats a symbol" in err
 
 
 def test_wildcard_option(capsys, monkeypatch):

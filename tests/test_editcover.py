@@ -264,6 +264,11 @@ def test_dp_rows_match_d_table(raw, seed, data):
     assert list(_dp_rows(costs, a, ap)) == want
     assert list(_dp_rows(costs, a, ap, height, width)) == \
         [row[:width] for row in want[:height]]
+    # Free-start rows: the cheapest alignment with any window ending at x-1.
+    tables = [build_d_table(t, a, s, p).rows for s in range(n + 1)]
+    assert list(_dp_rows(costs, a, 0, free_start=True)) == \
+        [[min(tables[s][r][x - s] for s in range(x + 1)) for x in range(n + 1)]
+         for r in range(n - a + 1)]
     # Budget-cut rows: every cell <= k, exactly, inside a window spanning
     # the first to the last of them, until the first row without one.
     k = data.draw(st.none() | st.integers(0, 2 * n * p.max_operation_cost() + 1))

@@ -132,9 +132,9 @@ def test_sweep_invariants_instrumented(rng):
         n = rng.randint(1, 16)
         t = Text.from_str(random_text_str(rng, n, 2))
         k = rng.randint(0, 3)
-        state = SweepState(list(pref_k(t, k).values), n, n)
+        state = SweepState(list(pref_k(t, k).values), n)
         for ell in range(1, n + 1):
-            state.step(ell)
+            state.steps(ell, ell)
             want = oracle.brute_coverage(t.prefix(ell), t, "hamming", k)
             assert state.sum_o + state.num_no * ell == want
         assert state.pairs_processed <= 2 * n - 1
@@ -311,7 +311,7 @@ def test_coverage_sweep_matches_definition(data):
     want = [len({p for i, v in enumerate(vals) if v >= ell
                  for p in range(i, min(i + ell, n))}) for ell in range(1, m + 1)]
     assert coverage_sweep(vals, n, m) == want
-    state = SweepState(vals, n, m)
+    state = SweepState(vals, n)
     assert state.steps(1, m) == want
     assert state.pairs_processed <= max(0, 2 * n - 1)
 

@@ -263,6 +263,8 @@ def test_penalty_matrix_shape_and_sign_checks():
         PenaltyMatrix("ab", [[0, -1], [1, 0]], [1, 1], [1, 1])
     with pytest.raises(ValueError):
         PenaltyMatrix("ab", [[0, 1.5], [1.5, 0]], [1, 1], [1, 1])
+    with pytest.raises(ValueError, match="repeats a symbol"):
+        PenaltyMatrix("aab", PenaltyMatrix.unit("abc").sub, [1] * 3, [1] * 3)
 
 
 def test_random_metrics_are_valid(rng):
