@@ -141,7 +141,8 @@ QTABLE_PENALTY = PenaltyMatrix("abc", [[0, 1, 2], [1, 0, 2], [2, 2, 0]],
 def bench_restricted_covers_ed(n: int = 32, repeats: int = 3,
                                seed: int = 10) -> BenchResult:
     """Restricted weighted-edit covers of random ternary text: O(n^3) DP
-    cells, but O(n^4) additions in the C-level minima of the combine step."""
+    cells, and O(n^3) big-int operations in the combine step, each on a
+    packed row of O(n) fields: O(n^4) word operations in the limit."""
     return _doubling("restricted-covers-edit", n, 16.0, repeats, seed,
                      lambda t: lambda: restricted_covers_ed(t, QTABLE_PENALTY),
                      lambda size, seed: random_text(size, 3, seed))

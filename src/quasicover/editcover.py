@@ -228,8 +228,10 @@ def _dp_rows(costs: _EditCosts, a: int, ap: int, height: int | None = None,
     sums (Sellers' approximate matching): row b, column bp, is the least
     cost of turning T[a, b] into some window T[x, bp] with ap <= x <= bp+1.
     The restricted reports need no budget on these rows, so ``free_start``
-    is not combined with ``k``.
+    is not combined with ``k``: asking for both raises ``ValueError``.
     """
+    if free_start and k is not None:
+        raise ValueError("free-start rows take no budget k")
     n = len(costs.symbols)
     height = n - a + 1 if height is None else height
     width = n - ap + 1 if width is None else width

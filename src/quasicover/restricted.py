@@ -15,21 +15,25 @@ Reports need only Q[0], the largest over positions x of the cost of the
 cheapest occurrence containing x.  They read it off one free-start edit DP
 per candidate start and one free-end DP per candidate end (Sellers'
 approximate-matching DP, run forward and backward, both as free-start rows
-of the ``editcover._dp_rows`` kernel): O(n^3) DP cells, plus one C-level
-minimum per candidate and position.  At n = 40 to 64 on random
-ternary text this measured 3 to 5x faster than the batched quadratic tables
-(2 vCPUs, CPython 3.11).
+of the ``editcover._dp_rows`` kernel): O(n^3) DP cells.  Each row is packed
+into one int with a fixed-width field per position, so combining the rows
+of a candidate takes O(n) big-int operations, not O(n^2) element
+operations.  On random ternary text under ``bench.QTABLE_PENALTY``
+(2 vCPUs, CPython 3.11.7) a report took 0.015 s at n = 40, 0.060 s at
+n = 64 and 0.50 s at n = 128, against 0.041, 0.14 and 1.6 s when each
+position's column was combined with its own C-level minimum.
 Reports take their target text and candidates from
 :func:`~quasicover.textcore.restricted_candidates`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import groupby, islice, pairwise, repeat
+from functools import reduce
+from itertools import groupby, islice
 from math import inf
 from operator import add
+from struct import Struct
 
 from .editcover import (SpecialPointIndex, _check_index, _dp_rows, _EditCosts,
                         _split_pairs, precompute_special)
@@ -182,6 +186,51 @@ class RestrictedReport:
         return [key for key, v in self.thresholds.items() if v == self.minimal]
 
 
+def _field_bytes(costs: _EditCosts) -> int:
+    """Bytes per field of the packed rows of a report on ``costs``' text.
+
+    Every value the combine step forms is at most 2·Σdel + max ins: a
+    free-start or free-end row entry is at most Σdel, since the window may
+    be empty, and substitution costs are capped at Σdel + max ins, above
+    which they never win.  The low w - 1 bits of a w-bit field hold that
+    bound, so the top bit of each field stays free as a guard.
+    """
+    bound = 2 * sum(costs.dele) + max(costs.ins, default=0)
+    size = 1
+    while bound >> (8 * size - 1):
+        size *= 2
+    return size
+
+
+def _packers(size: int, count: int):
+    """``pack(values)``, the int with values[i] in bytes [i·size, (i+1)·size),
+    and ``top(v)``, the largest of the ``count`` fields of such an int.
+
+    Fields of 1 to 8 bytes go through one ``struct`` format; wider ones
+    through ``int.to_bytes`` per field.
+    """
+    total = size * count
+    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(size)
+    if code:
+        fields = Struct(f"<{count}{code}")
+
+        def pack(values):
+            return int.from_bytes(fields.pack(*values), "little")
+
+        def top(v):
+            return max(fields.unpack(v.to_bytes(total, "little")))
+    else:
+        def pack(values):
+            return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]),
+                                  "little")
+
+        def top(v):
+            raw = v.to_bytes(total, "little")
+            return max(int.from_bytes(raw[i:i + size], "little")
+                       for i in range(0, total, size))
+    return pack, top
+
+
 def _report_for_candidates(target: Text, candidates: dict[int, dict[int, str]],
                            p: PenaltyMatrix) -> RestrictedReport:
     """Q[0]-thresholds of the factors ``candidates[a][b]`` = target[a, b].
@@ -197,47 +246,65 @@ def _report_for_candidates(target: Text, candidates: dict[int, dict[int, str]],
       at x, T[x] inserted or substituted by T[s]: read off one free-end DP
       per end b, run as a free-start DP on the reversed text.
 
-    Both fill O(n^2) cells per start or end, O(n^3) in all; what is left is
-    one C-level ``min`` per candidate and position over stored columns.
-    Positions where C costs 0 are skipped: C's own occurrence, and every
-    run of at least |C| wildcards, such as the pads of a seeds target.
+    Both fill O(n^2) cells per start or end, O(n^3) in all.  Every row is
+    packed into one int, position x in field x (SIMD within a register), so
+    an H row is one fieldwise minimum of two row sums, and cov is a running
+    fieldwise minimum over s of F + H rows: O(n) big-int operations per
+    candidate instead of O(n^2) element operations.  The minimum sets each
+    field's guard bit, subtracts, and keeps the fields whose guard survived.
+    Positions where C costs 0 are masked out before the largest field is
+    read: C's own occurrence, and every run of at least |C| wildcards, such
+    as the pads of a seeds target.
     """
     costs = _EditCosts(target, p)
     rev = _EditCosts(Text(target.symbols[::-1], target.alphabet, target.wildcard_char), p)
     m = len(target)
+    size = _field_bytes(costs)
+    pack, top = _packers(size, m)
+    w = 8 * size
+    guard = pack([1 << (w - 1)] * m)
+
+    def fmin(x: int, y: int) -> int:
+        t = ((x | guard) - y) & guard  # guard bit kept where x >= y
+        return x ^ ((x ^ y) & (t - (t >> (w - 1))))
+
+    ins = pack(costs.ins)
+    cap = sum(costs.dele) + max(costs.ins, default=0)
+    subs = [pack([min(c, cap) for c in row]) for row in costs.sub]
     wild_run = []  # length of the wildcard run through each position, else 0
     for wild, run in groupby(target.symbols, WILDCARD.__eq__):
-        size = len(list(run))
-        wild_run += [size if wild else 0] * size
-    open_at: dict[int, list[int]] = {}  # per |C|: positions outside runs of >= |C|
+        span = len(list(run))
+        wild_run += [span if wild else 0] * span
+    ones = (1 << w) - 1
+    open_at: dict[int, int] = {}  # per |C|: fields outside runs of >= |C| wildcards
     lowest: dict[int, int] = {}  # least candidate start of each end
     for a, group in candidates.items():
         for b in group:
             lowest.setdefault(b, a)
-    h_cols = {}
+    h_rows = {}
     for b, lo in lowest.items():
-        # r_rows[i] is s = b + 1 - i, its entry k at x = m - k; H rows run
-        # over x = m - 1 .. 0; symbol j of the reversed text is T[m - 1 - j].
-        r_rows = _dp_rows(rev, m - 1 - b, 0, b - lo + 2, free_start=True)
-        h_rows = [rev.ins]
-        for j, (done, row) in zip(range(m - 1 - b, m - lo), pairwise(r_rows)):
-            h_rows.append(list(map(min, map(add, rev.ins, row),
-                                   map(add, rev.sub[rev.symbols[j]], done))))
-        h_rows.reverse()  # s = lo .. b+1
-        h_cols[b] = lo, list(zip(*h_rows))[::-1]
+        # r[i] is s = b + 1 - i; its field x is the cheapest alignment of
+        # T[s, b] with a window starting at x + 1, entry m - 1 - x of the
+        # reversed text's row.
+        r = [pack(row[::-1]) for row in _dp_rows(rev, m - 1 - b, 0, b - lo + 2, m,
+                                                  free_start=True)]
+        h = [ins]
+        for s, done, row in zip(range(b, lo - 1, -1), r, islice(r, 1, None)):
+            h.append(fmin(ins + row, subs[target.symbols[s]] + done))
+        h.reverse()  # s = lo .. b+1
+        h_rows[b] = lo, h
     thresholds = {}
     for a, group in candidates.items():
-        f_cols = list(zip(*_dp_rows(costs, a, 0, max(group) - a + 2, free_start=True)))
+        f = [pack(row) for row in _dp_rows(costs, a, 0, max(group) - a + 2, m,
+                                           free_start=True)]
         for b, key in group.items():
-            lo, cols = h_cols[b]
-            off = a - lo
+            lo, h = h_rows[b]
             length = b - a + 1
             if length not in open_at:
-                open_at[length] = [x for x, w in enumerate(wild_run) if w < length]
-            keep = open_at[length]
-            xs = keep[:bisect_left(keep, a)] + keep[bisect_right(keep, b):]
-            thresholds[key] = max(map(min, map(map, repeat(add), [f_cols[x] for x in xs],
-                                               [cols[x][off:] for x in xs])), default=0)
+                open_at[length] = pack([ones if run < length else 0 for run in wild_run])
+            keep = open_at[length] & ~(((1 << (w * length)) - 1) << (w * a))
+            cov = reduce(fmin, map(add, f, islice(h, a - lo, None)))
+            thresholds[key] = top(cov & keep)
     return RestrictedReport(thresholds, min(thresholds.values(), default=None))
 
 
@@ -245,7 +312,7 @@ def restricted_covers_ed(t: Text, p: PenaltyMatrix) -> RestrictedReport:
     """Minimal cover threshold for every proper factor; argmin set reported.
 
     Per-position occurrence costs of every distinct factor: O(n^3) DP cells,
-    and O(n^4) additions in C-level minima.
+    and O(n^3) big-int operations on packed rows of O(n) fields.
     """
     return _report_for_candidates(*restricted_candidates(t), p)
 

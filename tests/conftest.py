@@ -6,11 +6,16 @@ import os
 import random
 import subprocess
 import sys
+from bisect import bisect_left, bisect_right
+from itertools import groupby, pairwise, repeat
+from operator import add
 
 import pytest
 
 import quasicover
-from quasicover.textcore import PenaltyMatrix, Text, symbols_match
+from quasicover.editcover import _dp_rows, _EditCosts
+from quasicover.restricted import RestrictedReport
+from quasicover.textcore import WILDCARD, PenaltyMatrix, Text, symbols_match
 
 
 def run_fresh(script: str) -> subprocess.CompletedProcess:
@@ -83,6 +88,45 @@ def full_unit_dp(t1: Text, t2: Text) -> list[list[int]]:
                     d[i][j - 1] + 1,
                     d[i - 1][j] + 1)
     return d
+
+
+def column_combine_report(target: Text, candidates: dict[int, dict[int, str]],
+                          p: PenaltyMatrix) -> RestrictedReport:
+    """Reference for ``restricted._report_for_candidates``: the same F and H
+    rows, stored as one column of plain ints per position, and cov(x) as one
+    ``min`` of a column sum per candidate and position (O(n^4) additions)."""
+    costs = _EditCosts(target, p)
+    rev = _EditCosts(Text(target.symbols[::-1], target.alphabet, target.wildcard_char), p)
+    m = len(target)
+    wild_run = []
+    for wild, run in groupby(target.symbols, WILDCARD.__eq__):
+        size = len(list(run))
+        wild_run += [size if wild else 0] * size
+    lowest: dict[int, int] = {}
+    for a, group in candidates.items():
+        for b in group:
+            lowest.setdefault(b, a)
+    h_cols = {}
+    for b, lo in lowest.items():
+        r_rows = _dp_rows(rev, m - 1 - b, 0, b - lo + 2, free_start=True)
+        h_rows = [rev.ins]
+        for j, (done, row) in zip(range(m - 1 - b, m - lo), pairwise(r_rows)):
+            h_rows.append(list(map(min, map(add, rev.ins, row),
+                                   map(add, rev.sub[rev.symbols[j]], done))))
+        h_rows.reverse()
+        h_cols[b] = lo, list(zip(*h_rows))[::-1]
+    thresholds = {}
+    for a, group in candidates.items():
+        f_cols = list(zip(*_dp_rows(costs, a, 0, max(group) - a + 2, free_start=True)))
+        for b, key in group.items():
+            lo, cols = h_cols[b]
+            off = a - lo
+            length = b - a + 1
+            keep = [x for x, w in enumerate(wild_run) if w < length]
+            xs = keep[:bisect_left(keep, a)] + keep[bisect_right(keep, b):]
+            thresholds[key] = max(map(min, map(map, repeat(add), [f_cols[x] for x in xs],
+                                               [cols[x][off:] for x in xs])), default=0)
+    return RestrictedReport(thresholds, min(thresholds.values(), default=None))
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from quasicover.hamcover import (enhanced_cover_approx_border, enhanced_cover_ex
 from quasicover.restricted import restricted_covers_ed, restricted_seeds_ed
 from quasicover.textcore import PenaltyMatrix, Text
 
-from conftest import random_text_str, run_fresh
+from conftest import column_combine_report, random_metric, random_text_str, run_fresh
 
 
 def run(capsys, monkeypatch, argv, stdin=""):
@@ -227,6 +227,33 @@ def test_covers_edit_example(capsys, monkeypatch):
     rows = {r[0]: r for r in (line.split("\t") for line in out.splitlines())}
     assert rows["ab"][1] == "0" and rows["ab"][2] == "1"
     assert all(r[2] == "0" for key, r in rows.items() if key != "ab")
+
+
+def penalty_file_text(p: PenaltyMatrix) -> str:
+    return "".join([f"alphabet {p.alphabet}\n",
+                    *("sub " + " ".join(map(str, row)) + "\n" for row in p.sub),
+                    "ins " + " ".join(map(str, p.ins)) + "\n",
+                    "del " + " ".join(map(str, p.dele)) + "\n"])
+
+
+def test_edit_reports_equal_the_column_combine(capsys, monkeypatch, tmp_path):
+    """covers and seeds under --distance edit, in tsv and json, print the
+    same bytes with the packed combine as with the per-column reference."""
+    from quasicover import restricted
+    rng = random.Random(20)
+    metric = tmp_path / "metric"
+    for trial in range(16):
+        raw = random_text_str(rng, rng.randint(0, 24), 3, 0.15 if trial % 2 else 0.0)
+        metric.write_text(penalty_file_text(random_metric("abc", rng)))
+        penalty = "unit" if trial % 4 == 0 else str(metric)
+        for cmd in ("covers", "seeds"):
+            for fmt in ("tsv", "json"):
+                argv = [cmd, "--distance", "edit", "--penalty", penalty, "--format", fmt]
+                packed = run(capsys, monkeypatch, argv, stdin=raw + "\n")
+                with monkeypatch.context() as patch:
+                    patch.setattr(restricted, "_report_for_candidates", column_combine_report)
+                    columns = run(capsys, monkeypatch, argv, stdin=raw + "\n")
+                assert packed == columns and packed[0] == 0, (raw, argv)
 
 
 def test_threshold_rows_by_length_then_string(capsys, monkeypatch):

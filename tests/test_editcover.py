@@ -283,6 +283,12 @@ def test_dp_rows_match_d_table(raw, seed, data):
         assert {lo + j: v for j, v in enumerate(window) if v <= k} == cells
 
 
+def test_dp_rows_reject_free_start_with_budget():
+    costs = _EditCosts(Text.from_str("aabbbbaab"), PenaltyMatrix.unit("ab"))
+    with pytest.raises(ValueError):
+        list(_dp_rows(costs, 6, 0, free_start=True, k=0))
+
+
 def test_p_ed_matches_brute_and_lev(rng):
     for trial in range(18):
         # sizes reach past 16 so the block size exceeds 1 and the special

@@ -2,6 +2,7 @@ from quasicover import oracle
 from quasicover.editcover import _EditCosts, block_size, precompute_special
 from quasicover.hamcover import k_restricted_covers, k_restricted_seeds
 from quasicover.restricted import (
+    _field_bytes,
     _q_tables_of_start,
     _report_for_candidates,
     q_table_fast,
@@ -10,9 +11,9 @@ from quasicover.restricted import (
     restricted_seeds_ed,
 )
 from quasicover.textcore import (PenaltyMatrix, Text, edit_distance, pad_for_seed,
-                                 restricted_candidates)
+                                 restricted_candidates, validate_penalty_matrix)
 
-from conftest import random_metric, random_text_str
+from conftest import column_combine_report, random_metric, random_text_str
 
 
 def brute_q_entry(t: Text, a: int, b: int, p: PenaltyMatrix, i: int) -> int:
@@ -114,6 +115,54 @@ def test_report_thresholds_equal_quadratic_q_tables(rng):
                                 for a, group in candidates.items()
                                 for b, key in group.items()}
                     assert list(rep.thresholds.items()) == list(expected.items()), s
+
+
+def scaled(p: PenaltyMatrix, c: int) -> PenaltyMatrix:
+    return PenaltyMatrix(p.alphabet, [[c * x for x in row] for row in p.sub],
+                         [c * x for x in p.ins], [c * x for x in p.dele])
+
+
+def width_boundary_case(rng, bound: int) -> tuple[Text, PenaltyMatrix]:
+    """A text with one "a", some "b"s and wildcards, and a metric under which
+    2·Σdel + max ins, the packed fields' bound, is exactly ``bound``:
+    ins = del = D for "a" and 1 for "b", so the bound is 3D + 2·#b."""
+    count = (2 * bound) % 3 + 3
+    d = (bound - 2 * count) // 3
+    assert 3 * d + 2 * count == bound and d >= 1
+    symbols = ["a"] + ["b"] * count + ["?"] * rng.randint(0, 3)
+    rng.shuffle(symbols)
+    p = PenaltyMatrix("ab", [[0, d], [d, 0]], [d, 1], [d, 1])
+    assert not validate_penalty_matrix(p)
+    return Text.from_str("".join(symbols), "ab"), p
+
+
+def test_packed_fields_scale_with_the_costs(rng):
+    """Thresholds under c·p are c times the per-column reference's under p,
+    for c = 1, 3, 2^20, 2^40 and 2^70, so every field width (1 to 8 bytes,
+    and wider through int.to_bytes) runs; metrics whose bound sits just
+    below and just above each width step run at both widths."""
+    cases = []
+    for trial in range(24):
+        alphabet = "ab" if trial % 2 == 0 else "abc"
+        s = random_text_str(rng, rng.randint(0, 14), len(alphabet), 0.15 if trial % 4 < 2 else 0)
+        p = PenaltyMatrix.unit(alphabet) if trial % 3 == 0 else random_metric(alphabet, rng)
+        cases.append((Text.from_str(s, alphabet), p))
+    for w in (8, 16, 32, 64):
+        for bound, size in ((2 ** (w - 1) - 1, w // 8), (2 ** (w - 1), w // 4)):
+            t, p = width_boundary_case(rng, bound)
+            assert _field_bytes(_EditCosts(t, p)) == size
+            cases.append((t, p))
+    # not a metric: substitutions above Σdel + max ins never win, and are capped
+    cases.append((Text.from_str("abba?ab", "ab"),
+                  PenaltyMatrix("ab", [[0, 1000], [1000, 0]], [1, 2], [1, 2])))
+    for t, p in cases:
+        for target, candidates in (restricted_candidates(t),
+                                   restricted_candidates(t, seeds=True)):
+            want = column_combine_report(target, candidates, p).thresholds
+            for c in (1, 3, 2 ** 20, 2 ** 40, 2 ** 70):
+                got = _report_for_candidates(target, candidates, scaled(p, c)).thresholds
+                assert list(got.items()) == [(key, c * v) for key, v in want.items()], \
+                    (t.to_str(), c)
 
 
 def brute_candidates(s: str, seeds: bool) -> list[tuple[int, int, str]]:
