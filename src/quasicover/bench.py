@@ -13,11 +13,11 @@ import time
 from dataclasses import dataclass
 from math import log2
 
-from .editcover import factor_coverage, precompute_special, prefix_coverage
+from .editcover import factor_coverage, prefix_coverage
 from .hamcover import coverage_sweep, factor_coverage_all
 from .lcpk import pref_k
-from .restricted import q_table_fast, restricted_covers_ed
-from .textcore import PenaltyMatrix, Text, restricted_candidates
+from .restricted import restricted_covers_ed
+from .textcore import PenaltyMatrix, Text
 
 
 @dataclass
@@ -140,35 +140,12 @@ QTABLE_PENALTY = PenaltyMatrix("abc", [[0, 1, 2], [1, 0, 2], [2, 2, 0]],
 
 def bench_restricted_covers_ed(n: int = 32, repeats: int = 3,
                                seed: int = 10) -> BenchResult:
-    """Restricted weighted-edit covers of random ternary text: O(n^3) DP
-    cells, and O(n^3) big-int operations in the combine step, each on a
-    packed row of O(n) fields: O(n^4) word operations in the limit."""
+    """Restricted weighted-edit covers of random ternary text: O(n^2 log n)
+    big-int operations to build the packed DP rows and O(n^3) to combine
+    them, each on a row of O(n) fields: O(n^4) word operations in the limit."""
     return _doubling("restricted-covers-edit", n, 16.0, repeats, seed,
                      lambda t: lambda: restricted_covers_ed(t, QTABLE_PENALTY),
                      lambda size, seed: random_text(size, 3, seed))
-
-
-def bench_qtable_crossover(n: int = 24, seed: int = 10) -> tuple[float, float]:
-    """Restricted-cover thresholds of one random text of length n: the report
-    engine against the paper's special-point Q-tables.
-
-    Times ``restricted_covers_ed``, which reads each threshold off
-    per-position occurrence costs, and ``precompute_special`` plus
-    ``q_table_fast`` over the same candidates, the first occurrence of every
-    distinct proper factor.  Returns (report_seconds, fast_seconds); raises
-    if the two disagree on any threshold.
-    """
-    t = random_text(n, 3, seed)
-    start = time.perf_counter()
-    report = restricted_covers_ed(t, QTABLE_PENALTY).thresholds
-    mid = time.perf_counter()
-    idx = precompute_special(t, QTABLE_PENALTY)
-    fast = {key: q_table_fast(t, a, b, QTABLE_PENALTY, idx)[0]
-            for a, group in restricted_candidates(t)[1].items() for b, key in group.items()}
-    end = time.perf_counter()
-    if fast != report:
-        raise AssertionError(f"restricted-cover engines disagree at n={n}, seed={seed}")
-    return mid - start, end - mid
 
 
 def run_all(quick: bool = False) -> list[BenchResult]:

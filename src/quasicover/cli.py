@@ -405,9 +405,6 @@ def bench_command(quick, fmt):
         rows.append((r.task, r.n_small, r.n_big, _fmt_num(r.seconds_small),
                      _fmt_num(r.seconds_big), _fmt_num(r.ratio),
                      _fmt_num(r.exponent), _fmt_num(r.bound), status))
-    report, fast = bench.bench_qtable_crossover(n=16 if quick else 24)
-    rows.append(("restricted-report-vs-qtable-fast", "", "", _fmt_num(report),
-                 _fmt_num(fast), "", "", "", "informational"))
     _emit(["task", "n_small", "n_big", "seconds_small", "seconds_big",
            "ratio", "exponent", "bound", "status"], rows, fmt)
 

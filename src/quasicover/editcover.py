@@ -209,13 +209,13 @@ class _EditCosts:
 
 
 def _dp_rows(costs: _EditCosts, a: int, ap: int, height: int | None = None,
-             width: int | None = None, k: int | None = None, free_start: bool = False):
+             width: int | None = None, k: int | None = None):
     """Yield rows b = a-1, a, ... of D_{a,ap} one at a time.
 
     Each row holds the costs for bp = ap-1 .. ap+width-2.  ``height`` caps
     the number of rows, the boundary row b = a-1 included; both default to
     the full table.  This is the one edit-DP kernel of the fast side, with
-    full, blocked, budget-cut and free-start rows; ``textcore.build_d_table``
+    full, blocked and budget-cut rows; ``textcore.build_d_table``
     and ``edit_distance`` stay separate as the references it is tested
     against.
 
@@ -223,31 +223,19 @@ def _dp_rows(costs: _EditCosts, a: int, ap: int, height: int | None = None,
     above k never leads back under it) each row is yielded as ``(lo, window)``
     with ``window[i]`` at column ``lo + i``, from its first to its last cell
     <= k.  Those cells are exact, and the rows stop at the first with none.
-
-    With ``free_start`` the boundary row is all zero instead of insertion
-    sums (Sellers' approximate matching): row b, column bp, is the least
-    cost of turning T[a, b] into some window T[x, bp] with ap <= x <= bp+1.
-    The restricted reports need no budget on these rows, so ``free_start``
-    is not combined with ``k``: asking for both raises ``ValueError``.
     """
-    if free_start and k is not None:
-        raise ValueError("free-start rows take no budget k")
     n = len(costs.symbols)
     height = n - a + 1 if height is None else height
     width = n - ap + 1 if width is None else width
     ins = costs.ins[ap:ap + width - 1]
-    if free_start:
-        row = [0] * width
-    else:
-        cum = list(accumulate(ins, initial=0))  # row b = a-1: insertion-chain sums
-        row = cum if k is None else cum[:bisect_right(cum, k)]
+    cum = list(accumulate(ins, initial=0))  # row b = a-1: insertion-chain sums
+    row = cum if k is None else cum[:bisect_right(cum, k)]
     lo, tail = 0, ins  # tail[i] costs inserting column lo+i+1; re-sliced on moves
     yield row if k is None else (lo, row)
     for b in range(a, a + height - 1):
         dl = costs.dele[b]
         subrow = costs.sub[costs.symbols[b]]
-        # zip stops at the row, so an unshifted row needs no slice
-        sub = subrow if ap + lo == 0 else subrow[ap + lo:ap + lo + len(row)]
+        sub = subrow[ap + lo:ap + lo + len(row)]
         left = row[0] + dl
         new = [left]
         append = new.append

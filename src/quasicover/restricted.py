@@ -13,15 +13,16 @@ after the index build).
 
 Reports need only Q[0], the largest over positions x of the cost of the
 cheapest occurrence containing x.  They read it off one free-start edit DP
-per candidate start and one free-end DP per candidate end (Sellers'
-approximate-matching DP, run forward and backward, both as free-start rows
-of the ``editcover._dp_rows`` kernel): O(n^3) DP cells.  Each row is packed
-into one int with a fixed-width field per position, so combining the rows
-of a candidate takes O(n) big-int operations, not O(n^2) element
-operations.  On random ternary text under ``bench.QTABLE_PENALTY``
-(2 vCPUs, CPython 3.11.7) a report took 0.015 s at n = 40, 0.060 s at
-n = 64 and 0.50 s at n = 128, against 0.041, 0.14 and 1.6 s when each
-position's column was combined with its own C-level minimum.
+per candidate start, run forward, and one free-end DP per candidate end,
+run backward (Sellers' approximate-matching DP).  Each row is one int with
+a fixed-width field per position, built in that layout in O(log n) big-int
+operations, O(n^2 log n) in all, and combining the rows of a candidate
+takes O(n) of them, not O(n^2) element operations.  On random ternary text
+under ``bench.QTABLE_PENALTY`` (2 vCPUs, CPython 3.11.7, best of 6
+interleaved rounds on a shared host) a report took 0.012 s at n = 40,
+0.040 s at n = 64 and 0.34 s at n = 128, against 0.015, 0.061 and 0.51 s
+when each row came from the interpreted ``editcover._dp_rows`` kernel and
+was packed afterwards.
 Reports take their target text and candidates from
 :func:`~quasicover.textcore.restricted_candidates`.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import groupby, islice
+from itertools import accumulate, groupby, islice
 from math import inf
 from operator import add
 from struct import Struct
@@ -189,11 +190,12 @@ class RestrictedReport:
 def _field_bytes(costs: _EditCosts) -> int:
     """Bytes per field of the packed rows of a report on ``costs``' text.
 
-    Every value the combine step forms is at most 2·Σdel + max ins: a
-    free-start or free-end row entry is at most Σdel, since the window may
-    be empty, and substitution costs are capped at Σdel + max ins, above
-    which they never win.  The low w - 1 bits of a w-bit field hold that
-    bound, so the top bit of each field stays free as a guard.
+    Every value the DP and combine steps form is at most 2·Σdel + max ins:
+    a free-start or free-end row entry is at most Σdel, since the window may
+    be empty, and substitution costs and the insertion sums of the doubling
+    steps are capped at Σdel + max ins, above which they never win.  The
+    low w - 1 bits of a w-bit field hold that bound, so the top bit of each
+    field stays free as a guard.
     """
     bound = 2 * sum(costs.dele) + max(costs.ins, default=0)
     size = 1
@@ -206,24 +208,21 @@ def _packers(size: int, count: int):
     """``pack(values)``, the int with values[i] in bytes [i·size, (i+1)·size),
     and ``top(v)``, the largest of the ``count`` fields of such an int.
 
-    Fields of 1 to 8 bytes go through one ``struct`` format; wider ones
-    through ``int.to_bytes`` per field.
+    ``top`` reads fields of 1 to 8 bytes through one ``struct`` format and
+    wider ones through ``int.to_bytes`` per field.
     """
     total = size * count
+
+    def pack(values):
+        return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]), "little")
+
     code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(size)
     if code:
         fields = Struct(f"<{count}{code}")
 
-        def pack(values):
-            return int.from_bytes(fields.pack(*values), "little")
-
         def top(v):
             return max(fields.unpack(v.to_bytes(total, "little")))
     else:
-        def pack(values):
-            return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]),
-                                  "little")
-
         def top(v):
             raw = v.to_bytes(total, "little")
             return max(int.from_bytes(raw[i:i + size], "little")
@@ -241,41 +240,71 @@ def _report_for_candidates(target: Text, candidates: dict[int, dict[int, str]],
     s = a..b+1 of F_a[s][x] + H_b[s][x]:
 
     * F_a[s][x], the cheapest alignment of T[a, s-1] with a window ending
-      at x-1: one free-start DP per start a;
+      at x-1: one free-start DP per start a, run forward;
     * H_b[s][x], the cheapest alignment of T[s, b] with a window starting
-      at x, T[x] inserted or substituted by T[s]: read off one free-end DP
-      per end b, run as a free-start DP on the reversed text.
+      at x, T[x] inserted or substituted by T[s]: read off R_s and R_{s+1},
+      where R_s[x] aligns T[s, b] with a window starting at x+1, from one
+      free-end DP per end b, run backward over the text.
 
-    Both fill O(n^2) cells per start or end, O(n^3) in all.  Every row is
-    packed into one int, position x in field x (SIMD within a register), so
-    an H row is one fieldwise minimum of two row sums, and cov is a running
+    Every row is one int, position x in field x (SIMD within a register),
+    and is built in that layout.  A DP step is one fieldwise minimum of the
+    diagonal (the previous row shifted one field) and the deletion, then
+    the insertion chain, a prefix minimum with additive weights, in
+    ceil(log2 n) doubling steps: O(n^2 log n) big-int operations in all.
+    An H row is one fieldwise minimum of two row sums, and cov is a running
     fieldwise minimum over s of F + H rows: O(n) big-int operations per
-    candidate instead of O(n^2) element operations.  The minimum sets each
-    field's guard bit, subtracts, and keeps the fields whose guard survived.
-    Positions where C costs 0 are masked out before the largest field is
-    read: C's own occurrence, and every run of at least |C| wildcards, such
-    as the pads of a seeds target.
+    candidate.  The minimum sets each field's guard bit, subtracts, and
+    keeps the fields whose guard survived.  Positions where C costs 0 are
+    masked out before the largest field is read: C's own occurrence, and
+    every run of at least |C| wildcards, such as the pads of a seeds target.
     """
     costs = _EditCosts(target, p)
-    rev = _EditCosts(Text(target.symbols[::-1], target.alphabet, target.wildcard_char), p)
     m = len(target)
     size = _field_bytes(costs)
     pack, top = _packers(size, m)
     w = 8 * size
-    guard = pack([1 << (w - 1)] * m)
+    rep = pack([1] * m)  # 1 in every field
+    guard = rep << (w - 1)
+    ones, full = (1 << w) - 1, (1 << w * m) - 1
 
     def fmin(x: int, y: int) -> int:
         t = ((x | guard) - y) & guard  # guard bit kept where x >= y
         return x ^ ((x ^ y) & (t - (t >> (w - 1))))
 
+    syms = target.symbols
     ins = pack(costs.ins)
+    dels = [d * rep for d in costs.dele]
     cap = sum(costs.dele) + max(costs.ins, default=0)
     subs = [pack([min(c, cap) for c in row]) for row in costs.sub]
+    # diagonals: F substitutes T[s] by T[x-1] and R by T[x+1], so field 0 of
+    # F and field m-1 of R, which have no such symbol, add cap
+    subf = [(sub << w | cap) & full for sub in subs]
+    subb = [(sub | cap << w * m) >> w for sub in subs]
+    chain_f, chain_b = [], []  # per doubling step: shift, sums of that many insertions
+    cum = list(accumulate(costs.ins, initial=0))
+    step = 1
+    while step < m:
+        sums = [min(y - x, cap) for x, y in zip(cum, islice(cum, step, None))]
+        chain_f.append((step * w, pack([cap] * step + sums[:-1])))  # ins[x-step, x-1]
+        chain_b.append((step * w, pack(sums[1:] + [cap] * step)))  # ins[x+1, x+step]
+        step *= 2
+
+    def forward(row: int, s: int) -> int:  # F_a[s] to F_a[s+1]
+        v = fmin(((row << w) & full) + subf[syms[s]], row + dels[s])
+        for shift, sums in chain_f:
+            v = fmin(v, ((v << shift) & full) + sums)
+        return v
+
+    def backward(row: int, s: int) -> int:  # R_{s+1} to R_s
+        v = fmin((row >> w) + subb[syms[s]], row + dels[s])
+        for shift, sums in chain_b:
+            v = fmin(v, (v >> shift) + sums)
+        return v
+
     wild_run = []  # length of the wildcard run through each position, else 0
-    for wild, run in groupby(target.symbols, WILDCARD.__eq__):
+    for wild, run in groupby(syms, WILDCARD.__eq__):
         span = len(list(run))
         wild_run += [span if wild else 0] * span
-    ones = (1 << w) - 1
     open_at: dict[int, int] = {}  # per |C|: fields outside runs of >= |C| wildcards
     lowest: dict[int, int] = {}  # least candidate start of each end
     for a, group in candidates.items():
@@ -283,20 +312,15 @@ def _report_for_candidates(target: Text, candidates: dict[int, dict[int, str]],
             lowest.setdefault(b, a)
     h_rows = {}
     for b, lo in lowest.items():
-        # r[i] is s = b + 1 - i; its field x is the cheapest alignment of
-        # T[s, b] with a window starting at x + 1, entry m - 1 - x of the
-        # reversed text's row.
-        r = [pack(row[::-1]) for row in _dp_rows(rev, m - 1 - b, 0, b - lo + 2, m,
-                                                  free_start=True)]
+        r = list(accumulate(range(b, lo - 1, -1), backward, initial=0))  # R_{b+1}, R_b, ...
         h = [ins]
         for s, done, row in zip(range(b, lo - 1, -1), r, islice(r, 1, None)):
-            h.append(fmin(ins + row, subs[target.symbols[s]] + done))
+            h.append(fmin(ins + row, subs[syms[s]] + done))
         h.reverse()  # s = lo .. b+1
         h_rows[b] = lo, h
     thresholds = {}
     for a, group in candidates.items():
-        f = [pack(row) for row in _dp_rows(costs, a, 0, max(group) - a + 2, m,
-                                           free_start=True)]
+        f = list(accumulate(range(a, max(group) + 1), forward, initial=0))
         for b, key in group.items():
             lo, h = h_rows[b]
             length = b - a + 1
@@ -311,8 +335,8 @@ def _report_for_candidates(target: Text, candidates: dict[int, dict[int, str]],
 def restricted_covers_ed(t: Text, p: PenaltyMatrix) -> RestrictedReport:
     """Minimal cover threshold for every proper factor; argmin set reported.
 
-    Per-position occurrence costs of every distinct factor: O(n^3) DP cells,
-    and O(n^3) big-int operations on packed rows of O(n) fields.
+    Per-position occurrence costs of every distinct factor: O(n^3) big-int
+    operations on packed rows of O(n) fields.
     """
     return _report_for_candidates(*restricted_candidates(t), p)
 

@@ -13,7 +13,7 @@ from operator import add
 import pytest
 
 import quasicover
-from quasicover.editcover import _dp_rows, _EditCosts
+from quasicover.editcover import _EditCosts
 from quasicover.restricted import RestrictedReport
 from quasicover.textcore import WILDCARD, PenaltyMatrix, Text, symbols_match
 
@@ -90,6 +90,21 @@ def full_unit_dp(t1: Text, t2: Text) -> list[list[int]]:
     return d
 
 
+def free_start_rows(costs: _EditCosts, a: int, height: int) -> list[list[int]]:
+    """Rows r = 0 .. height-1 of Sellers' approximate-matching DP on plain
+    lists: entry x of row r is the least cost of turning T[a, a+r-1] into
+    some window T[y, x-1] with y <= x, for x = 0 .. n."""
+    syms, ins = costs.symbols, costs.ins
+    rows = [[0] * (len(syms) + 1)]
+    for b in range(a, a + height - 1):
+        up, sub, dl = rows[-1], costs.sub[syms[b]], costs.dele[b]
+        row = [up[0] + dl]
+        for x in range(1, len(syms) + 1):
+            row.append(min(up[x - 1] + sub[x - 1], up[x] + dl, row[x - 1] + ins[x - 1]))
+        rows.append(row)
+    return rows
+
+
 def column_combine_report(target: Text, candidates: dict[int, dict[int, str]],
                           p: PenaltyMatrix) -> RestrictedReport:
     """Reference for ``restricted._report_for_candidates``: the same F and H
@@ -108,7 +123,7 @@ def column_combine_report(target: Text, candidates: dict[int, dict[int, str]],
             lowest.setdefault(b, a)
     h_cols = {}
     for b, lo in lowest.items():
-        r_rows = _dp_rows(rev, m - 1 - b, 0, b - lo + 2, free_start=True)
+        r_rows = free_start_rows(rev, m - 1 - b, b - lo + 2)
         h_rows = [rev.ins]
         for j, (done, row) in zip(range(m - 1 - b, m - lo), pairwise(r_rows)):
             h_rows.append(list(map(min, map(add, rev.ins, row),
@@ -117,7 +132,7 @@ def column_combine_report(target: Text, candidates: dict[int, dict[int, str]],
         h_cols[b] = lo, list(zip(*h_rows))[::-1]
     thresholds = {}
     for a, group in candidates.items():
-        f_cols = list(zip(*_dp_rows(costs, a, 0, max(group) - a + 2, free_start=True)))
+        f_cols = list(zip(*free_start_rows(costs, a, max(group) - a + 2)))
         for b, key in group.items():
             lo, cols = h_cols[b]
             off = a - lo

@@ -448,7 +448,6 @@ def test_bench_quick_runs(capsys, monkeypatch):
     assert "pref-k-wildcards" in tasks
     assert "prefix-coverage-levenshtein" in tasks
     assert "restricted-covers-edit" in tasks
-    assert "restricted-report-vs-qtable-fast" in tasks
 
 
 def test_cli_imports_engines_on_first_use():

@@ -28,7 +28,7 @@ from quasicover.textcore import (
     pad_for_seed,
 )
 
-from conftest import random_metric, random_text_str
+from conftest import free_start_rows, random_metric, random_text_str
 
 
 def brute_p_entry(t: Text, a: int, b: int, ap: int, k: int, p: PenaltyMatrix) -> int:
@@ -264,9 +264,10 @@ def test_dp_rows_match_d_table(raw, seed, data):
     assert list(_dp_rows(costs, a, ap)) == want
     assert list(_dp_rows(costs, a, ap, height, width)) == \
         [row[:width] for row in want[:height]]
-    # Free-start rows: the cheapest alignment with any window ending at x-1.
+    # The reference free-start rows: the cheapest alignment with any window
+    # ending at x-1.
     tables = [build_d_table(t, a, s, p).rows for s in range(n + 1)]
-    assert list(_dp_rows(costs, a, 0, free_start=True)) == \
+    assert free_start_rows(costs, a, n - a + 1) == \
         [[min(tables[s][r][x - s] for s in range(x + 1)) for x in range(n + 1)]
          for r in range(n - a + 1)]
     # Budget-cut rows: every cell <= k, exactly, inside a window spanning
@@ -281,12 +282,6 @@ def test_dp_rows_match_d_table(raw, seed, data):
     for (lo, window), cells in zip(got, live):
         assert lo == min(cells) and lo + len(window) - 1 == max(cells)
         assert {lo + j: v for j, v in enumerate(window) if v <= k} == cells
-
-
-def test_dp_rows_reject_free_start_with_budget():
-    costs = _EditCosts(Text.from_str("aabbbbaab"), PenaltyMatrix.unit("ab"))
-    with pytest.raises(ValueError):
-        list(_dp_rows(costs, 6, 0, free_start=True, k=0))
 
 
 def test_p_ed_matches_brute_and_lev(rng):

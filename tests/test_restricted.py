@@ -165,6 +165,35 @@ def test_packed_fields_scale_with_the_costs(rng):
                     (t.to_str(), c)
 
 
+def test_packed_rows_cross_every_doubling_step(rng):
+    """Reports equal the per-column reference at text lengths on both sides
+    of each doubling step of the insertion chain, and on runs longer than 16
+    and 32 symbols; unit, random and ×2^70 metrics, covers and seeds.
+
+    Zero-cost wildcard insertions never decide a threshold, since a window
+    can substitute wildcards for free instead.  So the last three metrics
+    make insertions cost unlike deletions: with ins 40 and del 1, uncapped
+    insertion sums would overflow the fields; with ins 1 and every other
+    step 100, "ab" covers a c of "aba" + c^L + "b" by inserting up to L c's
+    in one row."""
+    texts = [random_text_str(rng, m, 3, 0.2 * (m % 2))
+             for m in (1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33)]
+    texts += ["abc" + "?" * 20 + "cab", "ab" + "?" * 36 + "ba",
+              "aba" + "c" * 20 + "b", "aba" + "c" * 36 + "b"]
+    dear = [[0 if x == y else 100 for y in range(3)] for x in range(3)]
+    for s in texts:
+        t = Text.from_str(s, "abc")
+        for p in (PenaltyMatrix.unit("abc"), random_metric("abc", rng),
+                  scaled(random_metric("abc", rng), 2 ** 70),
+                  PenaltyMatrix("abc", dear, [40] * 3, [1] * 3),
+                  PenaltyMatrix("abc", dear, [1] * 3, [100] * 3),
+                  scaled(PenaltyMatrix("abc", dear, [1] * 3, [100] * 3), 2 ** 70)):
+            for target, candidates in (restricted_candidates(t),
+                                       restricted_candidates(t, seeds=True)):
+                assert report_items(_report_for_candidates(target, candidates, p)) == \
+                    report_items(column_combine_report(target, candidates, p)), s
+
+
 def brute_candidates(s: str, seeds: bool) -> list[tuple[int, int, str]]:
     """(a, b, T[a, b]) in t coordinates for every distinct candidate string
     at its leftmost start, by (a, b)."""
