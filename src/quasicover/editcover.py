@@ -3,9 +3,9 @@
 Coverage reads P_k[a, b, a'], the largest b' with d(T[a,b], T[a',b']) <= k.
 Under Levenshtein, bit masks over a' give every start at once
 (:func:`_lev_masks`) and LCE-driven furthest-reach waves the streams of one
-start; weighted costs read the last live column of each edit-DP row cut to
-the budget (Ukkonen's cut-off).  One per-start routine turns streams into
-interval-union sizes.
+start, which a per-start routine turns into interval-union sizes.  Weighted
+costs run the edit DP against all windows at once, one int of saturating
+fields per window length within budget (Ukkonen's cut-off).
 
 The paper's special-point index (Pareto lists at multiples of
 M = floor(sqrt(n / log2 n)), built on demand, plus small DP blocks) answers
@@ -209,37 +209,29 @@ class _EditCosts:
 
 
 def _dp_rows(costs: _EditCosts, a: int, ap: int, height: int | None = None,
-             width: int | None = None, k: int | None = None):
+             width: int | None = None):
     """Yield rows b = a-1, a, ... of D_{a,ap} one at a time.
 
     Each row holds the costs for bp = ap-1 .. ap+width-2.  ``height`` caps
     the number of rows, the boundary row b = a-1 included; both default to
-    the full table.  This is the one edit-DP kernel of the fast side, with
-    full, blocked and budget-cut rows; ``textcore.build_d_table``
-    and ``edit_distance`` stay separate as the references it is tested
-    against.
-
-    With a budget ``k`` (Ukkonen's cut-off: costs are nonnegative, so a cell
-    above k never leads back under it) each row is yielded as ``(lo, window)``
-    with ``window[i]`` at column ``lo + i``, from its first to its last cell
-    <= k.  Those cells are exact, and the rows stop at the first with none.
+    the full table.  Full rows feed the special-point index's Pareto lists
+    and the quadratic Q-tables, blocked rows the index's leading blocks;
+    ``textcore.build_d_table`` and ``edit_distance`` stay separate as the
+    references it is tested against.
     """
     n = len(costs.symbols)
     height = n - a + 1 if height is None else height
     width = n - ap + 1 if width is None else width
     ins = costs.ins[ap:ap + width - 1]
-    cum = list(accumulate(ins, initial=0))  # row b = a-1: insertion-chain sums
-    row = cum if k is None else cum[:bisect_right(cum, k)]
-    lo, tail = 0, ins  # tail[i] costs inserting column lo+i+1; re-sliced on moves
-    yield row if k is None else (lo, row)
+    row = list(accumulate(ins, initial=0))  # row b = a-1: insertion-chain sums
+    yield row
     for b in range(a, a + height - 1):
         dl = costs.dele[b]
-        subrow = costs.sub[costs.symbols[b]]
-        sub = subrow[ap + lo:ap + lo + len(row)]
+        sub = costs.sub[costs.symbols[b]][ap:ap + width - 1]
         left = row[0] + dl
         new = [left]
         append = new.append
-        for diag, up, sc, ic in zip(row, islice(row, 1, None), sub, tail):
+        for diag, up, sc, ic in zip(row, islice(row, 1, None), sub, ins):
             left += ic
             diag += sc
             if diag < left:
@@ -248,27 +240,12 @@ def _dp_rows(costs: _EditCosts, a: int, ap: int, height: int | None = None,
             if up < left:
                 left = up
             append(left)
-        if k is not None:
-            j = lo + len(row)
-            if j < width:  # past the old window: its last cell, then insertions
-                base = min(left + ins[j - 1], row[-1] + subrow[ap + j - 1]) - cum[j]
-                new += [base + cum[c] for c in range(j, bisect_right(cum, k - base, j, width))]
-            while new and new[-1] > k:
-                new.pop()
-            if not new:
-                return
-            if new[0] > k:
-                s = next(i for i, v in enumerate(new) if v <= k)
-                new, lo = new[s:], lo + s
-                tail = ins[lo:lo + len(new)]
-            elif len(new) > len(tail) + 1:  # the next row reads len(new) - 1 costs
-                tail = ins[lo:lo + len(new)]
         row = new
-        yield row if k is None else (lo, row)
+        yield row
 
 
 class SpecialPointIndex:
-    """Structures for sub-quartic weighted-edit prefix queries.
+    """Precomputed data for sub-quartic weighted-edit prefix queries.
 
     Holds (a) the M x M leading block of every D-table, boundary row and
     column included, built up front, and (b) Pareto lists of the D-table
@@ -367,21 +344,53 @@ def p_ed_entry(idx: SpecialPointIndex, a: int, b: int, ap: int, k: int) -> int:
     return res
 
 
-def _ed_ends(costs: _EditCosts, a: int, ap: int, k: int) -> Iterator[int]:
-    """Yield P_k[a, b, ap] under weighted costs for b = a, a+1, ..., like
-    :func:`_lev_ends`: the last live column of each budget-cut row."""
-    rows = _dp_rows(costs, a, ap, k=k)
-    next(rows)  # boundary row b = a-1
-    for lo, window in rows:
-        yield ap + lo + len(window) - 2
+def _packed_fields(w: int, count: int):
+    """``rep`` (1 per field), ``guard`` (each field's top bit), ``full``,
+    ``pack(values)`` and the fieldwise minimum ``fmin`` of ints of ``count``
+    fields of ``w`` bits, each value below its field's guard bit."""
+    full = (1 << w * count) - 1
+    rep = full // ((1 << w) - 1)
+    guard = rep << (w - 1)
+    spec = f"0{w}b"
+
+    def pack(values: list[int]) -> int:
+        return int("".join([format(v, spec) for v in reversed(values)]) or "0", 2)
+
+    def fmin(x: int, y: int) -> int:
+        t = ((x | guard) - y) & guard  # guard bit kept where x >= y
+        return x ^ ((x ^ y) & (t - (t >> (w - 1))))
+
+    return rep, guard, full, pack, fmin
 
 
-def _pk_ends(t: Text, metric: str, k: int, p: PenaltyMatrix | None):
-    """Check the inputs of an edit-metric coverage query and return the P_k
-    streams of start a, one per a' < n, as ``ends(a)`` (Levenshtein: LCE waves)."""
+def _smear_fields(alive: int, length: int, w: int) -> int:
+    """:func:`hamcover._smear` over fields of ``w`` bits (each bit fills ``length`` fields)."""
+    span = 1
+    while span + span <= length:
+        alive |= alive << span * w
+        span += span
+    return alive | alive << (length - span) * w
+
+
+def _edit_coverage(t: Text, metric: str, k: int, p: PenaltyMatrix | None):
+    """Check the inputs of an edit-metric coverage query and return
+    ``run(a)``, the k-coverage of T[a, b] for b = a, ..., n-1.
+
+    Levenshtein runs the per-start routine over LCE waves.  Weighted costs
+    keep one int of n+1 fields per window length L, field f holding
+    min(k+1, d(T[a, b], T[f-L, f-1])) (k+1 where f < L).  Row b is the
+    fieldwise minimum of the diagonal (row L-1 of b-1 one field up, plus
+    substituting T[b] by T[f-1]), the deletion of T[b] (row L of b-1) and
+    the insertion of T[f-1] (row L-1 of b), saturated at k+1.  Only lengths
+    from the shortest to the longest live one are kept (Ukkonen's cut-off);
+    dead lengths can lie between, and zero-cost wildcard insertions can run
+    past row b-1's longest.  No distance between factors of T exceeds
+    Σdel + Σins of T, so the budget is capped there.
+    """
+    n = len(t)
     if metric == "levenshtein":
         k, lce = _lev_check(t, k, "Levenshtein coverage"), ExactLce(t)
-        return lambda a: (_lev_ends(t, a, ap, k, lce) for ap in range(len(t)))
+        return lambda a: _coverage_row(n, a, (_lev_ends(t, a, ap, k, lce) for ap in range(n)))
     if metric != "edit":
         raise ValueError(f"unknown metric {metric!r}")
     if p is None:
@@ -389,7 +398,55 @@ def _pk_ends(t: Text, metric: str, k: int, p: PenaltyMatrix | None):
     if k < 0:
         raise ValueError("budget must be nonnegative")
     costs = _EditCosts(t, p)
-    return lambda a: (_ed_ends(costs, a, ap, k) for ap in range(len(t)))
+    cap = min(k, sum(costs.dele) + sum(costs.ins)) + 1
+    w = (2 * cap).bit_length() + 1  # every sum of two capped terms, plus a guard
+    rep, guard, full, pack, fmin = _packed_fields(w, n + 1)
+    dead, syms = cap * rep, t.symbols
+    # field f substitutes by or inserts T[f-1]; field 0 has no such symbol
+    ins = pack([cap] + [min(c, cap) for c in costs.ins])
+    subs = [pack([cap] + [min(c, cap) for c in row]) for row in costs.sub]
+    dels = [min(c, cap) * rep for c in costs.dele]
+
+    def settle(v: int) -> tuple[int | None, int]:  # saturated at k+1, live guard bits
+        over = ((v | guard) - dead) & guard  # guard bit kept where v > k
+        if over == guard:
+            return None, 0
+        return v ^ ((v ^ dead) & (over - (over >> (w - 1)))), over ^ guard
+
+    base = [0]  # b = a-1 for every a: the empty pattern, then insertions only
+    while (v := settle(((base[-1] << w) & full) + ins)[0]) is not None:
+        base.append(v)
+
+    def run(a: int) -> list[int]:
+        rows, lo, cov = base, 0, []
+        for b in range(a, n):  # rows[i] is length lo+i of T[a, b-1], None if dead
+            prev, end, sub, dl = rows, lo + len(rows), subs[syms[b]], dels[b]
+            rows, lives, left = [], [], None
+            for length in range(lo, n + 1):
+                v = None if left is None else ((left << w) & full) + ins
+                if length < end and (x := prev[length - lo]) is not None:
+                    v = x + dl if v is None else fmin(v, x + dl)
+                if lo < length <= end and (x := prev[length - lo - 1]) is not None:
+                    x = ((x << w) & full) + sub
+                    v = x if v is None else fmin(v, x)
+                if v is None and length > end:  # past row b-1 only insertions go on
+                    break
+                left, live = (None, 0) if v is None else settle(v)
+                rows.append(left)
+                lives.append(live)
+            if not (kept := [i for i, x in enumerate(lives) if x]):
+                return cov + [0] * (n - b)  # no longer factor from a has a live field
+            rows, lives, lo = rows[kept[0]:kept[-1] + 1], lives[kept[0]:kept[-1] + 1], lo + kept[0]
+            # f-L for each live window [f-L', f-1] with L' >= L, then a smear for L <= low
+            low = lo or 1  # the empty window covers nothing
+            y = bits = 0
+            for length in range(lo + len(rows) - 1, low - 1, -1):
+                y |= lives[length - lo]
+                bits |= y >> length * w
+            cov.append((bits | _smear_fields(y >> low * w, low, w)).bit_count())
+        return cov
+
+    return run
 
 
 def _coverage_row(n: int, a: int, streams) -> list[int]:
@@ -410,8 +467,10 @@ def factor_coverage(t: Text, metric: str, k: int,
     Hamming uses the mask passes and sweeps.  Levenshtein smears the lowest
     slot of nonempty occurrences of each :func:`_lev_masks` mask (O(k n^2)
     operations on (2k+1)(n+2)-bit ints) and adds the one end bit each higher
-    slot gives.  Weighted edit (O(k n^3) when every indel costs at least 1,
-    O(n^4) at worst) runs the per-start routine.
+    slot gives.  Weighted edit builds O(k) packed rows per factor when
+    every indel costs at least 1, O(n) at worst, and reads each coverage
+    with O(k + log n) more big-int operations: O((k + log n) n^2) to
+    O(n^3) in all.
     """
     if metric == "hamming":
         return hamcover.factor_coverage_all(t, k)
@@ -428,16 +487,15 @@ def factor_coverage(t: Text, metric: str, k: int,
                     bits |= r >> sh - i
                 cov.append((bits & full >> 1).bit_count())
         return rows[::-1]
-    ends = _pk_ends(t, metric, k, p)
-    return [_coverage_row(len(t), a, ends(a)) for a in range(len(t))]
+    return list(map(_edit_coverage(t, metric, k, p), range(len(t))))
 
 
 def prefix_coverage(t: Text, metric: str, k: int,
                     p: PenaltyMatrix | None = None) -> list[int]:
     """k-coverage of every prefix; entry ell-1 is for length ell.
 
-    Hamming sweeps PREF_k; the edit metrics run the per-start routine at a = 0.
+    Every metric runs its per-start routine at a = 0.
     """
     if metric == "hamming":
         return hamcover.prefix_coverage(t, k)
-    return _coverage_row(len(t), 0, _pk_ends(t, metric, k, p)(0))
+    return _edit_coverage(t, metric, k, p)(0)

@@ -15,14 +15,12 @@ Reports need only Q[0], the largest over positions x of the cost of the
 cheapest occurrence containing x.  They read it off one free-start edit DP
 per candidate start, run forward, and one free-end DP per candidate end,
 run backward (Sellers' approximate-matching DP).  Each row is one int with
-a fixed-width field per position, built in that layout in O(log n) big-int
-operations, O(n^2 log n) in all, and combining the rows of a candidate
-takes O(n) of them, not O(n^2) element operations.  On random ternary text
-under ``bench.QTABLE_PENALTY`` (2 vCPUs, CPython 3.11.7, best of 6
-interleaved rounds on a shared host) a report took 0.012 s at n = 40,
-0.040 s at n = 64 and 0.34 s at n = 128, against 0.015, 0.061 and 0.51 s
-when each row came from the interpreted ``editcover._dp_rows`` kernel and
-was packed afterwards.
+a field of a few bits per position, built in that layout in O(log n)
+big-int operations, O(n^2 log n) in all; combining a candidate's rows takes
+O(n) of them.  On random ternary text under ``bench.QTABLE_PENALTY`` (2
+vCPUs, CPython 3.11.7, best of 6 interleaved rounds on a shared host) a
+report took 0.013 s at n = 40, 0.046 s at n = 64 and 0.37 s at n = 128,
+against 0.014, 0.060 and 0.45 s with fields of whole bytes.
 Reports take their target text and candidates from
 :func:`~quasicover.textcore.restricted_candidates`.
 """
@@ -31,14 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, groupby, islice
+from itertools import accumulate, islice
 from math import inf
 from operator import add
-from struct import Struct
 
 from .editcover import (SpecialPointIndex, _check_index, _dp_rows, _EditCosts,
-                        _split_pairs, precompute_special)
-from .textcore import WILDCARD, PenaltyMatrix, Text, restricted_candidates
+                        _packed_fields, _split_pairs, precompute_special)
+from .textcore import PenaltyMatrix, Text, restricted_candidates
 
 
 @dataclass
@@ -187,49 +184,6 @@ class RestrictedReport:
         return [key for key, v in self.thresholds.items() if v == self.minimal]
 
 
-def _field_bytes(costs: _EditCosts) -> int:
-    """Bytes per field of the packed rows of a report on ``costs``' text.
-
-    Every value the DP and combine steps form is at most 2·Σdel + max ins:
-    a free-start or free-end row entry is at most Σdel, since the window may
-    be empty, and substitution costs and the insertion sums of the doubling
-    steps are capped at Σdel + max ins, above which they never win.  The
-    low w - 1 bits of a w-bit field hold that bound, so the top bit of each
-    field stays free as a guard.
-    """
-    bound = 2 * sum(costs.dele) + max(costs.ins, default=0)
-    size = 1
-    while bound >> (8 * size - 1):
-        size *= 2
-    return size
-
-
-def _packers(size: int, count: int):
-    """``pack(values)``, the int with values[i] in bytes [i·size, (i+1)·size),
-    and ``top(v)``, the largest of the ``count`` fields of such an int.
-
-    ``top`` reads fields of 1 to 8 bytes through one ``struct`` format and
-    wider ones through ``int.to_bytes`` per field.
-    """
-    total = size * count
-
-    def pack(values):
-        return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]), "little")
-
-    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(size)
-    if code:
-        fields = Struct(f"<{count}{code}")
-
-        def top(v):
-            return max(fields.unpack(v.to_bytes(total, "little")))
-    else:
-        def top(v):
-            raw = v.to_bytes(total, "little")
-            return max(int.from_bytes(raw[i:i + size], "little")
-                       for i in range(0, total, size))
-    return pack, top
-
-
 def _report_for_candidates(target: Text, candidates: dict[int, dict[int, str]],
                            p: PenaltyMatrix) -> RestrictedReport:
     """Q[0]-thresholds of the factors ``candidates[a][b]`` = target[a, b].
@@ -253,28 +207,26 @@ def _report_for_candidates(target: Text, candidates: dict[int, dict[int, str]],
     ceil(log2 n) doubling steps: O(n^2 log n) big-int operations in all.
     An H row is one fieldwise minimum of two row sums, and cov is a running
     fieldwise minimum over s of F + H rows: O(n) big-int operations per
-    candidate.  The minimum sets each field's guard bit, subtracts, and
-    keeps the fields whose guard survived.  Positions where C costs 0 are
-    masked out before the largest field is read: C's own occurrence, and
-    every run of at least |C| wildcards, such as the pads of a seeds target.
+    candidate.  A field has one guard bit above the bits of the largest
+    value formed, 2·Σdel + max ins, and the threshold, the largest field of
+    cov, is found by a binary search of fieldwise compares, bit by bit.
     """
     costs = _EditCosts(target, p)
     m = len(target)
-    size = _field_bytes(costs)
-    pack, top = _packers(size, m)
-    w = 8 * size
-    rep = pack([1] * m)  # 1 in every field
-    guard = rep << (w - 1)
-    ones, full = (1 << w) - 1, (1 << w * m) - 1
+    cap = sum(costs.dele) + max(costs.ins, default=0)
+    w = (cap + sum(costs.dele)).bit_length() + 1  # rows <= Σdel (empty window), addends <= cap
+    rep, guard, full, pack, fmin = _packed_fields(w, m)
 
-    def fmin(x: int, y: int) -> int:
-        t = ((x | guard) - y) & guard  # guard bit kept where x >= y
-        return x ^ ((x ^ y) & (t - (t >> (w - 1))))
+    def top(v: int) -> int:  # the largest field: some field >= x iff a guard survives
+        v, x = v | guard, 0
+        for bit in reversed(range(w - 1)):
+            if (v - (x | 1 << bit) * rep) & guard:
+                x |= 1 << bit
+        return x
 
     syms = target.symbols
     ins = pack(costs.ins)
     dels = [d * rep for d in costs.dele]
-    cap = sum(costs.dele) + max(costs.ins, default=0)
     subs = [pack([min(c, cap) for c in row]) for row in costs.sub]
     # diagonals: F substitutes T[s] by T[x-1] and R by T[x+1], so field 0 of
     # F and field m-1 of R, which have no such symbol, add cap
@@ -301,11 +253,6 @@ def _report_for_candidates(target: Text, candidates: dict[int, dict[int, str]],
             v = fmin(v, (v >> shift) + sums)
         return v
 
-    wild_run = []  # length of the wildcard run through each position, else 0
-    for wild, run in groupby(syms, WILDCARD.__eq__):
-        span = len(list(run))
-        wild_run += [span if wild else 0] * span
-    open_at: dict[int, int] = {}  # per |C|: fields outside runs of >= |C| wildcards
     lowest: dict[int, int] = {}  # least candidate start of each end
     for a, group in candidates.items():
         for b in group:
@@ -323,12 +270,7 @@ def _report_for_candidates(target: Text, candidates: dict[int, dict[int, str]],
         f = list(accumulate(range(a, max(group) + 1), forward, initial=0))
         for b, key in group.items():
             lo, h = h_rows[b]
-            length = b - a + 1
-            if length not in open_at:
-                open_at[length] = pack([ones if run < length else 0 for run in wild_run])
-            keep = open_at[length] & ~(((1 << (w * length)) - 1) << (w * a))
-            cov = reduce(fmin, map(add, f, islice(h, a - lo, None)))
-            thresholds[key] = top(cov & keep)
+            thresholds[key] = top(reduce(fmin, map(add, f, islice(h, a - lo, None))))
     return RestrictedReport(thresholds, min(thresholds.values(), default=None))
 
 

@@ -56,6 +56,12 @@ def random_metric(alphabet: str, rng: random.Random, max_cost: int = 8) -> Penal
     return PenaltyMatrix(alphabet, sub, eps, eps)
 
 
+def scaled(p: PenaltyMatrix, c: int) -> PenaltyMatrix:
+    """Every cost of ``p`` times c."""
+    return PenaltyMatrix(p.alphabet, [[c * x for x in row] for row in p.sub],
+                         [c * x for x in p.ins], [c * x for x in p.dele])
+
+
 def naive_lcp_k(t: Text, i: int, j: int, k: int) -> int:
     """Character-by-character lcp with a mismatch budget."""
     n = len(t)

@@ -28,7 +28,7 @@ from quasicover.textcore import (
     pad_for_seed,
 )
 
-from conftest import free_start_rows, random_metric, random_text_str
+from conftest import free_start_rows, random_metric, random_text_str, scaled
 
 
 def brute_p_entry(t: Text, a: int, b: int, ap: int, k: int, p: PenaltyMatrix) -> int:
@@ -270,18 +270,6 @@ def test_dp_rows_match_d_table(raw, seed, data):
     assert free_start_rows(costs, a, n - a + 1) == \
         [[min(tables[s][r][x - s] for s in range(x + 1)) for x in range(n + 1)]
          for r in range(n - a + 1)]
-    # Budget-cut rows: every cell <= k, exactly, inside a window spanning
-    # the first to the last of them, until the first row without one.
-    k = data.draw(st.none() | st.integers(0, 2 * n * p.max_operation_cost() + 1))
-    if k is None:
-        return
-    live = [{j: v for j, v in enumerate(row) if v <= k} for row in want]
-    live = live[:next((i for i, cells in enumerate(live) if not cells), len(live))]
-    got = list(_dp_rows(costs, a, ap, k=k))
-    assert len(got) == len(live)
-    for (lo, window), cells in zip(got, live):
-        assert lo == min(cells) and lo + len(window) - 1 == max(cells)
-        assert {lo + j: v for j, v in enumerate(window) if v <= k} == cells
 
 
 def test_p_ed_matches_brute_and_lev(rng):
@@ -421,6 +409,67 @@ def test_factor_coverage_weighted_matches_oracle(rng):
             for b in range(a, len(t)):
                 want = oracle.brute_coverage(t.factor(a, b), t, "edit", k, p)
                 assert rows[a][b - a] == want, (t.to_str(), k, a, b)
+
+
+def test_weighted_coverage_on_long_wildcard_runs(rng):
+    """Runs of 17 or more zero-cost wildcards let the insertion chain of a
+    row run past the longest length live in the row before; n = 0 and
+    n = 1 have no or one position to cover."""
+    texts = ["a" + "?" * 17 + "b", "?" * 17 + "ca", "b" + "?" * 18, "", "c", "?"]
+    for s in texts:
+        t = Text.from_str(s, "abc")
+        q = random_metric("abc", rng)
+        for p, k in ((PenaltyMatrix.unit("abc"), 1),
+                     (q, rng.randint(0, 2 * q.max_operation_cost()))):
+            rows = factor_coverage(t, "edit", k, p)
+            assert prefix_coverage(t, "edit", k, p) == (rows[0] if s else [])
+            assert rows == [[oracle.brute_coverage(t.factor(a, b), t, "edit", k, p)
+                             for b in range(a, len(t))] for a in range(len(t))], (s, k)
+
+
+def test_weighted_coverage_across_dead_lengths():
+    """A cheap indel of one symbol leaves window lengths with no live field
+    between live ones, wildcards or not; the lengths past such a gap must
+    still be built."""
+    dear = [[0, 4, 4], [4, 0, 4], [4, 4, 0]]
+    cases = [("ccaac", 2, PenaltyMatrix("abc", dear, [1, 4, 4], [1, 4, 4])),
+             ("aab?ba", 1, PenaltyMatrix("abc", [[0, 2, 2], [2, 0, 1], [2, 1, 0]],
+                                         [2, 1, 2], [2, 1, 2]))]
+    for s, k, p in cases:
+        t = Text.from_str(s, "abc")
+        assert factor_coverage(t, "edit", k, p) == [
+            [oracle.brute_coverage(t.factor(a, b), t, "edit", k, p) for b in range(a, len(t))]
+            for a in range(len(t))], s
+
+
+def test_weighted_coverage_scales_with_the_costs(rng):
+    """Coverage under c·p with budget c·k is coverage under p with k, so
+    fields from a few bits to past 70 run."""
+    for trial in range(12):
+        s = random_text_str(rng, rng.randint(0, 12), 3, 0.15 * (trial % 3))
+        t = Text.from_str(s, "abc")
+        p = PenaltyMatrix.unit("abc") if trial % 3 == 0 else random_metric("abc", rng)
+        k = rng.randint(0, 2 * p.max_operation_cost())
+        want = factor_coverage(t, "edit", k, p), prefix_coverage(t, "edit", k, p)
+        for c in (1, 3, 2 ** 40, 2 ** 70):
+            q = scaled(p, c)
+            assert (factor_coverage(t, "edit", c * k, q),
+                    prefix_coverage(t, "edit", c * k, q)) == want, (t.to_str(), k, c)
+
+
+def test_weighted_budget_capped_at_cost_sums(rng):
+    """No distance between factors of T exceeds Σdel(T) + Σins(T), so a
+    huge budget gives the rows of that cap: every factor covers T."""
+    for trial in range(6):
+        n = rng.randint(0, 10)
+        t = Text.from_str(random_text_str(rng, n, 3, 0.2 * (trial % 2)), "abc")
+        p = random_metric("abc", rng)
+        cap = sum(p.del_cost(x) + p.ins_cost(x) for x in t.symbols)
+        rows = factor_coverage(t, "edit", cap, p)
+        assert rows == [[n] * (n - a) for a in range(n)]
+        for k in (10 ** 30, 2 ** 200):
+            assert factor_coverage(t, "edit", k, p) == rows
+            assert prefix_coverage(t, "edit", k, p) == (rows[0] if n else [])
 
 
 def test_prefix_coverage_consistent_with_factor_rows(rng):

@@ -2,7 +2,6 @@ from quasicover import oracle
 from quasicover.editcover import _EditCosts, block_size, precompute_special
 from quasicover.hamcover import k_restricted_covers, k_restricted_seeds
 from quasicover.restricted import (
-    _field_bytes,
     _q_tables_of_start,
     _report_for_candidates,
     q_table_fast,
@@ -13,7 +12,7 @@ from quasicover.restricted import (
 from quasicover.textcore import (PenaltyMatrix, Text, edit_distance, pad_for_seed,
                                  restricted_candidates, validate_penalty_matrix)
 
-from conftest import column_combine_report, random_metric, random_text_str
+from conftest import column_combine_report, random_metric, random_text_str, scaled
 
 
 def brute_q_entry(t: Text, a: int, b: int, p: PenaltyMatrix, i: int) -> int:
@@ -117,11 +116,6 @@ def test_report_thresholds_equal_quadratic_q_tables(rng):
                     assert list(rep.thresholds.items()) == list(expected.items()), s
 
 
-def scaled(p: PenaltyMatrix, c: int) -> PenaltyMatrix:
-    return PenaltyMatrix(p.alphabet, [[c * x for x in row] for row in p.sub],
-                         [c * x for x in p.ins], [c * x for x in p.dele])
-
-
 def width_boundary_case(rng, bound: int) -> tuple[Text, PenaltyMatrix]:
     """A text with one "a", some "b"s and wildcards, and a metric under which
     2·Σdel + max ins, the packed fields' bound, is exactly ``bound``:
@@ -138,9 +132,9 @@ def width_boundary_case(rng, bound: int) -> tuple[Text, PenaltyMatrix]:
 
 def test_packed_fields_scale_with_the_costs(rng):
     """Thresholds under c·p are c times the per-column reference's under p,
-    for c = 1, 3, 2^20, 2^40 and 2^70, so every field width (1 to 8 bytes,
-    and wider through int.to_bytes) runs; metrics whose bound sits just
-    below and just above each width step run at both widths."""
+    for c = 1, 3, 2^20, 2^40 and 2^70, so fields from a few bits to past 64
+    run; metrics whose bound sits just below and at 2^7, 2^15, 2^31 and
+    2^63 run on both sides of a field-width step."""
     cases = []
     for trial in range(24):
         alphabet = "ab" if trial % 2 == 0 else "abc"
@@ -148,10 +142,8 @@ def test_packed_fields_scale_with_the_costs(rng):
         p = PenaltyMatrix.unit(alphabet) if trial % 3 == 0 else random_metric(alphabet, rng)
         cases.append((Text.from_str(s, alphabet), p))
     for w in (8, 16, 32, 64):
-        for bound, size in ((2 ** (w - 1) - 1, w // 8), (2 ** (w - 1), w // 4)):
-            t, p = width_boundary_case(rng, bound)
-            assert _field_bytes(_EditCosts(t, p)) == size
-            cases.append((t, p))
+        for bound in (2 ** (w - 1) - 1, 2 ** (w - 1)):
+            cases.append(width_boundary_case(rng, bound))
     # not a metric: substitutions above Σdel + max ins never win, and are capped
     cases.append((Text.from_str("abba?ab", "ab"),
                   PenaltyMatrix("ab", [[0, 1000], [1000, 0]], [1, 2], [1, 2])))
