@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import log2
 
 from .editcover import factor_coverage, prefix_coverage
-from .hamcover import coverage_sweep, factor_coverage_all
+from .hamcover import coverage_sweep, factor_coverage_all, k_restricted_covers
 from .lcpk import pref_k
 from .restricted import restricted_covers_ed
 from .textcore import PenaltyMatrix, Text
@@ -132,6 +132,14 @@ def bench_prefix_lev(n: int = 512, k: int = 2, repeats: int = 3,
                      lambda t: lambda: prefix_coverage(t, "levenshtein", k))
 
 
+def bench_restricted_covers_hamming(n: int = 200, k: int = 2, repeats: int = 3,
+                                    seed: int = 11) -> BenchResult:
+    """Restricted Hamming covers of random binary text: Θ(n^2) distinct factors,
+    Θ(n^3) characters of output, so a doubling costs about 2^3; bound 10."""
+    return _doubling("restricted-covers-hamming", n, 10.0, repeats, seed,
+                     lambda t: lambda: k_restricted_covers(t, k))
+
+
 #: Weighted metric over "abc" for the restricted-cover timings: every cost
 #: is 1 or 2, so the triangle inequality holds for every triple.
 QTABLE_PENALTY = PenaltyMatrix("abc", [[0, 1, 2], [1, 0, 2], [2, 2, 0]],
@@ -158,9 +166,10 @@ def run_all(quick: bool = False) -> list[BenchResult]:
             bench_factor_hamming(n=64, repeats=2),
             bench_factor_lev(n=16, repeats=2),
             bench_prefix_lev(n=64, repeats=2),
+            bench_restricted_covers_hamming(n=64, repeats=2),
             bench_restricted_covers_ed(n=16, repeats=2),
         ]
     return [bench_prefix_sweep(), bench_prefix_hamming(), bench_pref_k(),
             bench_pref_k_wildcards(),
             bench_factor_hamming(), bench_factor_lev(), bench_prefix_lev(),
-            bench_restricted_covers_ed()]
+            bench_restricted_covers_hamming(), bench_restricted_covers_ed()]

@@ -244,10 +244,6 @@ def _restricted_budget(command: str, distance: str, k: int | None, escalate: boo
     return k or 0
 
 
-def _by_length(levels: dict) -> list[str]:
-    return sorted(sorted(levels), key=len)  # stable: by length, then by string
-
-
 def _restricted_options(fn):
     """The argument and options of ``covers`` and ``seeds``, as listed in help."""
     for option in reversed((click.argument("input", required=False), _distance_opt,
@@ -269,15 +265,14 @@ def _restricted_report(command, input, distance, k, escalate, penalty, fmt, wild
         # resolves, so a budget above every candidate length acts as "unbounded".
         unbounded = (len(t) // 2 if seeds else len(t)) + 1
         result = search(t, unbounded if escalate else k)
-        rows = ((key, "none" if result[key] is None else result[key])
-                for key in _by_length(result))
+        rows = ((key, "none" if level is None else level) for key, level in result.items())
         _emit(["factor", "min_level"], rows, fmt)
         return
     from . import restricted
     report_of = restricted.restricted_seeds_ed if seeds else restricted.restricted_covers_ed
     report = report_of(t, matrix)
-    levels, minimal = report.thresholds, report.minimal
-    rows = ((key, levels[key], int(levels[key] == minimal)) for key in _by_length(levels))
+    rows = ((key, level, int(level == report.minimal))
+            for key, level in report.thresholds.items())
     _emit(["factor", "threshold", "minimal"], rows, fmt)
 
 
@@ -310,15 +305,12 @@ def enhanced(input, variant, k, fmt, wildcard):
     """Best enhanced cover under Hamming distance (row: candidate, start, end, coverage)."""
     raw = _read_first_line(input)
     t = _build_text(raw, wildcard)
-    if variant == "exact-border":
-        best = hamcover.enhanced_cover_exact_border(t, k)
-    else:
-        best = hamcover.enhanced_cover_approx_border(t, k)
-    if best is None:
-        _emit(["candidate", "start", "end", "coverage"], [("none", "", "", "")], fmt)
-    else:
-        _emit(["candidate", "start", "end", "coverage"],
-              [(best.candidate, best.start, best.end, best.coverage)], fmt)
+    search = (hamcover.enhanced_cover_exact_border if variant == "exact-border"
+              else hamcover.enhanced_cover_approx_border)
+    best = search(t, k)
+    row = ("none", "", "", "") if best is None else (
+        best.candidate, best.start, best.end, best.coverage)
+    _emit(["candidate", "start", "end", "coverage"], [row], fmt)
 
 
 @cli.group()
@@ -342,24 +334,19 @@ def _load_instance(path: str) -> gadget.ConsensusInstance:
         raise InputDataError(str(exc))
 
 
-@gadget_cmd.command("build-cover")
-@click.argument("instance", required=True)
-@_format_opt
-def gadget_build_cover(instance, fmt):
-    """Encode the instance as the cover text T with target length c."""
-    from . import gadget
-    enc = gadget.build_cover_instance(_load_instance(instance))
-    _emit(["text", "target_length"], [(enc.text, enc.target_length)], fmt)
+def _gadget_build(kind: str, doc: str) -> None:
+    """Add ``gadget build-<kind>``, which prints ``gadget.build_<kind>_instance``."""
+    @gadget_cmd.command(f"build-{kind}", help=doc)
+    @click.argument("instance", required=True)
+    @_format_opt
+    def build(instance, fmt):
+        from . import gadget
+        enc = getattr(gadget, f"build_{kind}_instance")(_load_instance(instance))
+        _emit(["text", "target_length"], [(enc.text, enc.target_length)], fmt)
 
 
-@gadget_cmd.command("build-seed")
-@click.argument("instance", required=True)
-@_format_opt
-def gadget_build_seed(instance, fmt):
-    """Encode the instance as the seed text T' with target length c'."""
-    from . import gadget
-    enc = gadget.build_seed_instance(_load_instance(instance))
-    _emit(["text", "target_length"], [(enc.text, enc.target_length)], fmt)
+_gadget_build("cover", "Encode the instance as the cover text T with target length c.")
+_gadget_build("seed", "Encode the instance as the seed text T' with target length c'.")
 
 
 @gadget_cmd.command("verify")
@@ -371,14 +358,12 @@ def gadget_verify(instance, fmt):
     inst = _load_instance(instance)
     rows = []
     failed = False
-    density = gadget.validate_phi_density(inst)
-    rows.append(("phi-window-density", "pass" if density.holds else "FAIL",
-                 "" if density.holds else str(density.violations[:3])))
-    failed |= not density.holds
-    overlaps = gadget.validate_prefix_suffix_overlaps(inst)
-    rows.append(("prefix-suffix-overlaps", "pass" if overlaps.holds else "FAIL",
-                 "" if overlaps.holds else str(overlaps.violations[:3])))
-    failed |= not overlaps.holds
+    for name, check in (("phi-window-density", gadget.validate_phi_density),
+                        ("prefix-suffix-overlaps", gadget.validate_prefix_suffix_overlaps)):
+        scan = check(inst)
+        rows.append((name, "pass" if scan.holds else "FAIL",
+                     "" if scan.holds else str(scan.violations[:3])))
+        failed |= not scan.holds
     try:
         verdict = gadget.reduction_forward_check(inst)
     except gadget.BudgetExceededError as exc:

@@ -29,8 +29,9 @@ from them) stay as the references the tests hold this routine against.
 Restricted covers and seeds take one mask pass per candidate start over
 lengths 1, 2, ...  Per start that is O(L_stop * k) big-int ops of
 ceil(m/64) words, plus O((1 + log k) * log m) per candidate (L_stop: stop
-length; m: target length).  Both take their target text and candidates from
-:func:`~quasicover.textcore.restricted_candidates`.
+length; m: target length).  Candidates come from
+:func:`~quasicover.textcore.restricted_candidates`, which hashes no factor;
+each start fills a list of levels by length, keyed by length, then string.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from math import inf
 from operator import sub
 
 from .lcpk import ExactLce, _lcp_k, pref_k, string_image
-from .textcore import WILDCARD, IntervalSet, Text, restricted_candidates
+from .textcore import WILDCARD, Candidates, IntervalSet, Text, restricted_candidates
 
 
 @dataclass
@@ -361,24 +362,24 @@ def _fills(alive: int, length: int, full: int) -> bool:
     return _smear(alive, length) & full == full
 
 
-def _restricted_levels(target: Text, candidates: dict[int, dict[int, str]],
+def _restricted_levels(target: Text, candidates: Candidates,
                        k: int) -> dict[str, int | None]:
     """Minimal level ell <= k at which each candidate covers ``target``.
 
-    ``candidates[a][b]`` names the factor target[a, b].  A start stops once
-    level k's occurrences, smeared by its longest candidate, miss a
-    position: occurrence sets only shrink as the length grows.
+    A start stops once level k's occurrences, smeared by its longest
+    candidate, miss a position: occurrence sets only shrink as the length
+    grows.
     """
     if k < 0:
         raise ValueError("mismatch budget must be nonnegative")
-    result: dict[str, int | None] = {
-        key: None for group in candidates.values() for key in group.values()}
     sym = target.symbols
     m = len(sym)
     full = (1 << m) - 1
     miss = _MissMasks(string_image(target), target.alphabet_size)
-    for start, group in candidates.items():
-        longest = max(group) - start + 1
+    levels = []  # levels[a][L]: the level of the candidate t[a, a+L-1]
+    for start, (seen, longest) in enumerate(zip(candidates.lo, candidates.hi),
+                                            candidates.shift):
+        levels.append(level := [None] * (longest + 1))
         top = min(k, longest)
         over = [0] * (top + 1)  # over[e]: positions with more than e mismatches
         depth = 0  # offsets that mismatch somewhere: over[e] is empty for e >= depth
@@ -388,17 +389,16 @@ def _restricted_levels(target: Text, candidates: dict[int, dict[int, str]],
                 depth = _count(over, x, depth)
             if over[top] & 1:
                 break
-            key = group.get(start + length - 1)
-            if key is None:
+            if length <= seen:
                 continue
             valid = (1 << (m - length + 1)) - 1  # starts with room for the candidate
             hi = min(top, depth)
             if _fills(valid & ~over[hi], length, full):
-                result[key] = bisect_left(range(hi), True, key=lambda e: _fills(
+                level[length] = bisect_left(range(hi), True, key=lambda e: _fills(
                     valid & ~over[e], length, full))
             elif not _fills(valid & ~over[hi], longest, full):
                 break
-    return result
+    return candidates.keyed(levels)
 
 
 def k_restricted_covers(t: Text, k: int) -> dict[str, int | None]:

@@ -11,18 +11,12 @@ with binary searches on the index's Pareto lists plus prefix minima over
 the table built so far, kept in a union-find forest (O(n^3 sqrt(n log n))
 after the index build).
 
-Reports need only Q[0], the largest over positions x of the cost of the
-cheapest occurrence containing x.  They read it off one free-start edit DP
-per candidate start, run forward, and one free-end DP per candidate end,
-run backward (Sellers' approximate-matching DP).  Each row is one int with
-a field of a few bits per position, built in that layout in O(log n)
-big-int operations, O(n^2 log n) in all; combining a candidate's rows takes
-O(n) of them.  On random ternary text under ``bench.QTABLE_PENALTY`` (2
-vCPUs, CPython 3.11.7, best of 6 interleaved rounds on a shared host) a
-report took 0.013 s at n = 40, 0.046 s at n = 64 and 0.37 s at n = 128,
-against 0.014, 0.060 and 0.45 s with fields of whole bytes.
-Reports take their target text and candidates from
-:func:`~quasicover.textcore.restricted_candidates`.
+Reports need only Q[0], which :func:`_report_for_candidates` reads off
+packed rows of Sellers' approximate-matching DP: on random ternary text
+under ``bench.QTABLE_PENALTY`` a report took 0.013 s at n = 40 and 0.37 s
+at n = 128 (2 vCPUs, CPython 3.11.7).  Its candidates come from
+:func:`~quasicover.textcore.restricted_candidates`; each start fills a list
+of thresholds by length, keyed by length, then by string.
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ from operator import add
 
 from .editcover import (SpecialPointIndex, _check_index, _dp_rows, _EditCosts,
                         _packed_fields, _split_pairs, precompute_special)
-from .textcore import PenaltyMatrix, Text, restricted_candidates
+from .textcore import Candidates, PenaltyMatrix, Text, restricted_candidates
 
 
 @dataclass
@@ -184,9 +178,9 @@ class RestrictedReport:
         return [key for key, v in self.thresholds.items() if v == self.minimal]
 
 
-def _report_for_candidates(target: Text, candidates: dict[int, dict[int, str]],
+def _report_for_candidates(target: Text, candidates: Candidates,
                            p: PenaltyMatrix) -> RestrictedReport:
-    """Q[0]-thresholds of the factors ``candidates[a][b]`` = target[a, b].
+    """Q[0]-thresholds of the candidates, as factors of ``target``.
 
     The threshold of C is the largest, over positions x, of cov(x), the
     cost of the cheapest occurrence of C that contains x.  Splitting an
@@ -253,24 +247,22 @@ def _report_for_candidates(target: Text, candidates: dict[int, dict[int, str]],
             v = fmin(v, (v >> shift) + sums)
         return v
 
-    lowest: dict[int, int] = {}  # least candidate start of each end
-    for a, group in candidates.items():
-        for b in group:
-            lowest.setdefault(b, a)
-    h_rows = {}
-    for b, lo in lowest.items():
-        r = list(accumulate(range(b, lo - 1, -1), backward, initial=0))  # R_{b+1}, R_b, ...
-        h = [ins]
-        for s, done, row in zip(range(b, lo - 1, -1), r, islice(r, 1, None)):
-            h.append(fmin(ins + row, subs[syms[s]] + done))
-        h.reverse()  # s = lo .. b+1
-        h_rows[b] = lo, h
-    thresholds = {}
-    for a, group in candidates.items():
-        f = list(accumulate(range(a, max(group) + 1), forward, initial=0))
-        for b, key in group.items():
+    h_rows = {}  # per end b: the first start with a candidate ending there, H rows
+    levels = []  # levels[a][L]: the threshold of the candidate t[a, a+L-1]
+    for start, (seen, longest) in enumerate(zip(candidates.lo, candidates.hi),
+                                            candidates.shift):
+        levels.append(level := [None] * (longest + 1))
+        f = list(accumulate(range(start, start + longest), forward, initial=0))
+        for b in range(start + seen, start + longest):
+            if b not in h_rows:  # R_{b+1}, R_b, ..., R_start, then H for s = start .. b+1
+                r = list(accumulate(range(b, start - 1, -1), backward, initial=0))
+                h = [ins]
+                for s, done, row in zip(range(b, start - 1, -1), r, islice(r, 1, None)):
+                    h.append(fmin(ins + row, subs[syms[s]] + done))
+                h_rows[b] = start, h[::-1]
             lo, h = h_rows[b]
-            thresholds[key] = top(reduce(fmin, map(add, f, islice(h, a - lo, None))))
+            level[b - start + 1] = top(reduce(fmin, map(add, f, islice(h, start - lo, None))))
+    thresholds = candidates.keyed(levels)
     return RestrictedReport(thresholds, min(thresholds.values(), default=None))
 
 

@@ -123,7 +123,30 @@ def pad_for_seed(t: Text, width: int | None = None) -> Text:
     return Text(pad + t.symbols + pad, t.alphabet, t.wildcard_char)
 
 
-def restricted_candidates(t: Text, seeds: bool = False) -> tuple[Text, dict[int, dict[int, str]]]:
+class Candidates(NamedTuple):
+    """Each distinct factor of t once: start a (target index a + ``shift``)
+    holds t[a, a+L-1] for lo[a] < L <= hi[a], their leftmost occurrences:
+    lo[a] is the longest prefix of t[a:] also starting before a, capped at
+    the longest allowed length; hi[a] is that length, or 0 if lo[a] reaches it."""
+
+    text: str  # t.to_str(): each candidate string is one slice of it
+    shift: int
+    lo: list[int]
+    hi: list[int]
+
+    def keyed(self, values: list) -> dict:
+        """Candidate strings to ``values[a][L]``, by length, then by string."""
+        s, lo, hi, out = self.text, self.lo, self.hi, {}
+        live = sorted(range(len(s)), key=lambda a: s[a:a + hi[a]])  # string order at each L
+        for length in range(1, max(hi, default=0) + 1):
+            live = [a for a in live if hi[a] >= length]
+            for a in live:
+                if lo[a] < length:
+                    out[s[a:a + length]] = values[a][length]
+        return out
+
+
+def restricted_candidates(t: Text, seeds: bool = False) -> tuple[Text, Candidates]:
     """The text a restricted cover or seed search runs on, and its candidates.
 
     A restricted cover must be a proper factor of t; a restricted seed a
@@ -134,28 +157,19 @@ def restricted_candidates(t: Text, seeds: bool = False) -> tuple[Text, dict[int,
     |C| - 1 pad positions; and an edit window that reaches into t through
     more than |C| wildcards costs what one through |C| does.  So any wider
     pad gives the same answer, under Hamming and edit distance alike.
-
-    Returns (target, candidates): ``candidates[a][b]`` is the string T[a, b]
-    of the factor starting at a and ending at b in target coordinates, at
-    the leftmost (a, b) of each distinct string.  Starts, and the ends of
-    each start, come in increasing order; every group is nonempty.
     """
     n = len(t)
     s = t.to_str()
     shift = n // 2 if seeds else 0
-    longest = shift if seeds else n - 1
-    seen: set[str] = set()
-    candidates: dict[int, dict[int, str]] = {}
-    for a in range(n):
-        group = {}
-        for b in range(a, min(n, a + longest)):
-            key = s[a:b + 1]
-            if key not in seen:
-                seen.add(key)
-                group[b + shift] = key
-        if group:
-            candidates[a + shift] = group
-    return (pad_for_seed(t, shift) if seeds else t), candidates
+    hi = [min(n - a, shift if seeds else n - 1) for a in range(n)]
+    lo, length = [], 0  # lo[a] >= lo[a-1] - 1: O(n) str.find calls in all
+    for a, top in enumerate(hi):
+        length = min(max(length - 1, 0), top)
+        while length < top and s.find(s[a:a + length + 1], 0, a + length) >= 0:
+            length += 1
+        lo.append(length)
+    hi = [top if seen < top else 0 for seen, top in zip(lo, hi)]
+    return (pad_for_seed(t, shift) if seeds else t), Candidates(s, shift, lo, hi)
 
 
 def hamming_distance(u: Text, v: Text) -> int:

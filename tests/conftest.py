@@ -15,7 +15,7 @@ import pytest
 import quasicover
 from quasicover.editcover import _EditCosts
 from quasicover.restricted import RestrictedReport
-from quasicover.textcore import WILDCARD, PenaltyMatrix, Text, symbols_match
+from quasicover.textcore import WILDCARD, Candidates, PenaltyMatrix, Text, symbols_match
 
 
 def run_fresh(script: str) -> subprocess.CompletedProcess:
@@ -111,7 +111,21 @@ def free_start_rows(costs: _EditCosts, a: int, height: int) -> list[list[int]]:
     return rows
 
 
-def column_combine_report(target: Text, candidates: dict[int, dict[int, str]],
+def candidate_factors(candidates: Candidates) -> list[tuple[int, int, str]]:
+    """(a, b, key) for every candidate key = target[a, b], in target
+    coordinates, by start, then by end."""
+    shift, s = candidates.shift, candidates.text
+    return [(a + shift, a + shift + length - 1, s[a:a + length])
+            for a, (lo, hi) in enumerate(zip(candidates.lo, candidates.hi))
+            for length in range(lo + 1, hi + 1)]
+
+
+def row_order(items) -> list:
+    """(key, value) pairs by key length, then by key: the order of report rows."""
+    return sorted(items, key=lambda item: (len(item[0]), item[0]))
+
+
+def column_combine_report(target: Text, candidates: Candidates,
                           p: PenaltyMatrix) -> RestrictedReport:
     """Reference for ``restricted._report_for_candidates``: the same F and H
     rows, stored as one column of plain ints per position, and cov(x) as one
@@ -123,10 +137,10 @@ def column_combine_report(target: Text, candidates: dict[int, dict[int, str]],
     for wild, run in groupby(target.symbols, WILDCARD.__eq__):
         size = len(list(run))
         wild_run += [size if wild else 0] * size
+    factors = candidate_factors(candidates)
     lowest: dict[int, int] = {}
-    for a, group in candidates.items():
-        for b in group:
-            lowest.setdefault(b, a)
+    for a, b, _ in factors:
+        lowest.setdefault(b, a)
     h_cols = {}
     for b, lo in lowest.items():
         r_rows = free_start_rows(rev, m - 1 - b, b - lo + 2)
@@ -137,17 +151,20 @@ def column_combine_report(target: Text, candidates: dict[int, dict[int, str]],
         h_rows.reverse()
         h_cols[b] = lo, list(zip(*h_rows))[::-1]
     thresholds = {}
-    for a, group in candidates.items():
-        f_cols = list(zip(*free_start_rows(costs, a, max(group) - a + 2)))
-        for b, key in group.items():
-            lo, cols = h_cols[b]
-            off = a - lo
-            length = b - a + 1
-            keep = [x for x, w in enumerate(wild_run) if w < length]
-            xs = keep[:bisect_left(keep, a)] + keep[bisect_right(keep, b):]
-            thresholds[key] = max(map(min, map(map, repeat(add), [f_cols[x] for x in xs],
-                                               [cols[x][off:] for x in xs])), default=0)
-    return RestrictedReport(thresholds, min(thresholds.values(), default=None))
+    f_cols = {}  # per start a: rows up to its longest candidate, hi + 1 of them
+    for a, b, key in factors:
+        if a not in f_cols:
+            height = candidates.hi[a - candidates.shift] + 1
+            f_cols[a] = list(zip(*free_start_rows(costs, a, height)))
+        lo, cols = h_cols[b]
+        off = a - lo
+        length = b - a + 1
+        keep = [x for x, w in enumerate(wild_run) if w < length]
+        xs = keep[:bisect_left(keep, a)] + keep[bisect_right(keep, b):]
+        thresholds[key] = max(map(min, map(map, repeat(add), [f_cols[a][x] for x in xs],
+                                           [cols[x][off:] for x in xs])), default=0)
+    return RestrictedReport(dict(row_order(thresholds.items())),
+                            min(thresholds.values(), default=None))
 
 
 @pytest.fixture

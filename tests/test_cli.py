@@ -258,10 +258,14 @@ def test_edit_reports_equal_the_column_combine(capsys, monkeypatch, tmp_path):
 
 def test_threshold_rows_by_length_then_string(capsys, monkeypatch):
     """covers and seeds rows come by factor length, then by string: "b"
-    precedes "aa", and equal-length factors are not in first-seen order."""
+    precedes "aa", and equal-length factors are not in first-seen order.
+    Wildcards sort by their rendered character: "?" before the letters, and
+    under ``--wildcard z``, with "?" an ordinary symbol, "z" after them."""
     rng = random.Random(11)
     texts = ["abaab"] + [random_text_str(rng, rng.randint(2, 9), rng.randint(2, 3))
                          for _ in range(6)]
+    texts += [random_text_str(rng, rng.randint(2, 12), rng.randint(1, 3), 0.3)
+              for _ in range(6)] + ["ab??ba?", "????", "a?a?a?"]
     for cmd, want in (("covers", ["a", "b", "aa", "ab", "ba", "aab", "aba", "baa",
                                   "abaa", "baab"]),
                       ("seeds", ["a", "b", "aa", "ab", "ba"])):
@@ -274,6 +278,13 @@ def test_threshold_rows_by_length_then_string(capsys, monkeypatch):
                 assert factors == sorted(set(factors), key=lambda s: (len(s), s))
                 if raw == "abaab":
                     assert factors == want, (cmd, dist)
+            raw = "a?bz?abzz?b"
+            code, out, _ = run(capsys, monkeypatch, [cmd, *dist, "--wildcard", "z"],
+                               stdin=raw + "\n")
+            assert code == 0
+            factors = [line.split("\t")[0] for line in out.splitlines()]
+            assert factors == sorted(set(factors), key=lambda s: (len(s), s))
+            assert factors[:4] == ["?", "a", "b", "z"], (cmd, dist)
 
 
 def test_restricted_rows_on_tiny_and_wildcard_texts(capsys, monkeypatch):

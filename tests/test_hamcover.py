@@ -22,7 +22,7 @@ from quasicover.hamcover import (
 from quasicover.lcpk import lcp_k_all_pairs, pref_k
 from quasicover.textcore import Text, hamming_distance, pad_for_seed
 
-from conftest import random_text_str
+from conftest import random_text_str, row_order
 
 
 def test_prefix_coverage_examples():
@@ -214,7 +214,8 @@ def test_restricted_thresholds_match_oracle(rng):
 
 
 def reference_restricted(t: Text, k: int, seeds: bool) -> dict[str, int | None]:
-    """Level-by-level search with a full sweep of every start at every level.
+    """Level-by-level search with a full sweep of every start at every level,
+    keyed in row order: by length, then by string.
 
     Seeds run on the text padded with |T| wildcards on each side.
     """
@@ -240,7 +241,7 @@ def reference_restricted(t: Text, k: int, seeds: bool) -> dict[str, int | None]:
             a, b = candidates[key]
             if rows[a][b - a] == m:
                 result[key] = ell
-    return result
+    return dict(row_order(result.items()))
 
 
 def test_restricted_engine_matches_full_sweep_reference(rng):

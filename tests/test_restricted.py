@@ -12,7 +12,8 @@ from quasicover.restricted import (
 from quasicover.textcore import (PenaltyMatrix, Text, edit_distance, pad_for_seed,
                                  restricted_candidates, validate_penalty_matrix)
 
-from conftest import column_combine_report, random_metric, random_text_str, scaled
+from conftest import (candidate_factors, column_combine_report, random_metric,
+                      random_text_str, row_order, scaled)
 
 
 def brute_q_entry(t: Text, a: int, b: int, p: PenaltyMatrix, i: int) -> int:
@@ -90,8 +91,10 @@ def test_batched_tables_equal_fast_on_every_entry(rng):
                                    restricted_candidates(t, seeds=True)):
             costs = _EditCosts(target, p)
             idx = precompute_special(target, p)
-            for a, group in candidates.items():
-                bs = list(group)
+            ends: dict[int, list[int]] = {}
+            for a, b, _ in candidate_factors(candidates):
+                ends.setdefault(a, []).append(b)
+            for a, bs in ends.items():
                 for b, values in zip(bs, _q_tables_of_start(costs, a, bs)):
                     assert values == q_table_fast(target, a, b, p, idx).values
 
@@ -110,10 +113,9 @@ def test_report_thresholds_equal_quadratic_q_tables(rng):
                 for target, candidates in (restricted_candidates(t),
                                            restricted_candidates(t, seeds=True)):
                     rep = _report_for_candidates(target, candidates, p)
-                    expected = {key: q_table_quadratic(target, a, b, p)[0]
-                                for a, group in candidates.items()
-                                for b, key in group.items()}
-                    assert list(rep.thresholds.items()) == list(expected.items()), s
+                    expected = row_order((key, q_table_quadratic(target, a, b, p)[0])
+                                         for a, b, key in candidate_factors(candidates))
+                    assert list(rep.thresholds.items()) == expected, s
 
 
 def width_boundary_case(rng, bound: int) -> tuple[Text, PenaltyMatrix]:
@@ -196,13 +198,17 @@ def brute_candidates(s: str, seeds: bool) -> list[tuple[int, int, str]]:
 
 
 def test_restricted_candidates_match_brute_enumeration(rng):
-    """Keys, leftmost coordinates, target text and order, for covers and
-    seeds; the Hamming (k = n) and unit-cost edit reports list the same keys
-    in the same order."""
+    """Leftmost-occurrence lengths, per-start length ranges, target text and
+    row order, for covers and seeds; the Hamming (k = n) and unit-cost edit
+    reports list the same keys in row order: by length, then by string."""
     texts = [""] + [random_text_str(rng, n, sigma, wildcard_prob)
                     for n in range(1, 13) for sigma in (1, 2, 3)
                     for wildcard_prob in (0.0, 0.3)]
     texts += ["?", "??", "a?", "?a?a", "abab"]
+    texts += [random_text_str(rng, n, sigma, wildcard_prob)
+              for n in (17, 24, 31, 40) for sigma in (2, 4) for wildcard_prob in (0.0, 0.3)]
+    for n in (1, 2, 5, 16, 40):
+        texts += ["a" * n, ("ab" * n)[:n], ("abc" * n)[:n], "?" * n]
     for s in texts:
         t = Text.from_str(s)
         n = len(t)
@@ -212,12 +218,29 @@ def test_restricted_candidates_match_brute_enumeration(rng):
             target, candidates = restricted_candidates(t, seeds=seeds)
             assert target.to_str() == "?" * width + s + "?" * width
             assert target.alphabet == t.alphabet
-            got = [(a, b, key) for a, group in candidates.items() for b, key in group.items()]
-            assert got == [(a + width, b + width, c) for a, b, c in brute_candidates(s, seeds)]
-            assert all(candidates.values())
-            keys = [key for _, _, key in got]
-            assert list(ham(t, n)) == keys
-            assert list(edit(t, p).thresholds) == keys
+            assert (candidates.text, candidates.shift) == (s, width)
+            brute = brute_candidates(s, seeds)
+            for a in range(n):
+                # lo[a]: the longest prefix of s[a:] starting earlier too, capped at
+                # the longest allowed length; hi[a]: that length, 0 if lo[a] reaches it
+                earlier = max((length for length in range(n - a + 1)
+                               if s.find(s[a:a + length]) < a), default=0)
+                cap = min(n - a, width if seeds else n - 1)
+                assert candidates.lo[a] == min(earlier, cap)
+                assert candidates.hi[a] == (cap if earlier < cap else 0)
+                assert [c for start, _, c in brute if start == a] == \
+                    [s[a:a + length] for length in range(candidates.lo[a] + 1,
+                                                         candidates.hi[a] + 1)]
+            assert candidate_factors(candidates) == \
+                [(a + width, b + width, c) for a, b, c in brute]
+            keys = [c for _, _, c in brute]
+            order = sorted(set(keys), key=lambda c: (len(c), c))
+            keyed = candidates.keyed([[(a, length) for length in range(n + 1)]
+                                      for a in range(n)])
+            assert list(keyed) == order
+            assert all((s.find(key), len(key)) == at for key, at in keyed.items())
+            assert list(ham(t, n)) == order
+            assert list(edit(t, p).thresholds) == order
 
 
 def test_q_tables_match_tiling_oracle(rng):
@@ -320,9 +343,7 @@ def test_weighted_seeds_on_texts_with_wildcards(rng):
 
 def full_width_seeds(t: Text, p: PenaltyMatrix):
     """Seeds as covers of t padded with |t| wildcards on each side."""
-    shift = len(t) - len(t) // 2
-    candidates = {a + shift: {b + shift: key for b, key in group.items()}
-                  for a, group in restricted_candidates(t, seeds=True)[1].items()}
+    candidates = restricted_candidates(t, seeds=True)[1]._replace(shift=len(t))
     return _report_for_candidates(pad_for_seed(t), candidates, p)
 
 
