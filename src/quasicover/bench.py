@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import deque
 from dataclasses import dataclass
 from math import log2
 
@@ -134,10 +135,11 @@ def bench_prefix_lev(n: int = 512, k: int = 2, repeats: int = 3,
 
 def bench_restricted_covers_hamming(n: int = 200, k: int = 2, repeats: int = 3,
                                     seed: int = 11) -> BenchResult:
-    """Restricted Hamming covers of random binary text: Θ(n^2) distinct factors,
-    Θ(n^3) characters of output, so a doubling costs about 2^3; bound 10."""
+    """Restricted Hamming covers of random binary text, every row read:
+    Θ(n^2) distinct factors, Θ(n^3) characters of output, so a doubling
+    costs about 2^3; bound 10."""
     return _doubling("restricted-covers-hamming", n, 10.0, repeats, seed,
-                     lambda t: lambda: k_restricted_covers(t, k))
+                     lambda t: lambda: deque(k_restricted_covers(t, k).items(), 0))
 
 
 #: Weighted metric over "abc" for the restricted-cover timings: every cost

@@ -31,7 +31,8 @@ lengths 1, 2, ...  Per start that is O(L_stop * k) big-int ops of
 ceil(m/64) words, plus O((1 + log k) * log m) per candidate (L_stop: stop
 length; m: target length).  Candidates come from
 :func:`~quasicover.textcore.restricted_candidates`, which hashes no factor;
-each start fills a list of levels by length, keyed by length, then string.
+each start fills a list of levels by length, and the result maps them by
+length, then string, slicing each key only as it is read (``Keyed``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from math import inf
 from operator import sub
 
 from .lcpk import ExactLce, _lcp_k, pref_k, string_image
-from .textcore import WILDCARD, Candidates, IntervalSet, Text, restricted_candidates
+from .textcore import WILDCARD, Candidates, IntervalSet, Keyed, Text, restricted_candidates
 
 
 @dataclass
@@ -362,8 +363,7 @@ def _fills(alive: int, length: int, full: int) -> bool:
     return _smear(alive, length) & full == full
 
 
-def _restricted_levels(target: Text, candidates: Candidates,
-                       k: int) -> dict[str, int | None]:
+def _restricted_levels(target: Text, candidates: Candidates, k: int) -> Keyed:
     """Minimal level ell <= k at which each candidate covers ``target``.
 
     A start stops once level k's occurrences, smeared by its longest
@@ -401,17 +401,18 @@ def _restricted_levels(target: Text, candidates: Candidates,
     return candidates.keyed(levels)
 
 
-def k_restricted_covers(t: Text, k: int) -> dict[str, int | None]:
+def k_restricted_covers(t: Text, k: int) -> Keyed:
     """Minimal ell <= k making each proper factor an ell-approximate cover.
 
-    Factors are keyed by string content; the value is None when no budget up
-    to k suffices.  Coverage is monotone in the budget, so the first level
-    reaching full coverage is minimal.
+    Factors map by string content, in row order, with no dict built until a
+    lookup; the value is None when no budget up to k suffices.  Coverage is
+    monotone in the budget, so the first level reaching full coverage is
+    minimal.
     """
     return _restricted_levels(*restricted_candidates(t), k)
 
 
-def k_restricted_seeds(t: Text, k: int) -> dict[str, int | None]:
+def k_restricted_seeds(t: Text, k: int) -> Keyed:
     """Minimal ell <= k making each factor with 2|C| <= |T| an ell-approximate
     seed: the cover search on the wildcard-padded text."""
     return _restricted_levels(*restricted_candidates(t, seeds=True), k)

@@ -16,14 +16,15 @@ packed rows of Sellers' approximate-matching DP: on random ternary text
 under ``bench.QTABLE_PENALTY`` a report took 0.013 s at n = 40 and 0.37 s
 at n = 128 (2 vCPUs, CPython 3.11.7).  Its candidates come from
 :func:`~quasicover.textcore.restricted_candidates`; each start fills a list
-of thresholds by length, keyed by length, then by string.
+of thresholds by length, read as rows by length, then by string.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from math import inf
 from operator import add
 
@@ -163,12 +164,12 @@ def q_table_fast(t: Text, a: int, b: int, p: PenaltyMatrix,
 class RestrictedReport:
     """Minimal thresholds per candidate factor plus the argmin set.
 
-    ``thresholds`` is keyed by factor string; ``minimal`` is the best
-    threshold and ``argmin`` the strings achieving it (None/empty when no
-    candidates).
+    ``thresholds`` maps factor strings by length, then by string (streamed, see
+    :class:`~quasicover.textcore.Keyed`); ``minimal`` is the best threshold
+    and ``argmin`` the strings achieving it (None/empty when no candidates).
     """
 
-    thresholds: dict[str, int]
+    thresholds: Mapping[str, int]
     minimal: int | None
 
     @property
@@ -262,8 +263,8 @@ def _report_for_candidates(target: Text, candidates: Candidates,
                 h_rows[b] = start, h[::-1]
             lo, h = h_rows[b]
             level[b - start + 1] = top(reduce(fmin, map(add, f, islice(h, start - lo, None))))
-    thresholds = candidates.keyed(levels)
-    return RestrictedReport(thresholds, min(thresholds.values(), default=None))
+    return RestrictedReport(candidates.keyed(levels), min(chain.from_iterable(
+        level[seen + 1:] for seen, level in zip(candidates.lo, levels)), default=None))
 
 
 def restricted_covers_ed(t: Text, p: PenaltyMatrix) -> RestrictedReport:

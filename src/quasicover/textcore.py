@@ -3,11 +3,15 @@
 Texts are sequences of dense symbol ids over an explicit alphabet, with an
 optional wildcard symbol that matches every other symbol.  All costs are
 exact integers; there is deliberately no floating-point support anywhere.
+A restricted cover or seed report has a row per distinct factor, Θ(n^3)
+characters in all, so :class:`Keyed` slices each key only as it is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Iterable, Iterator, NamedTuple
 
 #: Symbol id reserved for the wildcard; it matches every alphabet symbol.
@@ -134,16 +138,65 @@ class Candidates(NamedTuple):
     lo: list[int]
     hi: list[int]
 
-    def keyed(self, values: list) -> dict:
+    def keyed(self, values: list) -> Keyed:
         """Candidate strings to ``values[a][L]``, by length, then by string."""
-        s, lo, hi, out = self.text, self.lo, self.hi, {}
-        live = sorted(range(len(s)), key=lambda a: s[a:a + hi[a]])  # string order at each L
-        for length in range(1, max(hi, default=0) + 1):
-            live = [a for a in live if hi[a] >= length]
-            for a in live:
-                if lo[a] < length:
-                    out[s[a:a + length]] = values[a][length]
-        return out
+        return Keyed(self, values)
+
+
+class Keyed(Mapping):
+    """Candidate strings to ``values[a][L]``, read-only, by length, then by
+    string.  It and its views slice each key as they are iterated, so no copy
+    of a report is held; the first lookup builds a dict."""
+
+    def __init__(self, candidates: Candidates, values: list):
+        self._candidates, self._values, self._dict = candidates, values, None
+
+    def _levels(self) -> Iterator[tuple[int, list[int]]]:
+        """Each length L with the starts of its candidates in string order:
+        starts ranked by their longest candidate, each live at lo[a] < L <= hi[a]."""
+        s, _, lo, hi = self._candidates
+        ranked = sorted((a for a in range(len(s)) if hi[a]), key=lambda a: s[a:a + hi[a]])
+        flips = [[] for _ in range(max(hi, default=0) + 2)]  # ranks entering or leaving at L
+        for rank, a in enumerate(ranked):
+            flips[lo[a] + 1].append(rank)
+            flips[hi[a] + 1].append(rank)
+        on = [False] * len(ranked)
+        for length in range(1, len(flips) - 1):
+            for rank in flips[length]:
+                on[rank] = not on[rank]
+            yield length, list(compress(ranked, on))
+
+    def __iter__(self) -> Iterator[str]:
+        s = self._candidates.text
+        return chain.from_iterable([s[a:a + L] for a in live] for L, live in self._levels())
+
+    def __len__(self) -> int:
+        return sum(top - seen for seen, top in zip(self._candidates.lo, self._candidates.hi) if top)
+
+    def __getitem__(self, key: str):
+        if self._dict is None:
+            self._dict = dict(self.items())
+        return self._dict[key]
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        s, values = self._mapping._candidates.text, self._mapping._values
+        return chain.from_iterable(zip([s[a:a + L] for a in live], [values[a][L] for a in live])
+                                   for L, live in self._mapping._levels())
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        values = self._mapping._values
+        return chain.from_iterable([values[a][L] for a in live]
+                                   for L, live in self._mapping._levels())
 
 
 def restricted_candidates(t: Text, seeds: bool = False) -> tuple[Text, Candidates]:

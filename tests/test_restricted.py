@@ -1,3 +1,5 @@
+import pytest
+
 from quasicover import oracle
 from quasicover.editcover import _EditCosts, block_size, precompute_special
 from quasicover.hamcover import k_restricted_covers, k_restricted_seeds
@@ -241,6 +243,55 @@ def test_restricted_candidates_match_brute_enumeration(rng):
             assert all((s.find(key), len(key)) == at for key, at in keyed.items())
             assert list(ham(t, n)) == order
             assert list(edit(t, p).thresholds) == order
+
+
+def check_streamed_mapping(got, ref: dict, absent: list) -> None:
+    """``got``, a report mapping, against its reference dict: the same rows,
+    read in row order as often as asked, with lookups and views that agree,
+    and no row for any key of ``absent``."""
+    rows = row_order(ref.items())
+    assert len(got) == len(rows)
+    items = got.items()
+    assert list(items) == rows and list(items) == rows and list(got.items()) == rows
+    assert list(got) == list(got.keys()) == [key for key, _ in rows]
+    assert list(got.values()) == [value for _, value in rows]
+    assert len(items) == len(got.keys()) == len(got.values()) == len(rows)
+    assert got == ref and ref == got
+    for key, value in rows:
+        assert key in got and got[key] == value and got.get(key, "-") == value
+        assert (key, value) in items and value in got.values()
+    for key in absent:
+        assert key not in got and got.get(key, "-") == "-"
+        with pytest.raises(KeyError):
+            got[key]
+    assert list(got.items()) == rows  # the first lookup leaves the rows as they were
+
+
+def test_reports_are_streamed_mappings_equal_to_the_oracle(rng):
+    """Hamming levels and edit thresholds, covers and seeds, on n = 0 and 1,
+    all-wildcard and random texts with and without wildcards."""
+    texts = ["", "a", "?", "????", "?????????"]
+    texts += [random_text_str(rng, n, sigma, wildcard_prob)
+              for n in range(2, 10) for sigma in (1, 2, 3) for wildcard_prob in (0.0, 0.3)]
+    for trial, s in enumerate(texts):
+        t = Text.from_str(s)
+        n, k = len(t), trial % 4
+        p = (PenaltyMatrix.unit(t.alphabet) if trial % 2 or not t.alphabet
+             else random_metric(t.alphabet, rng))
+        for seeds, ham, edit in ((False, k_restricted_covers, restricted_covers_ed),
+                                 (True, k_restricted_seeds, restricted_seeds_ed)):
+            longest = n // 2 if seeds else n - 1
+            absent = ["", "#", s[:longest + 1], 0]  # s[:longest + 1]: too long, or empty
+            brute = oracle.brute_restricted_min_k(t, "hamming", seeds=seeds)
+            check_streamed_mapping(
+                ham(t, k), {key: v if v is not None and v <= k else None
+                            for key, v in brute.items()}, absent)
+            brute = dict(oracle.brute_restricted_min_k(t, "edit", p, seeds=seeds))
+            report = edit(t, p)
+            check_streamed_mapping(report.thresholds, brute, absent)
+            assert report.minimal == min(brute.values(), default=None)
+            assert report.argmin == [key for key, v in row_order(brute.items())
+                                     if v == report.minimal]
 
 
 def test_q_tables_match_tiling_oracle(rng):
