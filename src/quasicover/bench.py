@@ -119,9 +119,10 @@ def bench_factor_hamming(n: int = 160, k: int = 1, repeats: int = 3,
                      lambda t: lambda: factor_coverage_all(t, k))
 
 
-def bench_factor_lev(n: int = 28, k: int = 1, repeats: int = 3,
+def bench_factor_lev(n: int = 96, k: int = 1, repeats: int = 3,
                      seed: int = 9) -> BenchResult:
-    """All-factor Levenshtein coverage from the bit masks at small n."""
+    """All-factor Levenshtein coverage from the bit masks over all starts:
+    O(k^2 n) operations on O(n^2)-bit ints plus O(n^2) per-start reads."""
     return _doubling("factor-coverage-levenshtein", n, 9.0, repeats, seed,
                      lambda t: lambda: factor_coverage(t, "levenshtein", k))
 

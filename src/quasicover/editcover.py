@@ -1,9 +1,9 @@
 """Levenshtein and weighted-edit k-coverage.
 
 Coverage reads P_k[a, b, a'], the largest b' with d(T[a,b], T[a',b']) <= k.
-Under Levenshtein, bit masks over a' give every start at once
-(:func:`_lev_masks`) and LCE-driven furthest-reach waves the streams of one
-start, which a per-start routine turns into interval-union sizes.  Weighted
+Under Levenshtein, bit masks over a' of all starts, one int per slot, step
+by factor length (:func:`_lev_slots`), and LCE-driven furthest-reach waves
+give the streams of one start, which a per-start routine unions.  Weighted
 costs run the edit DP against all windows at once, one int of saturating
 fields per window length within budget (Ukkonen's cut-off).
 
@@ -15,8 +15,9 @@ single entries in O(sqrt(n log n)) and drives ``restricted.q_table_fast``.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from math import inf, log2, sqrt
 from typing import Iterator
 
@@ -82,67 +83,66 @@ def _lev_ends(t: Text, a: int, ap: int, k: int, lce: ExactLce) -> Iterator[int]:
         yield ap + i + d - 1
 
 
-def _lev_masks(t: Text, k: int) -> Iterator[tuple[int, list[int]]]:
-    """Yield (a, [R(a, i) for i = 0 .. n-1-a]) for a = n-1 down to 0, 0 <= k <= n.
-
-    R(a, i) has 2k+1 slots of W = n+2 bits: bit a' (0..n, n the empty suffix)
-    of slot d+k is set iff T[a, a+i] is within k edits of some T[a', b'] with
-    b' >= a'+i+d, so slot d+1 is a subset of slot d.  Per budget e, a match
-    prepends (ed(xA, xB) = ed(A, B): one bit down); a mismatch ORs the masks
-    at e-1 of substitution, deletion (one slot down) and insertion (one slot
-    up, the lowest slot its own), after Wu and Manber.  O(k n^2) operations.
+def _lev_slots(t: Text, k: int) -> Iterator[list[int]]:
+    """Yield, for factor lengths L = 1 .. n, slots d = -k .. k (0 <= k <= n):
+    ints with one block of W = 8 * :func:`_lev_block` bits per start a, at
+    bit a*W.  Bit a' (0..n, n the empty suffix; n+1 is a guard) of slot d is
+    set iff T[a, a+L-1] is within k edits of some T[a', b'], b' >= a'+L+d-1.
+    Per budget e, a match (``hit``: T[a'] = T[a]) prepends; a mismatch ORs
+    the slots at e-1 of substitution, deletion (d+1) and insertion (d-1,
+    length L), after Wu and Manber.  Start a+1 at length L-1 is block a after
+    ``>> W``; ``hit`` and ``miss`` clear what crosses a block.  Slot d+1 lies
+    within slot d, slot d < -e equals slot -e and slots d > e are empty, so
+    budget e keeps 2e+1 ints.  O(k^2 n) operations on O(n^2)-bit ints.
     """
-    s, n = t.symbols, len(t)
-    w, full = n + 2, (1 << n + 1) - 1
-    rep = ((1 << (2 * k + 1) * w) - 1) // ((1 << w) - 1)  # bit 0 of every slot
-    at = dict.fromkeys(s, 0)
+    s, n, size = t.symbols, len(t), _lev_block(len(t))
+    w, full, at = 8 * size, (1 << n + 1) - 1, dict.fromkeys(s, 0)
     for ap, x in enumerate(s):
         at[x] |= 1 << ap
-    # Each row starts at i = -1: the empty factor is within d edits of T[a', b']
-    # iff b'-a' < d, so every a' sits in the slots below 0 and a' <= n-d in d.
-    below, empty = [], full * (rep & (1 << k * w) - 1)  # rows of a+1, per budget
-    for d in range(k + 1):
-        empty |= (2 << n - d) - 1 << (d + k) * w
-        below.append([empty])
-    for a in range(n - 1, -1, -1):
-        hit, miss = at[s[a]] * rep, (full ^ at[s[a]]) * rep
-        rows = [[below[0][0], *[hit & r >> 1 for r in below[0]]]]
+    rep = ((1 << (n + 1) * w) - 1) // ((1 << w) - 1)  # bit 0 of every start
+    hit = int.from_bytes(b"".join([at[x].to_bytes(size, "little") for x in s]), "little")
+    miss = hit ^ full * rep
+    # length 0: the empty factor is within e edits of T[a', b'] iff b'-a' < e
+    rows = [[((2 << n - max(d, 0)) - 1) * rep for d in range(-e, e + 1)] for e in range(k + 1)]
+    for _ in range(n):
+        new = [[hit & rows[0][0] >> w + 1]]
         for e in range(1, k + 1):
-            # r = R_e(a+1, i-1) on a match; u = R_{e-1}(a+1, i-1) substitutes
-            # (>> 1) or deletes T[a] (>> W); y = R_{e-1}(a, i) inserts T[a']
-            rows.append([below[e][0], *[
-                hit & r >> 1 | miss & ((u | y << w | y & full) >> 1 | u >> w)
-                for r, u, y in zip(below[e], below[e - 1], rows[-1][1:])]])
-        below = rows
-        yield a, rows[k][1:]
+            u, y = [x >> w for x in rows[e - 1]], new[-1]
+            new.append([hit & r >> w + 1 | miss & ((sub | ins) >> 1 | dl) for r, sub, ins, dl in
+                        zip(rows[e], [u[0], *u, 0], [y[0], y[0], *y], [*u, 0, 0])])
+        yield (rows := new)[k]
+
+
+def _lev_block(n: int) -> int:
+    """Bytes per start in a slot of :func:`_lev_slots`: n+2 bits, rounded up."""
+    return (n + 9) // 8
 
 
 class LevPrefixTable:
     """P_k under the Levenshtein distance for all (a, b, a'), k capped at n.
 
     ``get(a, b, ap)`` is the largest b' >= ap-1 with Lev(T[a,b], T[ap,b'])
-    <= k, or -1: ap+b-a+d for the highest slot d of the :func:`_lev_masks`
-    mask of T[a, b] that holds ap.  Meant for moderate n (tests, API).
+    <= k, or -1: ap+b-a+d for the highest :func:`_lev_slots` slot d of length
+    b-a+1 holding bit ap of start a, one bit read per slot of bytes.
     """
 
-    def __init__(self, n: int, k: int, masks: list[list[int]]):
-        self.n = n
-        self.k = k
-        self._masks = masks
-        self._rep = ((1 << (2 * k + 1) * (n + 2)) - 1) // ((1 << n + 2) - 1)
+    def __init__(self, n: int, k: int, slots: list[list[bytes]]):
+        self.n, self.k, self._slots = n, k, slots
 
     def get(self, a: int, b: int, ap: int) -> int:
         if not (0 <= a <= b < self.n and 0 <= ap < self.n):
             raise IndexError(f"P_k[{a},{b},{ap}] out of range")
-        slots = self._masks[a][b - a] >> ap & self._rep  # bit ap of every slot
-        return ap + b - a + (slots.bit_length() - 1) // (self.n + 2) - self.k if slots else -1
+        byte, bit = divmod(a * 8 * _lev_block(self.n) + ap, 8)
+        held = sum(buf[byte] >> bit & 1 for buf in self._slots[b - a])  # slot d+1 within d
+        return ap + b - a + held - 1 - self.k if held else -1
 
 
 def p_lev_table(t: Text, k: int) -> LevPrefixTable:
-    """P_k under Levenshtein for all (a, b, a'), kept as the masks of
-    :func:`_lev_masks`: O(k n^2) operations on (2k+1)(n+2)-bit ints."""
-    k = _lev_check(t, k, "the Levenshtein P_k table")
-    return LevPrefixTable(len(t), k, [row for _, row in _lev_masks(t, k)][::-1])
+    """P_k under Levenshtein for all (a, b, a'): the :func:`_lev_slots` of
+    each length as bytes, O(k^2 n) ops on O(n^2)-bit ints, O(k n^3) bits."""
+    k, n = _lev_check(t, k, "the Levenshtein P_k table"), len(t)
+    return LevPrefixTable(n, k, [[x.to_bytes((n - i) * _lev_block(n), "little") for x in slots]
+                                 for i, slots in enumerate(_lev_slots(t, k))])
 
 
 @dataclass(frozen=True)
@@ -464,29 +464,29 @@ def factor_coverage(t: Text, metric: str, k: int,
                     p: PenaltyMatrix | None = None) -> list[list[int]]:
     """k-coverage of every factor: rows[a][b-a] covers T[a, b].
 
-    Hamming uses the mask passes and sweeps.  Levenshtein smears the lowest
-    slot of nonempty occurrences of each :func:`_lev_masks` mask (O(k n^2)
-    operations on (2k+1)(n+2)-bit ints) and adds the one end bit each higher
-    slot gives.  Weighted edit builds O(k) packed rows per factor when
-    every indel costs at least 1, O(n) at worst, and reads each coverage
-    with O(k + log n) more big-int operations: O((k + log n) n^2) to
-    O(n^3) in all.
+    Hamming uses the mask passes and sweeps.  Levenshtein, per length L,
+    smears the lowest :func:`_lev_slots` slot of nonempty occurrences and ORs
+    in the end bit of each higher one (O(k^2 n) big-int ops on O(n^2)-bit
+    ints), then counts each start's block from one ``to_bytes``: O(n^2)
+    reads.  Weighted edit builds O(k) packed rows per factor when every indel
+    costs at least 1, O(n) at worst, and reads each coverage with O(k + log
+    n) more big-int operations: O((k + log n) n^2) to O(n^3) in all.
     """
     if metric == "hamming":
         return hamcover.factor_coverage_all(t, k)
     if metric == "levenshtein":
         k, n = _lev_check(t, k, "Levenshtein coverage"), len(t)
-        full, rows = (1 << n + 1) - 1, []
-        tops = range(n + 1 + k, (2 * k + 1) * (n + 1), n + 1)  # r >> top-i: ends of slot 1..2k
-        for _, row in _lev_masks(t, k):
-            rows.append(cov := [])
-            for i, r in enumerate(row):
-                s = k - i if i < k else 0  # lowest slot d >= -i: nonempty occurrences
-                bits = hamcover._smear(r >> s * (n + 2) & full, i + 1 + s - k)
-                for sh in tops[s:]:
-                    bits |= r >> sh - i
-                cov.append((bits & full >> 1).bit_count())
-        return rows[::-1]
+        size, rows = _lev_block(n), [[] for _ in range(n)]
+        cuts = [slice(i, i + size) for i in range(0, n * size, size)]  # start a's bytes
+        for length, slots in enumerate(_lev_slots(t, k), 1):
+            low = max(0, k + 1 - length)  # lowest slot d >= 1-L: nonempty occurrences
+            bits = hamcover._smear(slots[low], length + low - k)
+            for end, x in enumerate(slots[low + 1:], length + low - k):
+                bits |= x << end  # slot d adds the end a'+L+d-1
+            buf = bits.to_bytes((n + 1 - length) * size, "little")
+            deque(map(list.append, rows, map(int.bit_count, map(int.from_bytes, map(
+                buf.__getitem__, cuts[:n + 1 - length]), repeat("little")))), 0)
+        return rows
     return list(map(_edit_coverage(t, metric, k, p), range(len(t))))
 
 

@@ -118,6 +118,28 @@ def test_lev_factor_coverage_equals_unit_edit_rows(rng):
                 t, "edit", k, unit), (s, k)
 
 
+def test_lev_slots_at_every_block_width(rng):
+    """Each start's block is n+2 bits rounded up to whole bytes, so n = 0..26
+    meets every residue of (n+2) mod 8: factor rows equal the unit-cost edit
+    engine's and the dense table equals the LCE wave ends at every (a, a')."""
+    unit = PenaltyMatrix.unit("abc")
+    for n in range(27):
+        for s in (random_text_str(rng, n, 3), "a" * n, ("abc" * n)[:n]):
+            t, waves = Text.from_str(s, "abc"), {}
+            lce = ExactLce(t)
+            for k in sorted({0, 1, 2, n, n + 2}):
+                assert factor_coverage(t, "levenshtein", k) == factor_coverage(
+                    t, "edit", k, unit), (s, k)
+                if min(k, n) not in waves:  # Lev(C, W) <= n: budgets past n read budget n
+                    waves[min(k, n)] = [[list(_lev_ends(t, a, ap, k, lce)) for ap in range(n)]
+                                        for a in range(n)]
+                want = [[[*ends, *[-1] * (n - a - len(ends))] for ends in row]
+                        for a, row in enumerate(waves[min(k, n)])]
+                table = p_lev_table(t, k)
+                assert [[[table.get(a, b, ap) for b in range(a, n)] for ap in range(n)]
+                        for a in range(n)] == want, (s, k)
+
+
 def test_lev_budget_capped_at_length(rng):
     """Lev(C, W) <= n, so any budget past n gives the rows of budget n."""
     for n in range(13):
