@@ -30,10 +30,11 @@ _EXPORTS = {
         "k_restricted_seeds", "prefix_coverage",
     ),
     "editcover": (
-        "LevPrefixTable", "ParetoList", "SpecialPointIndex", "block_size",
-        "factor_coverage", "p_ed_entry", "p_lev_table", "pareto_list_build",
-        "pareto_list_from_row", "precompute_special",
+        "ParetoList", "SpecialPointIndex", "block_size", "factor_coverage",
+        "p_ed_entry", "pareto_list_build", "pareto_list_from_row",
+        "precompute_special",
     ),
+    "slots": ("LevPrefixTable", "p_lev_table"),
     "restricted": (
         "QTable", "RestrictedReport", "q_table_fast", "q_table_quadratic",
         "restricted_covers_ed", "restricted_seeds_ed",

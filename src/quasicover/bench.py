@@ -143,10 +143,20 @@ def bench_restricted_covers_hamming(n: int = 200, k: int = 2, repeats: int = 3,
                      lambda t: lambda: deque(k_restricted_covers(t, k).items(), 0))
 
 
-#: Weighted metric over "abc" for the restricted-cover timings: every cost
+#: Weighted metric over "abc" for the weighted-edit timings: every cost
 #: is 1 or 2, so the triangle inequality holds for every triple.
 QTABLE_PENALTY = PenaltyMatrix("abc", [[0, 1, 2], [1, 0, 2], [2, 2, 0]],
                                [1, 2, 2], [1, 2, 2])
+
+
+def bench_factor_edit(n: int = 96, k: int = 2, repeats: int = 3,
+                      seed: int = 12) -> BenchResult:
+    """All-factor weighted-edit coverage of random ternary text under
+    ``QTABLE_PENALTY`` on integer cost levels over all starts: O(K^2 n)
+    operations per cost class on O(n^2)-bit ints plus O(n^2) reads."""
+    return _doubling("factor-coverage-edit", n, 9.0, repeats, seed,
+                     lambda t: lambda: factor_coverage(t, "edit", k, QTABLE_PENALTY),
+                     lambda size, seed: random_text(size, 3, seed))
 
 
 def bench_restricted_covers_ed(n: int = 32, repeats: int = 3,
@@ -168,11 +178,13 @@ def run_all(quick: bool = False) -> list[BenchResult]:
             bench_pref_k_wildcards(n=2 ** 12, repeats=2),
             bench_factor_hamming(n=64, repeats=2),
             bench_factor_lev(n=16, repeats=2),
+            bench_factor_edit(n=16, repeats=2),
             bench_prefix_lev(n=64, repeats=2),
             bench_restricted_covers_hamming(n=64, repeats=2),
             bench_restricted_covers_ed(n=16, repeats=2),
         ]
     return [bench_prefix_sweep(), bench_prefix_hamming(), bench_pref_k(),
             bench_pref_k_wildcards(),
-            bench_factor_hamming(), bench_factor_lev(), bench_prefix_lev(),
+            bench_factor_hamming(), bench_factor_lev(), bench_factor_edit(),
+            bench_prefix_lev(),
             bench_restricted_covers_hamming(), bench_restricted_covers_ed()]

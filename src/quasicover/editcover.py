@@ -1,11 +1,13 @@
 """Levenshtein and weighted-edit k-coverage.
 
 Coverage reads P_k[a, b, a'], the largest b' with d(T[a,b], T[a',b']) <= k.
-Under Levenshtein, bit masks over a' of all starts, one int per slot, step
-by factor length (:func:`_lev_slots`), and LCE-driven furthest-reach waves
-give the streams of one start, which a per-start routine unions.  Weighted
-costs run the edit DP against all windows at once, one int of saturating
-fields per window length within budget (Ukkonen's cut-off).
+Factor coverage of every start at once runs on the bit-mask slots of
+:mod:`quasicover.slots`, under Levenshtein and, within the rule of
+:func:`factor_coverage`, under integer costs.  The per-start routes stay
+here: LCE-driven furthest-reach waves give the Levenshtein streams of one
+start, which a per-start routine unions, and weighted costs run the edit DP
+against all windows at once, one int of saturating fields per window length
+within budget (Ukkonen's cut-off).
 
 The paper's special-point index (Pareto lists at multiples of
 M = floor(sqrt(n / log2 n)), built on demand, plus small DP blocks) answers
@@ -15,9 +17,8 @@ single entries in O(sqrt(n log n)) and drives ``restricted.q_table_fast``.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice
 from math import inf, log2, sqrt
 from typing import Iterator
 
@@ -81,68 +82,6 @@ def _lev_ends(t: Text, a: int, ap: int, k: int, lce: ExactLce) -> Iterator[int]:
             if d < -k:
                 return
         yield ap + i + d - 1
-
-
-def _lev_slots(t: Text, k: int) -> Iterator[list[int]]:
-    """Yield, for factor lengths L = 1 .. n, slots d = -k .. k (0 <= k <= n):
-    ints with one block of W = 8 * :func:`_lev_block` bits per start a, at
-    bit a*W.  Bit a' (0..n, n the empty suffix; n+1 is a guard) of slot d is
-    set iff T[a, a+L-1] is within k edits of some T[a', b'], b' >= a'+L+d-1.
-    Per budget e, a match (``hit``: T[a'] = T[a]) prepends; a mismatch ORs
-    the slots at e-1 of substitution, deletion (d+1) and insertion (d-1,
-    length L), after Wu and Manber.  Start a+1 at length L-1 is block a after
-    ``>> W``; ``hit`` and ``miss`` clear what crosses a block.  Slot d+1 lies
-    within slot d, slot d < -e equals slot -e and slots d > e are empty, so
-    budget e keeps 2e+1 ints.  O(k^2 n) operations on O(n^2)-bit ints.
-    """
-    s, n, size = t.symbols, len(t), _lev_block(len(t))
-    w, full, at = 8 * size, (1 << n + 1) - 1, dict.fromkeys(s, 0)
-    for ap, x in enumerate(s):
-        at[x] |= 1 << ap
-    rep = ((1 << (n + 1) * w) - 1) // ((1 << w) - 1)  # bit 0 of every start
-    hit = int.from_bytes(b"".join([at[x].to_bytes(size, "little") for x in s]), "little")
-    miss = hit ^ full * rep
-    # length 0: the empty factor is within e edits of T[a', b'] iff b'-a' < e
-    rows = [[((2 << n - max(d, 0)) - 1) * rep for d in range(-e, e + 1)] for e in range(k + 1)]
-    for _ in range(n):
-        new = [[hit & rows[0][0] >> w + 1]]
-        for e in range(1, k + 1):
-            u, y = [x >> w for x in rows[e - 1]], new[-1]
-            new.append([hit & r >> w + 1 | miss & ((sub | ins) >> 1 | dl) for r, sub, ins, dl in
-                        zip(rows[e], [u[0], *u, 0], [y[0], y[0], *y], [*u, 0, 0])])
-        yield (rows := new)[k]
-
-
-def _lev_block(n: int) -> int:
-    """Bytes per start in a slot of :func:`_lev_slots`: n+2 bits, rounded up."""
-    return (n + 9) // 8
-
-
-class LevPrefixTable:
-    """P_k under the Levenshtein distance for all (a, b, a'), k capped at n.
-
-    ``get(a, b, ap)`` is the largest b' >= ap-1 with Lev(T[a,b], T[ap,b'])
-    <= k, or -1: ap+b-a+d for the highest :func:`_lev_slots` slot d of length
-    b-a+1 holding bit ap of start a, one bit read per slot of bytes.
-    """
-
-    def __init__(self, n: int, k: int, slots: list[list[bytes]]):
-        self.n, self.k, self._slots = n, k, slots
-
-    def get(self, a: int, b: int, ap: int) -> int:
-        if not (0 <= a <= b < self.n and 0 <= ap < self.n):
-            raise IndexError(f"P_k[{a},{b},{ap}] out of range")
-        byte, bit = divmod(a * 8 * _lev_block(self.n) + ap, 8)
-        held = sum(buf[byte] >> bit & 1 for buf in self._slots[b - a])  # slot d+1 within d
-        return ap + b - a + held - 1 - self.k if held else -1
-
-
-def p_lev_table(t: Text, k: int) -> LevPrefixTable:
-    """P_k under Levenshtein for all (a, b, a'): the :func:`_lev_slots` of
-    each length as bytes, O(k^2 n) ops on O(n^2)-bit ints, O(k n^3) bits."""
-    k, n = _lev_check(t, k, "the Levenshtein P_k table"), len(t)
-    return LevPrefixTable(n, k, [[x.to_bytes((n - i) * _lev_block(n), "little") for x in slots]
-                                 for i, slots in enumerate(_lev_slots(t, k))])
 
 
 @dataclass(frozen=True)
@@ -464,28 +403,31 @@ def factor_coverage(t: Text, metric: str, k: int,
                     p: PenaltyMatrix | None = None) -> list[list[int]]:
     """k-coverage of every factor: rows[a][b-a] covers T[a, b].
 
-    Hamming uses the mask passes and sweeps.  Levenshtein, per length L,
-    smears the lowest :func:`_lev_slots` slot of nonempty occurrences and ORs
-    in the end bit of each higher one (O(k^2 n) big-int ops on O(n^2)-bit
-    ints), then counts each start's block from one ``to_bytes``: O(n^2)
-    reads.  Weighted edit builds O(k) packed rows per factor when every indel
-    costs at least 1, O(n) at worst, and reads each coverage with O(k + log
-    n) more big-int operations: O((k + log n) n^2) to O(n^3) in all.
+    Hamming uses the mask passes and sweeps.  Levenshtein steps
+    ``slots._lev_slots`` (O(k^2 n) big-int ops on O(n^2)-bit ints); per
+    length L, ``slots._coverage_rows`` smears the lowest slot of nonempty
+    occurrences, ORs in the end bit of each higher one and counts each
+    start's block from one ``to_bytes``: O(n^2) reads.
+
+    Weighted edit takes one of two routes.  With g the gcd of every cost of
+    T's symbols and K = floor(min(k, Σdel + Σins) / g) the top cost level,
+    it runs on ``slots._cost_slots`` iff T holds no wildcard, every indel
+    cost of T is positive and K < n/2: O(K^2 n / min indel) big-int ops per
+    cost class on O(n^2)-bit ints, decoded as under Levenshtein.  Every
+    other query runs per start, where the levels measured slower or need
+    unbounded slots (free indels): that route builds O(k) packed rows
+    per factor when every indel costs at least 1, O(n) at worst, and reads
+    each coverage with O(k + log n) more big-int operations: O((k + log n)
+    n^2) to O(n^3) in all.
     """
     if metric == "hamming":
         return hamcover.factor_coverage_all(t, k)
+    from . import slots  # compiled on first use, not at every CLI start-up
     if metric == "levenshtein":
-        k, n = _lev_check(t, k, "Levenshtein coverage"), len(t)
-        size, rows = _lev_block(n), [[] for _ in range(n)]
-        cuts = [slice(i, i + size) for i in range(0, n * size, size)]  # start a's bytes
-        for length, slots in enumerate(_lev_slots(t, k), 1):
-            low = max(0, k + 1 - length)  # lowest slot d >= 1-L: nonempty occurrences
-            bits = hamcover._smear(slots[low], length + low - k)
-            for end, x in enumerate(slots[low + 1:], length + low - k):
-                bits |= x << end  # slot d adds the end a'+L+d-1
-            buf = bits.to_bytes((n + 1 - length) * size, "little")
-            deque(map(list.append, rows, map(int.bit_count, map(int.from_bytes, map(
-                buf.__getitem__, cuts[:n + 1 - length]), repeat("little")))), 0)
+        k = _lev_check(t, k, "Levenshtein coverage")
+        return slots._coverage_rows(len(t), k, slots._lev_slots(t, k))
+    if metric == "edit" and p is not None and k >= 0 and (
+            rows := slots.cost_coverage(t, k, p)) is not None:
         return rows
     return list(map(_edit_coverage(t, metric, k, p), range(len(t))))
 

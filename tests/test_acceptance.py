@@ -15,7 +15,6 @@ from quasicover.editcover import (
     _suffix_pair_frontier,
     factor_coverage,
     p_ed_entry,
-    p_lev_table,
     precompute_special,
 )
 from quasicover.gadget import (
@@ -39,6 +38,7 @@ from quasicover.restricted import (
     restricted_covers_ed,
     restricted_seeds_ed,
 )
+from quasicover.slots import p_lev_table
 from quasicover.textcore import (
     PenaltyMatrix,
     Text,
@@ -335,7 +335,7 @@ def test_c12_complexity_trends():
     results = [
         bench.bench_prefix_sweep(n=2 ** 15, k=1, repeats=3),
         bench.bench_factor_hamming(n=160, k=1, repeats=3),
-        bench.bench_factor_lev(n=28, k=1, repeats=3),
+        bench.bench_factor_lev(n=96, k=1, repeats=3),
     ]
     lines = []
     for r in results:

@@ -493,6 +493,7 @@ def test_bench_quick_runs(capsys, monkeypatch):
     assert "prefix-coverage-hamming" in tasks
     assert "pref-k" in tasks
     assert "pref-k-wildcards" in tasks
+    assert "factor-coverage-edit" in tasks
     assert "prefix-coverage-levenshtein" in tasks
     assert "restricted-covers-hamming" in tasks
     assert "restricted-covers-edit" in tasks

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasicover import editcover, oracle
+from quasicover import editcover, oracle, slots
+from quasicover.bench import QTABLE_PENALTY
 from quasicover.editcover import (
     _dp_rows,
     _EditCosts,
@@ -12,7 +13,6 @@ from quasicover.editcover import (
     block_size,
     factor_coverage,
     p_ed_entry,
-    p_lev_table,
     pareto_list_build,
     pareto_list_from_row,
     precompute_special,
@@ -20,6 +20,7 @@ from quasicover.editcover import (
 )
 from quasicover.lcpk import ExactLce
 from quasicover.restricted import q_table_fast, restricted_covers_ed
+from quasicover.slots import p_lev_table
 from quasicover.textcore import (
     PenaltyMatrix,
     Text,
@@ -28,7 +29,7 @@ from quasicover.textcore import (
     pad_for_seed,
 )
 
-from conftest import free_start_rows, random_metric, random_text_str, scaled
+from conftest import free_start_rows, random_metric, random_text_str, run_fresh, scaled
 
 
 def brute_p_entry(t: Text, a: int, b: int, ap: int, k: int, p: PenaltyMatrix) -> int:
@@ -492,6 +493,111 @@ def test_weighted_budget_capped_at_cost_sums(rng):
         for k in (10 ** 30, 2 ** 200):
             assert factor_coverage(t, "edit", k, p) == rows
             assert prefix_coverage(t, "edit", k, p) == (rows[0] if n else [])
+
+
+def odd_matrix(rng: random.Random, alphabet: str, kind: int) -> PenaltyMatrix:
+    """Nonnegative costs with positive indels that break the metric axioms:
+    a nonzero diagonal (kind 0), an asymmetric substitution table with
+    zero-cost mismatches (kind 1), or insertions priced apart from
+    deletions (kind 2)."""
+    s = len(alphabet)
+    sub = [[rng.randint(0 if kind == 1 else 1, 4) if i != j or kind == 0 else 0
+            for j in range(s)] for i in range(s)]
+    ins = [rng.randint(1, 4) for _ in range(s)]
+    return PenaltyMatrix(alphabet, sub, ins, [rng.randint(1, 4) for _ in range(s)]
+                         if kind == 2 else ins)
+
+
+def level_rows(t: Text, k: int, p: PenaltyMatrix) -> list[list[int]]:
+    """Factor coverage from :func:`slots._cost_slots` at any level count,
+    whichever route ``factor_coverage`` would take."""
+    costs = _EditCosts(t, p)
+    _, top, least_del, _ = slots._cost_scale(k, costs)
+    return slots._coverage_rows(len(t), min(len(t), top // least_del),
+                                slots._cost_slots(t, k, costs))
+
+
+def per_start_rows(t: Text, k: int, p: PenaltyMatrix) -> list[list[int]]:
+    return list(map(editcover._edit_coverage(t, "edit", k, p), range(len(t))))
+
+
+def test_cost_slots_match_oracle(rng):
+    """Cost-level rows equal the brute-force coverage under metric and
+    non-metric costs, with budgets from 0 to past every distance."""
+    for trial in range(60):
+        n = rng.randint(1, 8)
+        t = Text.from_str(random_text_str(rng, n, rng.choice((2, 3))), "abc")
+        kind = trial % 6
+        p = (PenaltyMatrix.unit("abc"), QTABLE_PENALTY, random_metric("abc", rng),
+             *[odd_matrix(rng, "abc", j) for j in range(3)])[kind]
+        cap = sum(p.del_cost(x) + p.ins_cost(x) for x in t.symbols)
+        for k in {0, 1, rng.randint(0, cap), cap + 1}:
+            assert level_rows(t, k, p) == [
+                [oracle.brute_coverage(t.factor(a, b), t, "edit", k, p) for b in range(a, n)]
+                for a in range(n)], (t.to_str(), k, p.sub, p.ins, p.dele)
+
+
+def test_cost_slots_at_every_block_width(rng):
+    """n = 0..26 meets every residue of (n+2) mod 8, the block width in
+    bits: cost-level rows equal the per-start rows on random, unary and
+    period-3 texts under unit, benchmark, metric and non-metric costs, some
+    times 2^70, at budgets 0, 1, 2, n and past Σdel + Σins."""
+    for n in range(27):
+        for i, s in enumerate((random_text_str(rng, n, 3), "a" * n, ("abc" * n)[:n])):
+            kind = (3 * n + i) % 6
+            p = (PenaltyMatrix.unit("abc"), QTABLE_PENALTY, random_metric("abc", rng),
+                 *[odd_matrix(rng, "abc", j) for j in range(3)])[kind]
+            t, c = Text.from_str(s, "abc"), 2 ** 70 if (n + i) % 2 else 1
+            cap = sum(p.del_cost(x) + p.ins_cost(x) for x in t.symbols)
+            q = scaled(p, c)
+            for k in sorted({0, 1, 2, n, cap + 1}):
+                assert level_rows(t, c * k, q) == per_start_rows(t, c * k, q), (s, k, kind)
+
+
+def test_weighted_factor_coverage_routes(monkeypatch):
+    """Wildcard-free texts whose indels all cost more than 0 and whose top
+    cost level K is below n/2 run on cost levels; every other query, and every
+    prefix query, runs per start."""
+    def forbidden(*args):
+        raise AssertionError("route not taken")
+
+    unit = PenaltyMatrix.unit("abc")
+    free_ins = PenaltyMatrix("abc", [[0, 1, 1], [1, 0, 1], [1, 1, 0]], [0, 1, 1], [1, 1, 1])
+    levels = [("abcabbcacbab", 2, QTABLE_PENALTY), ("abcabbcacbab", 5, unit),
+              ("a", 0, unit), ("abcabbcacbab", 2 ** 71, scaled(QTABLE_PENALTY, 2 ** 70))]
+    per_start = [("", 0, unit), ("a", 1, unit), ("abcabbcacbab", 6, unit),
+                 ("abcabbcacbab", 12, QTABLE_PENALTY), ("abc?bbcacbab", 1, unit),
+                 ("abcabbcacbab", 1, free_ins), ("abcabbcacbab", 10 ** 30, unit)]
+    want = {(s, k): per_start_rows(Text.from_str(s, "abc"), k, p) for s, k, p in levels + per_start}
+    with monkeypatch.context() as m:
+        m.setattr(editcover, "_edit_coverage", forbidden)
+        for s, k, p in levels:
+            assert factor_coverage(Text.from_str(s, "abc"), "edit", k, p) == want[s, k], (s, k)
+    monkeypatch.setattr(slots, "_cost_slots", forbidden)
+    for s, k, p in per_start:
+        t = Text.from_str(s, "abc")
+        assert factor_coverage(t, "edit", k, p) == want[s, k], (s, k)
+    t = Text.from_str("abcabbcacbab", "abc")
+    assert prefix_coverage(t, "edit", 2, QTABLE_PENALTY) == want["abcabbcacbab", 2][0]
+
+
+def test_slots_load_on_first_factor_query():
+    """``import quasicover.cli`` leaves the slots module unloaded; the first
+    edit-metric factor coverage query loads it."""
+    proc = run_fresh("""
+import sys
+import quasicover.cli
+from quasicover import editcover
+from quasicover.textcore import PenaltyMatrix, Text
+
+print("quasicover.slots" in sys.modules)
+editcover.prefix_coverage(Text.from_str("abaab"), "edit", 1, PenaltyMatrix.unit("ab"))
+print("quasicover.slots" in sys.modules)
+editcover.factor_coverage(Text.from_str("abaab"), "edit", 1, PenaltyMatrix.unit("ab"))
+print("quasicover.slots" in sys.modules)
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True"]
 
 
 def test_prefix_coverage_consistent_with_factor_rows(rng):

@@ -154,9 +154,10 @@ PUBLIC_NAMES = {
                  "enhanced_cover_approx_border", "enhanced_cover_exact_border",
                  "factor_coverage_all", "factor_occurrences", "k_restricted_covers",
                  "k_restricted_seeds", "prefix_coverage"],
-    "editcover": ["LevPrefixTable", "ParetoList", "SpecialPointIndex", "block_size",
-                  "factor_coverage", "p_ed_entry", "p_lev_table", "pareto_list_build",
-                  "pareto_list_from_row", "precompute_special"],
+    "editcover": ["ParetoList", "SpecialPointIndex", "block_size", "factor_coverage",
+                  "p_ed_entry", "pareto_list_build", "pareto_list_from_row",
+                  "precompute_special"],
+    "slots": ["LevPrefixTable", "p_lev_table"],
     "restricted": ["QTable", "RestrictedReport", "q_table_fast", "q_table_quadratic",
                    "restricted_covers_ed", "restricted_seeds_ed"],
     "gadget": ["ConsensusInstance", "GadgetEncoding", "ScanVerdict", "ReductionVerdict",
