@@ -409,16 +409,16 @@ def factor_coverage(t: Text, metric: str, k: int,
     occurrences, ORs in the end bit of each higher one and counts each
     start's block from one ``to_bytes``: O(n^2) reads.
 
-    Weighted edit takes one of two routes.  With g the gcd of every cost of
-    T's symbols and K = floor(min(k, Σdel + Σins) / g) the top cost level,
-    it runs on ``slots._cost_slots`` iff T holds no wildcard, every indel
-    cost of T is positive and K < n/2: O(K^2 n / min indel) big-int ops per
-    cost class on O(n^2)-bit ints, decoded as under Levenshtein.  Every
-    other query runs per start, where the levels measured slower or need
-    unbounded slots (free indels): that route builds O(k) packed rows
-    per factor when every indel costs at least 1, O(n) at worst, and reads
-    each coverage with O(k + log n) more big-int operations: O((k + log n)
-    n^2) to O(n^3) in all.
+    Weighted edit runs on ``slots._cost_slots`` iff T holds no wildcard,
+    every indel cost of T is positive, the slot ints fit in 64 MiB and C S
+    max(80, n) < 64 n min(S_K, n+1), a test fitted to timings of both
+    routes (``slots.CostLevels.pays``; S slots in all, S_K at the top cost
+    level K = floor(min(k, Σdel + Σins) / g), g the gcd of T's costs, C
+    cost classes): O(K^2 n / min indel) big-int ops per class on
+    O(n^2)-bit ints, decoded as under Levenshtein.  Every other query runs
+    per start: O(k) packed rows per factor when every indel costs at least
+    1, O(n) at worst, and O(k + log n) more big-int operations per
+    coverage: O((k + log n) n^2) to O(n^3) in all.
     """
     if metric == "hamming":
         return hamcover.factor_coverage_all(t, k)
@@ -427,8 +427,8 @@ def factor_coverage(t: Text, metric: str, k: int,
         k = _lev_check(t, k, "Levenshtein coverage")
         return slots._coverage_rows(len(t), k, slots._lev_slots(t, k))
     if metric == "edit" and p is not None and k >= 0 and (
-            rows := slots.cost_coverage(t, k, p)) is not None:
-        return rows
+            levels := slots.CostLevels(t, k, p)).pays():
+        return levels.rows()
     return list(map(_edit_coverage(t, metric, k, p), range(len(t))))
 
 

@@ -8,6 +8,8 @@ slot d+1 lies within slot d.  The first operation of an alignment never
 depends on where the window ends, so level e at length L reads start a+1 at
 length L-1 (one ``>> W``) and lower levels of length L.
 :func:`_coverage_rows` decodes the top level into every factor's coverage.
+:class:`CostLevels` scales a weighted query's costs by their gcd and holds
+the rule that picks the levels over the per-start route.
 
 ``editcover.factor_coverage`` imports this module on its first call, so a
 CLI start-up that serves no factor-coverage query never compiles it.
@@ -22,7 +24,7 @@ from typing import Iterator
 
 from . import hamcover
 from .editcover import _EditCosts, _lev_check
-from .textcore import WILDCARD, PenaltyMatrix, Text
+from .textcore import PenaltyMatrix, Text
 
 
 def _lev_block(n: int) -> int:
@@ -57,22 +59,70 @@ def _lev_slots(t: Text, k: int) -> Iterator[list[int]]:
         yield (rows := new)[k]
 
 
-def _cost_scale(k: int, costs: _EditCosts) -> tuple[int, int, int, int]:
-    """g, the gcd of every cost of T's symbols; the top level K =
-    floor(min(k, Σdel + Σins) / g); and the least deletion and insertion
-    cost in units of g.  Every distance is a multiple of g, so d <= k iff
-    d/g <= K.  A window within e units of a factor of length L has length
-    at least L - e/(least deletion) and at most L + e/(least insertion), so
-    level e keeps slots d in [-lo_e, hi_e], those bounds capped at n."""
-    ins, dele = costs.ins, costs.dele
-    g = gcd(*ins, *dele, *(c for x in set(costs.symbols) for c in costs.sub[x])) or 1
-    return (g, min(k, sum(dele) + sum(ins)) // g,
-            min(dele, default=g) // g, min(ins, default=g) // g)
+_SLOT_BITS = 1 << 29  # 64 MiB, the most the cost levels' slot ints may hold
 
 
-def _cost_slots(t: Text, k: int, costs: _EditCosts) -> Iterator[list[int]]:
+def _floor_sum(n: int, top: int, m: int) -> int:
+    """Σ min(n, floor(e/m)) over e = 0 .. top, in O(1)."""
+    q, r = divmod(min(top + 1, n * m), m)  # the terms e < n*m, below n
+    return m * q * (q - 1) // 2 + q * r + n * max(0, top + 1 - n * m)
+
+
+class CostLevels:
+    """The integer cost levels of weighted factor coverage of T within k.
+
+    g is the gcd of every cost of T's symbols and ``top``, K =
+    floor(min(k, Σdel + Σins) / g), the top level.  Every distance is a
+    multiple of g, so d <= k iff d/g <= K.  A window within e units of a
+    factor of length L has length at least L - e/(least deletion) and at
+    most L + e/(least insertion), so level e keeps slots d in [-lo_e, hi_e],
+    those bounds capped at n.  ``classes`` holds the costs c <= K, in units
+    of g, of T's substitutions, insertions and deletions.
+    """
+
+    def __init__(self, t: Text, k: int, p: PenaltyMatrix):
+        self.t, self.costs = t, _EditCosts(t, p)
+        ins, dele = self.costs.ins, self.costs.dele
+        every = [*ins, *dele, *(c for x in set(t.symbols) for c in self.costs.sub[x])]
+        self.g = g = gcd(*every) or 1
+        self.top = min(k, sum(dele) + sum(ins)) // g
+        self.least_del, self.least_ins = min(dele, default=g) // g, min(ins, default=g) // g
+        self.classes = {c // g for c in every if c // g <= self.top}
+
+    def pays(self) -> bool:
+        """The rule of ``editcover.factor_coverage``: every indel of T costs
+        more than 0 (so T holds no wildcard, which costs 0), the slot ints
+        fit in 64 MiB and C S max(80, n) < 64 n min(S_K, n+1).
+
+        S = Σ_e (lo_e + hi_e + 1) is the number of slots, S_K = lo_K + hi_K
+        + 1 those of the top level and C = len(classes).  A step holds this
+        length's slots, the last length's and their shift: 3 S ints of
+        (n+1) W bits.  The levels take about 3 C S slot terms per length on
+        those ints, the per-start route about min(S_K, n+1) live window
+        lengths per factor on ints of n+1 narrow fields.  The time test and
+        its constants were fitted to both routes timed at n = 24 .. 400,
+        K = 1 .. n under four matrices with 2 to 5 cost classes
+        (BENCH_level_rule.json), with a margin: the levels run only where
+        they measured at most 0.9 times the per-start time.
+        """
+        n, top, least_del, least_ins = len(self.t), self.top, self.least_del, self.least_ins
+        if not (least_del and least_ins):
+            return False
+        slots = top + 1 + _floor_sum(n, top, least_del) + _floor_sum(n, top, least_ins)
+        if 3 * slots * (n + 1) * 8 * _lev_block(n) > _SLOT_BITS:
+            return False
+        widest = min(n, top // least_del) + min(n, top // least_ins) + 1
+        return len(self.classes) * slots * max(80, n) < 64 * n * min(widest, n + 1)
+
+    def rows(self) -> list[list[int]]:
+        """rows[a][b-a], the coverage of T[a, b], from :func:`_cost_slots`."""
+        n = len(self.t)
+        return _coverage_rows(n, min(n, self.top // self.least_del), _cost_slots(self))
+
+
+def _cost_slots(levels: CostLevels) -> Iterator[list[int]]:
     """:func:`_lev_slots` under integer costs: yield, for L = 1 .. n, the
-    slots d = -lo_K .. hi_K of the top level K of :func:`_cost_scale`.
+    slots d = -lo_K .. hi_K of the top level K of ``levels``.
 
     Costs and k are in units of g.  Level e, slot d takes, for each cost
     class c <= e, ``(S_c & U[e-c][d] | I_c & Y[e-c][d-1]) >> 1 |
@@ -84,10 +134,10 @@ def _cost_slots(t: Text, k: int, costs: _EditCosts) -> Iterator[list[int]]:
     indels are exact, metric or not.  O(K^2 n / min indel) operations per
     cost class on O(n^2)-bit ints.
     """
+    t, costs, g, top = levels.t, levels.costs, levels.g, levels.top
     s, n, size = t.symbols, len(t), _lev_block(len(t))
-    g, top, least_del, least_ins = _cost_scale(k, costs)
-    lo = [min(n, e // least_del) for e in range(top + 1)]
-    hi = [min(n, e // least_ins) for e in range(top + 1)]
+    lo = [min(n, e // levels.least_del) for e in range(top + 1)]
+    hi = [min(n, e // levels.least_ins) for e in range(top + 1)]
     w, full = 8 * size, (1 << n + 1) - 1
     rep = ((1 << (n + 1) * w) - 1) // ((1 << w) - 1)  # bit 0 of every start
     at = {x: [0] * (top + 1) for x in set(s)}
@@ -150,21 +200,6 @@ def _coverage_rows(n: int, lo: int, levels: Iterator[list[int]]) -> list[list[in
         deque(map(list.append, rows, map(int.bit_count, map(int.from_bytes, map(
             buf.__getitem__, cuts[:n + 1 - length]), repeat("little")))), 0)
     return rows
-
-
-def cost_coverage(t: Text, k: int, p: PenaltyMatrix) -> list[list[int]] | None:
-    """Weighted factor coverage on cost levels, or None where the rule of
-    ``editcover.factor_coverage`` keeps the query per start: T holds a
-    wildcard, an indel of T costs 0, or K >= n/2."""
-    if WILDCARD in t.symbols:
-        return None
-    costs, n = _EditCosts(t, p), len(t)
-    if 0 in costs.ins or 0 in costs.dele:
-        return None
-    _, top, least_del, _ = _cost_scale(k, costs)
-    if 2 * top >= n:
-        return None
-    return _coverage_rows(n, min(n, top // least_del), _cost_slots(t, k, costs))
 
 
 class LevPrefixTable:

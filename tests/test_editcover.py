@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasicover import editcover, oracle, slots
-from quasicover.bench import QTABLE_PENALTY
+from quasicover.bench import QTABLE_PENALTY, random_text
 from quasicover.editcover import (
     _dp_rows,
     _EditCosts,
@@ -511,10 +511,7 @@ def odd_matrix(rng: random.Random, alphabet: str, kind: int) -> PenaltyMatrix:
 def level_rows(t: Text, k: int, p: PenaltyMatrix) -> list[list[int]]:
     """Factor coverage from :func:`slots._cost_slots` at any level count,
     whichever route ``factor_coverage`` would take."""
-    costs = _EditCosts(t, p)
-    _, top, least_del, _ = slots._cost_scale(k, costs)
-    return slots._coverage_rows(len(t), min(len(t), top // least_del),
-                                slots._cost_slots(t, k, costs))
+    return slots.CostLevels(t, k, p).rows()
 
 
 def per_start_rows(t: Text, k: int, p: PenaltyMatrix) -> list[list[int]]:
@@ -555,30 +552,61 @@ def test_cost_slots_at_every_block_width(rng):
 
 
 def test_weighted_factor_coverage_routes(monkeypatch):
-    """Wildcard-free texts whose indels all cost more than 0 and whose top
-    cost level K is below n/2 run on cost levels; every other query, and every
-    prefix query, runs per start."""
+    """Wildcard-free texts whose indels all cost more than 0 run on cost
+    levels where the rule's time test holds (unit costs at n = 12: k <= 6);
+    every other query, and every prefix query, runs per start."""
     def forbidden(*args):
         raise AssertionError("route not taken")
 
     unit = PenaltyMatrix.unit("abc")
     free_ins = PenaltyMatrix("abc", [[0, 1, 1], [1, 0, 1], [1, 1, 0]], [0, 1, 1], [1, 1, 1])
-    levels = [("abcabbcacbab", 2, QTABLE_PENALTY), ("abcabbcacbab", 5, unit),
-              ("a", 0, unit), ("abcabbcacbab", 2 ** 71, scaled(QTABLE_PENALTY, 2 ** 70))]
-    per_start = [("", 0, unit), ("a", 1, unit), ("abcabbcacbab", 6, unit),
+    free_del = PenaltyMatrix("abc", [[0, 1, 1], [1, 0, 1], [1, 1, 0]], [1, 1, 1], [1, 0, 1])
+    levels = [("abcabbcacbab", 2, QTABLE_PENALTY), ("abcabbcacbab", 6, unit),
+              ("abcabbcacbab", 0, unit), ("abcabbcacbab", 2 ** 71, scaled(QTABLE_PENALTY, 2 ** 70))]
+    per_start = [("", 0, unit), ("a", 0, unit), ("a", 1, unit), ("abcabbcacbab", 7, unit),
                  ("abcabbcacbab", 12, QTABLE_PENALTY), ("abc?bbcacbab", 1, unit),
-                 ("abcabbcacbab", 1, free_ins), ("abcabbcacbab", 10 ** 30, unit)]
-    want = {(s, k): per_start_rows(Text.from_str(s, "abc"), k, p) for s, k, p in levels + per_start}
+                 ("abcabbcacbab", 1, free_ins), ("abcabbcacbab", 2, free_del),
+                 ("abcabbcacbab", 10 ** 30, unit)]
+    want = [per_start_rows(Text.from_str(s, "abc"), k, p) for s, k, p in levels + per_start]
     with monkeypatch.context() as m:
         m.setattr(editcover, "_edit_coverage", forbidden)
-        for s, k, p in levels:
-            assert factor_coverage(Text.from_str(s, "abc"), "edit", k, p) == want[s, k], (s, k)
+        for (s, k, p), rows in zip(levels, want):
+            assert factor_coverage(Text.from_str(s, "abc"), "edit", k, p) == rows, (s, k)
     monkeypatch.setattr(slots, "_cost_slots", forbidden)
-    for s, k, p in per_start:
-        t = Text.from_str(s, "abc")
-        assert factor_coverage(t, "edit", k, p) == want[s, k], (s, k)
+    for (s, k, p), rows in zip(per_start, want[len(levels):]):
+        assert factor_coverage(Text.from_str(s, "abc"), "edit", k, p) == rows, (s, k)
     t = Text.from_str("abcabbcacbab", "abc")
-    assert prefix_coverage(t, "edit", 2, QTABLE_PENALTY) == want["abcabbcacbab", 2][0]
+    assert prefix_coverage(t, "edit", 2, QTABLE_PENALTY) == want[0][0]
+
+
+def test_cost_level_rule_bounds_memory_and_time(rng):
+    """The rule counts S slot by slot in O(1) and keeps a query per start
+    once the 3 S slot ints of (n+1) W bits pass 64 MiB or the time test
+    C S max(80, n) < 64 n min(S_K, n+1) fails.  Unit costs at n = 48 pass
+    the time test up to k = 29; at n = 400 they fit in memory up to k = 32
+    (S = 1089), and k = 199 would hold about 2.4 GiB.
+    ``QTABLE_PENALTY`` (three cost classes) at n = 96 takes the levels up
+    to k = 41, where they measured faster, and not from k = 42 on; at
+    k = 47 they measured slower."""
+    for _ in range(200):
+        n, top, m = rng.randint(0, 30), rng.randint(0, 200), rng.randint(1, 9)
+        assert slots._floor_sum(n, top, m) == sum(min(n, e // m) for e in range(top + 1))
+    unit = PenaltyMatrix.unit("abc")
+    t = random_text(48, 3, 12)  # below n = 80: C S 80 < 64 n min(S_K, n+1)
+    assert slots.CostLevels(t, 29, unit).pays()
+    assert not slots.CostLevels(t, 30, unit).pays()
+    t = random_text(400, 3, 12)
+    assert slots.CostLevels(t, 32, unit).pays()
+    assert not slots.CostLevels(t, 33, unit).pays()
+    assert not slots.CostLevels(t, 199, unit).pays()
+    t = random_text(96, 3, 12)
+    assert slots.CostLevels(t, 41, QTABLE_PENALTY).pays()
+    assert not slots.CostLevels(t, 42, QTABLE_PENALTY).pays()
+    # indels 2^100 times a substitution: K near 2^107, S counted in O(1)
+    wide = PenaltyMatrix("abc", [[0, 1, 1], [1, 0, 1], [1, 1, 0]], [2 ** 100] * 3, [2 ** 100] * 3)
+    levels = slots.CostLevels(t, 2 ** 120, wide)
+    assert levels.top == 192 * 2 ** 100 and not levels.pays()
+    assert slots.CostLevels(t, 2, wide).pays()
 
 
 def test_slots_load_on_first_factor_query():
