@@ -6,7 +6,9 @@ oracles for every fast path and executable NP-hardness constructions.
 
 The public names below are loaded on first access (``__getattr__``), so
 ``import quasicover`` or ``import quasicover.cli`` loads only the
-submodules a caller uses.
+submodules a caller uses.  ``prefix_coverage`` and ``factor_coverage_all``
+are Hamming coverage (``hamcover``); ``factor_coverage`` takes
+``"levenshtein"`` or ``"edit"`` (``editcover``).
 """
 
 from importlib import import_module

@@ -14,8 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import log2
 
-from .editcover import factor_coverage, prefix_coverage
-from .hamcover import coverage_sweep, factor_coverage_all, k_restricted_covers
+from . import editcover, hamcover
 from .lcpk import pref_k
 from .restricted import restricted_covers_ed
 from .textcore import PenaltyMatrix, Text
@@ -81,66 +80,57 @@ def _doubling(task: str, n: int, bound: float, repeats: int, seed: int,
     return BenchResult(task, n, 2 * n, small, big, big / small, bound)
 
 
-def bench_prefix_sweep(n: int = 2 ** 15, k: int = 1, repeats: int = 3,
-                       seed: int = 7) -> BenchResult:
+def bench_prefix_sweep(n: int = 2 ** 15, repeats: int = 3) -> BenchResult:
     """Linear-time prefix coverage, excluding PREF_k construction."""
     def make(t: Text):
-        vals = list(pref_k(t, k).values)
-        return lambda: coverage_sweep(vals, len(t), len(t))
-    return _doubling("prefix-coverage-sweep", n, 3.0, repeats, seed, make)
+        vals = list(pref_k(t, 1).values)
+        return lambda: hamcover.coverage_sweep(vals, len(t), len(t))
+    return _doubling("prefix-coverage-sweep", n, 3.0, repeats, 7, make)
 
 
-def bench_prefix_hamming(n: int = 2 ** 15, k: int = 2, repeats: int = 3,
-                         seed: int = 7) -> BenchResult:
+def bench_prefix_hamming(n: int = 2 ** 15, repeats: int = 3) -> BenchResult:
     """Hamming prefix coverage by the per-start routine, mask setup included."""
-    return _doubling("prefix-coverage-hamming", n, 3.0, repeats, seed,
-                     lambda t: lambda: prefix_coverage(t, "hamming", k))
+    return _doubling("prefix-coverage-hamming", n, 3.0, repeats, 7,
+                     lambda t: lambda: hamcover.prefix_coverage(t, 2))
 
 
-def bench_pref_k(n: int = 2 ** 15, k: int = 2, repeats: int = 3,
-                 seed: int = 7) -> BenchResult:
+def bench_pref_k(n: int = 2 ** 15, repeats: int = 3) -> BenchResult:
     """PREF_k by kangaroo jumps over direct-comparison LCE, build included."""
-    return _doubling("pref-k", n, 3.0, repeats, seed,
-                     lambda t: lambda: pref_k(t, k))
+    return _doubling("pref-k", n, 3.0, repeats, 7, lambda t: lambda: pref_k(t, 2))
 
 
-def bench_pref_k_wildcards(n: int = 2 ** 15, k: int = 2, repeats: int = 3,
-                           seed: int = 7) -> BenchResult:
+def bench_pref_k_wildcards(n: int = 2 ** 15, repeats: int = 3) -> BenchResult:
     """PREF_k on planted period-40 text with 3% mutations and 1% wildcards:
     the inline wildcard test of the jump loop and the LCE across wildcards."""
-    return _doubling("pref-k-wildcards", n, 3.0, repeats, seed,
-                     lambda t: lambda: pref_k(t, k), planted_text)
+    return _doubling("pref-k-wildcards", n, 3.0, repeats, 7,
+                     lambda t: lambda: pref_k(t, 2), planted_text)
 
 
-def bench_factor_hamming(n: int = 160, k: int = 1, repeats: int = 3,
-                         seed: int = 8) -> BenchResult:
+def bench_factor_hamming(n: int = 160, repeats: int = 3) -> BenchResult:
     """Quadratic all-factor Hamming coverage, lcp table included."""
-    return _doubling("factor-coverage-hamming", n, 5.0, repeats, seed,
-                     lambda t: lambda: factor_coverage_all(t, k))
+    return _doubling("factor-coverage-hamming", n, 5.0, repeats, 8,
+                     lambda t: lambda: hamcover.factor_coverage_all(t, 1))
 
 
-def bench_factor_lev(n: int = 96, k: int = 1, repeats: int = 3,
-                     seed: int = 9) -> BenchResult:
+def bench_factor_lev(n: int = 96, repeats: int = 3) -> BenchResult:
     """All-factor Levenshtein coverage from the bit masks over all starts:
     O(k^2 n) operations on O(n^2)-bit ints plus O(n^2) per-start reads."""
-    return _doubling("factor-coverage-levenshtein", n, 9.0, repeats, seed,
-                     lambda t: lambda: factor_coverage(t, "levenshtein", k))
+    return _doubling("factor-coverage-levenshtein", n, 9.0, repeats, 9,
+                     lambda t: lambda: editcover.factor_coverage(t, "levenshtein", 1))
 
 
-def bench_prefix_lev(n: int = 512, k: int = 2, repeats: int = 3,
-                     seed: int = 9) -> BenchResult:
+def bench_prefix_lev(n: int = 512, repeats: int = 3) -> BenchResult:
     """One-start Levenshtein coverage on LCE waves: O(n k^2 + n^2) at worst."""
-    return _doubling("prefix-coverage-levenshtein", n, 5.0, repeats, seed,
-                     lambda t: lambda: prefix_coverage(t, "levenshtein", k))
+    return _doubling("prefix-coverage-levenshtein", n, 5.0, repeats, 9,
+                     lambda t: lambda: editcover.prefix_coverage(t, "levenshtein", 2))
 
 
-def bench_restricted_covers_hamming(n: int = 200, k: int = 2, repeats: int = 3,
-                                    seed: int = 11) -> BenchResult:
+def bench_restricted_covers_hamming(n: int = 200, repeats: int = 3) -> BenchResult:
     """Restricted Hamming covers of random binary text, every row read:
     Θ(n^2) distinct factors, Θ(n^3) characters of output, so a doubling
     costs about 2^3; bound 10."""
-    return _doubling("restricted-covers-hamming", n, 10.0, repeats, seed,
-                     lambda t: lambda: deque(k_restricted_covers(t, k).items(), 0))
+    return _doubling("restricted-covers-hamming", n, 10.0, repeats, 11,
+                     lambda t: lambda: deque(hamcover.k_restricted_covers(t, 2).items(), 0))
 
 
 #: Weighted metric over "abc" for the weighted-edit timings: every cost
@@ -149,22 +139,20 @@ QTABLE_PENALTY = PenaltyMatrix("abc", [[0, 1, 2], [1, 0, 2], [2, 2, 0]],
                                [1, 2, 2], [1, 2, 2])
 
 
-def bench_factor_edit(n: int = 96, k: int = 2, repeats: int = 3,
-                      seed: int = 12) -> BenchResult:
+def bench_factor_edit(n: int = 96, repeats: int = 3) -> BenchResult:
     """All-factor weighted-edit coverage of random ternary text under
     ``QTABLE_PENALTY`` on integer cost levels over all starts: O(K^2 n)
     operations per cost class on O(n^2)-bit ints plus O(n^2) reads."""
-    return _doubling("factor-coverage-edit", n, 9.0, repeats, seed,
-                     lambda t: lambda: factor_coverage(t, "edit", k, QTABLE_PENALTY),
+    return _doubling("factor-coverage-edit", n, 9.0, repeats, 12,
+                     lambda t: lambda: editcover.factor_coverage(t, "edit", 2, QTABLE_PENALTY),
                      lambda size, seed: random_text(size, 3, seed))
 
 
-def bench_restricted_covers_ed(n: int = 32, repeats: int = 3,
-                               seed: int = 10) -> BenchResult:
+def bench_restricted_covers_ed(n: int = 32, repeats: int = 3) -> BenchResult:
     """Restricted weighted-edit covers of random ternary text: O(n^2 log n)
     big-int operations to build the packed DP rows and O(n^3) to combine
     them, each on a row of O(n) fields: O(n^4) word operations in the limit."""
-    return _doubling("restricted-covers-edit", n, 16.0, repeats, seed,
+    return _doubling("restricted-covers-edit", n, 16.0, repeats, 10,
                      lambda t: lambda: restricted_covers_ed(t, QTABLE_PENALTY),
                      lambda size, seed: random_text(size, 3, seed))
 

@@ -16,9 +16,8 @@ from typing import TYPE_CHECKING, Iterable
 
 import click
 
-# The restricted, gadget and bench modules are imported by the commands that
-# use them, so a request loads only its own engines.
-from . import editcover, hamcover
+# Each command imports the engine modules it runs, and looks their functions
+# up on them per call, so a request loads only its own engines.
 from .textcore import DEFAULT_WILDCARD_CHAR, PenaltyMatrix, Text
 
 if TYPE_CHECKING:
@@ -218,15 +217,20 @@ def cli():
 def coverage(input, distance, k, mode, penalty, fmt, wildcard):
     """k-coverage of every prefix (rows: ell, coverage) or factor (a, b, coverage)."""
     t, matrix = _prepare(input, distance, penalty, wildcard)
-    n = len(t)
     try:
+        if distance == "hamming":
+            from . import hamcover
+            engine = hamcover.prefix_coverage if mode == "prefix" else hamcover.factor_coverage_all
+            result = engine(t, k)
+        else:
+            from . import editcover
+            engine = editcover.prefix_coverage if mode == "prefix" else editcover.factor_coverage
+            result = engine(t, distance, k, matrix)
         if mode == "prefix":
-            cov = editcover.prefix_coverage(t, distance, k, matrix)
-            _emit(["ell", "coverage"], zip(range(1, n + 1), cov), fmt)
+            _emit(["ell", "coverage"], zip(range(1, len(t) + 1), result), fmt)
             return
-        per_start = editcover.factor_coverage(t, distance, k, matrix)
         rows = chain.from_iterable(zip(repeat(a), count(a), row)
-                                   for a, row in enumerate(per_start))
+                                   for a, row in enumerate(result))
         _emit(["a", "b", "coverage"], rows, fmt)
     except ValueError as exc:
         raise InputDataError(str(exc))
@@ -260,6 +264,7 @@ def _restricted_report(command, input, distance, k, escalate, penalty, fmt, wild
     t, matrix = _prepare(input, distance, penalty, wildcard)
     seeds = command == "seeds"
     if distance == "hamming":
+        from . import hamcover
         search = hamcover.k_restricted_seeds if seeds else hamcover.k_restricted_covers
         # Thresholds are <= |C|, and the search stops once every candidate
         # resolves, so a budget above every candidate length acts as "unbounded".
@@ -305,6 +310,7 @@ def enhanced(input, variant, k, fmt, wildcard):
     """Best enhanced cover under Hamming distance (row: candidate, start, end, coverage)."""
     raw = _read_first_line(input)
     t = _build_text(raw, wildcard)
+    from . import hamcover
     search = (hamcover.enhanced_cover_exact_border if variant == "exact-border"
               else hamcover.enhanced_cover_approx_border)
     best = search(t, k)

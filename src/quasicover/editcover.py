@@ -1,13 +1,15 @@
 """Levenshtein and weighted-edit k-coverage.
 
+The coverage entry points serve these two metrics only; Hamming coverage
+is :mod:`quasicover.hamcover`'s, which this module does not import.
 Coverage reads P_k[a, b, a'], the largest b' with d(T[a,b], T[a',b']) <= k.
 Factor coverage of every start at once runs on the bit-mask slots of
-:mod:`quasicover.slots`, under Levenshtein and, within the rule of
-:func:`factor_coverage`, under integer costs.  The per-start routes stay
-here: LCE-driven furthest-reach waves give the Levenshtein streams of one
-start, which a per-start routine unions, and weighted costs run the edit DP
-against all windows at once, one int of saturating fields per window length
-within budget (Ukkonen's cut-off).
+:mod:`quasicover.slots`, within 64 MiB of slot ints under Levenshtein and
+within the rule of :func:`factor_coverage` under integer costs.  The
+per-start routes stay here: LCE-driven furthest-reach waves give the
+Levenshtein streams of one start, which a per-start routine unions, and
+weighted costs run the edit DP against all windows at once, one int of
+saturating fields per window length within budget (Ukkonen's cut-off).
 
 The paper's special-point index (Pareto lists at multiples of
 M = floor(sqrt(n / log2 n)), built on demand, plus small DP blocks) answers
@@ -22,9 +24,8 @@ from itertools import accumulate, islice
 from math import inf, log2, sqrt
 from typing import Iterator
 
-from . import hamcover
 from .lcpk import ExactLce
-from .textcore import WILDCARD, DTable, PenaltyMatrix, Text, _check_symbols_covered
+from .textcore import WILDCARD, DTable, PenaltyMatrix, Text, _check_symbols_covered, _smear
 
 
 def _lev_check(t: Text, k: int, what: str) -> int:
@@ -302,15 +303,6 @@ def _packed_fields(w: int, count: int):
     return rep, guard, full, pack, fmin
 
 
-def _smear_fields(alive: int, length: int, w: int) -> int:
-    """:func:`hamcover._smear` over fields of ``w`` bits (each bit fills ``length`` fields)."""
-    span = 1
-    while span + span <= length:
-        alive |= alive << span * w
-        span += span
-    return alive | alive << (length - span) * w
-
-
 def _edit_coverage(t: Text, metric: str, k: int, p: PenaltyMatrix | None):
     """Check the inputs of an edit-metric coverage query and return
     ``run(a)``, the k-coverage of T[a, b] for b = a, ..., n-1.
@@ -382,7 +374,7 @@ def _edit_coverage(t: Text, metric: str, k: int, p: PenaltyMatrix | None):
             for length in range(lo + len(rows) - 1, low - 1, -1):
                 y |= lives[length - lo]
                 bits |= y >> length * w
-            cov.append((bits | _smear_fields(y >> low * w, low, w)).bit_count())
+            cov.append((bits | _smear(y >> low * w, low, w)).bit_count())
         return cov
 
     return run
@@ -401,13 +393,16 @@ def _coverage_row(n: int, a: int, streams) -> list[int]:
 
 def factor_coverage(t: Text, metric: str, k: int,
                     p: PenaltyMatrix | None = None) -> list[list[int]]:
-    """k-coverage of every factor: rows[a][b-a] covers T[a, b].
+    """k-coverage of every factor under ``"levenshtein"`` or ``"edit"``
+    (Hamming is :func:`hamcover.factor_coverage_all`): rows[a][b-a] covers
+    T[a, b].
 
-    Hamming uses the mask passes and sweeps.  Levenshtein steps
-    ``slots._lev_slots`` (O(k^2 n) big-int ops on O(n^2)-bit ints); per
-    length L, ``slots._coverage_rows`` smears the lowest slot of nonempty
-    occurrences, ORs in the end bit of each higher one and counts each
-    start's block from one ``to_bytes``: O(n^2) reads.
+    Levenshtein steps ``slots._lev_slots`` (O(k^2 n) big-int ops on
+    O(n^2)-bit ints) iff its (k+1)^2 slot ints fit in 64 MiB
+    (``slots._slots_fit``); per length L, ``slots._coverage_rows`` smears
+    the lowest slot of nonempty occurrences, ORs in the end bit of each
+    higher one and counts each start's block from one ``to_bytes``: O(n^2)
+    reads.  Past that bound it runs as weighted edit under unit costs.
 
     Weighted edit runs on ``slots._cost_slots`` iff T holds no wildcard,
     every indel cost of T is positive, the slot ints fit in 64 MiB and C S
@@ -420,12 +415,12 @@ def factor_coverage(t: Text, metric: str, k: int,
     1, O(n) at worst, and O(k + log n) more big-int operations per
     coverage: O((k + log n) n^2) to O(n^3) in all.
     """
-    if metric == "hamming":
-        return hamcover.factor_coverage_all(t, k)
     from . import slots  # compiled on first use, not at every CLI start-up
     if metric == "levenshtein":
         k = _lev_check(t, k, "Levenshtein coverage")
-        return slots._coverage_rows(len(t), k, slots._lev_slots(t, k))
+        if slots._slots_fit((k + 1) ** 2, len(t)):
+            return slots._coverage_rows(len(t), k, slots._lev_slots(t, k))
+        metric, p = "edit", PenaltyMatrix.unit(t.alphabet)
     if metric == "edit" and p is not None and k >= 0 and (
             levels := slots.CostLevels(t, k, p)).pays():
         return levels.rows()
@@ -434,10 +429,8 @@ def factor_coverage(t: Text, metric: str, k: int,
 
 def prefix_coverage(t: Text, metric: str, k: int,
                     p: PenaltyMatrix | None = None) -> list[int]:
-    """k-coverage of every prefix; entry ell-1 is for length ell.
-
-    Every metric runs its per-start routine at a = 0.
+    """k-coverage of every prefix under ``"levenshtein"`` or ``"edit"``
+    (Hamming is :func:`hamcover.prefix_coverage`); entry ell-1 is for
+    length ell.  Both metrics run their per-start routine at a = 0.
     """
-    if metric == "hamming":
-        return hamcover.prefix_coverage(t, k)
     return _edit_coverage(t, metric, k, p)(0)

@@ -45,7 +45,8 @@ from math import inf
 from operator import sub
 
 from .lcpk import ExactLce, _lcp_k, pref_k, string_image
-from .textcore import WILDCARD, Candidates, IntervalSet, Keyed, Text, restricted_candidates
+from .textcore import (WILDCARD, Candidates, IntervalSet, Keyed, Text, _smear,
+                       restricted_candidates)
 
 
 @dataclass
@@ -213,15 +214,6 @@ def _count(over: list[int], x: int, depth: int) -> int:
         over[e] |= over[e - 1] & x
     over[0] |= x
     return depth + 1
-
-
-def _smear(alive: int, length: int) -> int:
-    """The positions covered by windows of ``length`` at the set bits of ``alive``."""
-    span = 1
-    while span + span <= length:
-        alive |= alive << span
-        span += span
-    return alive | alive << (length - span)
 
 
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")

@@ -22,9 +22,8 @@ from itertools import accumulate, repeat
 from math import gcd
 from typing import Iterator
 
-from . import hamcover
 from .editcover import _EditCosts, _lev_check
-from .textcore import PenaltyMatrix, Text
+from .textcore import PenaltyMatrix, Text, _smear
 
 
 def _lev_block(n: int) -> int:
@@ -59,7 +58,14 @@ def _lev_slots(t: Text, k: int) -> Iterator[list[int]]:
         yield (rows := new)[k]
 
 
-_SLOT_BITS = 1 << 29  # 64 MiB, the most the cost levels' slot ints may hold
+_SLOT_BITS = 1 << 29  # 64 MiB, the most a step's slot ints may hold
+
+
+def _slots_fit(slots: int, n: int) -> bool:
+    """True if a step over ``slots`` slots fits in 64 MiB: it holds this
+    length's slots, the last length's and their shift, 3 S ints of (n+1) W
+    bits."""
+    return 3 * slots * (n + 1) * 8 * _lev_block(n) <= _SLOT_BITS
 
 
 def _floor_sum(n: int, top: int, m: int) -> int:
@@ -95,13 +101,12 @@ class CostLevels:
         fit in 64 MiB and C S max(80, n) < 64 n min(S_K, n+1).
 
         S = Σ_e (lo_e + hi_e + 1) is the number of slots, S_K = lo_K + hi_K
-        + 1 those of the top level and C = len(classes).  A step holds this
-        length's slots, the last length's and their shift: 3 S ints of
-        (n+1) W bits.  The levels take about 3 C S slot terms per length on
-        those ints, the per-start route about min(S_K, n+1) live window
-        lengths per factor on ints of n+1 narrow fields.  The time test and
-        its constants were fitted to both routes timed at n = 24 .. 400,
-        K = 1 .. n under four matrices with 2 to 5 cost classes
+        + 1 those of the top level and C = len(classes); :func:`_slots_fit`
+        holds the memory test.  The levels take about 3 C S slot terms per
+        length on those ints, the per-start route about min(S_K, n+1) live
+        window lengths per factor on ints of n+1 narrow fields.  The time
+        test and its constants were fitted to both routes timed at n = 24
+        .. 400, K = 1 .. n under four matrices with 2 to 5 cost classes
         (BENCH_level_rule.json), with a margin: the levels run only where
         they measured at most 0.9 times the per-start time.
         """
@@ -109,10 +114,9 @@ class CostLevels:
         if not (least_del and least_ins):
             return False
         slots = top + 1 + _floor_sum(n, top, least_del) + _floor_sum(n, top, least_ins)
-        if 3 * slots * (n + 1) * 8 * _lev_block(n) > _SLOT_BITS:
-            return False
         widest = min(n, top // least_del) + min(n, top // least_ins) + 1
-        return len(self.classes) * slots * max(80, n) < 64 * n * min(widest, n + 1)
+        return _slots_fit(slots, n) and (
+            len(self.classes) * slots * max(80, n) < 64 * n * min(widest, n + 1))
 
     def rows(self) -> list[list[int]]:
         """rows[a][b-a], the coverage of T[a, b], from :func:`_cost_slots`."""
@@ -193,7 +197,7 @@ def _coverage_rows(n: int, lo: int, levels: Iterator[list[int]]) -> list[list[in
     cuts = [slice(i, i + size) for i in range(0, n * size, size)]  # start a's bytes
     for length, slots in enumerate(levels, 1):
         low = max(0, lo + 1 - length)  # lowest slot d >= 1-L: nonempty occurrences
-        bits = hamcover._smear(slots[low], length + low - lo)
+        bits = _smear(slots[low], length + low - lo)
         for end, x in enumerate(slots[low + 1:], length + low - lo):
             bits |= x << end  # slot d adds the end a'+L+d-1
         buf = bits.to_bytes((n + 1 - length) * size, "little")

@@ -25,6 +25,16 @@ def symbols_match(x: int, y: int) -> bool:
     return x == y or x == WILDCARD or y == WILDCARD
 
 
+def _smear(alive: int, length: int, width: int = 1) -> int:
+    """The positions covered by windows of ``length`` at the set bits of
+    ``alive``, one position per field of ``width`` bits."""
+    span = 1
+    while span + span <= length:
+        alive |= alive << span * width
+        span += span
+    return alive | alive << (length - span) * width
+
+
 class Text:
     """Immutable symbol sequence over a fixed alphabet.
 

@@ -333,9 +333,9 @@ def _trend(result: bench.BenchResult) -> bool:
 
 def test_c12_complexity_trends():
     results = [
-        bench.bench_prefix_sweep(n=2 ** 15, k=1, repeats=3),
-        bench.bench_factor_hamming(n=160, k=1, repeats=3),
-        bench.bench_factor_lev(n=96, k=1, repeats=3),
+        bench.bench_prefix_sweep(n=2 ** 15, repeats=3),
+        bench.bench_factor_hamming(n=160, repeats=3),
+        bench.bench_factor_lev(n=96, repeats=3),
     ]
     lines = []
     for r in results:

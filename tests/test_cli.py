@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from quasicover import editcover, gadget
+from quasicover import editcover, gadget, hamcover
 from quasicover.cli import main, parse_penalty_file
 from quasicover.cli import InputDataError
 from quasicover.hamcover import (enhanced_cover_approx_border, enhanced_cover_exact_border,
@@ -56,11 +56,15 @@ def test_tsv_and_json_carry_identical_data(capsys, monkeypatch, tmp_path):
         return sorted(levels, key=lambda s: (len(s), s))
 
     def prefix(raw, distance, k, p=None):
-        cov = editcover.prefix_coverage(Text.from_str(raw), distance, k, p)
+        t = Text.from_str(raw)
+        cov = (hamcover.prefix_coverage(t, k) if distance == "hamming"
+               else editcover.prefix_coverage(t, distance, k, p))
         return [[ell, cov[ell - 1]] for ell in range(1, len(raw) + 1)]
 
     def factor(raw, distance, k, p=None):
-        per_start = editcover.factor_coverage(Text.from_str(raw), distance, k, p)
+        t = Text.from_str(raw)
+        per_start = (hamcover.factor_coverage_all(t, k) if distance == "hamming"
+                     else editcover.factor_coverage(t, distance, k, p))
         return [[a, a + off, val] for a, row in enumerate(per_start)
                 for off, val in enumerate(row)]
 
@@ -499,20 +503,44 @@ def test_bench_quick_runs(capsys, monkeypatch):
     assert "restricted-covers-edit" in tasks
 
 
-def test_cli_imports_engines_on_first_use():
-    """A Hamming coverage request loads none of the restricted, gadget, oracle
-    and bench modules; an edit covers request then loads restricted alone."""
-    proc = run_fresh("""
+def test_cli_imports_engines_on_first_use(tmp_path):
+    """``import quasicover.cli`` loads no engine module, and each command,
+    run in a fresh interpreter, loads the engines it runs and no other."""
+    inst = tmp_path / "inst"
+    inst.write_text("1 1 0\n0\n")
+    ham = ["cli", "hamcover", "lcpk", "textcore"]
+    lev = ["cli", "editcover", "lcpk", "textcore"]
+    edit = ["--distance", "edit", "--penalty", "unit"]
+    cases = [
+        ([], ["cli", "textcore"]),
+        (["coverage", "--k", "1"], ham),
+        (["coverage", "--k", "1", "--mode", "factor"], ham),
+        (["covers", "--k", "1"], ham),
+        (["seeds", "--k", "1"], ham),
+        (["enhanced", "--variant", "exact-border", "--k", "1"], ham),
+        (["enhanced", "--variant", "approx-border", "--k", "1"], ham),
+        (["coverage", "--k", "1", "--distance", "levenshtein"], lev),
+        (["coverage", "--k", "1", "--distance", "levenshtein", "--mode", "factor"],
+         sorted(lev + ["slots"])),
+        (["coverage", "--k", "1", *edit], lev),
+        (["coverage", "--k", "1", "--mode", "factor", *edit], sorted(lev + ["slots"])),
+        (["covers", *edit], sorted(lev + ["restricted"])),
+        (["seeds", *edit], sorted(lev + ["restricted"])),
+        (["gadget", "build-cover", str(inst)], ["cli", "gadget", "oracle", "textcore"]),
+        (["gadget", "verify", str(inst)], ["cli", "gadget", "oracle", "textcore"]),
+    ]
+    for argv, want in cases:
+        proc = run_fresh(f"""
 import io, sys
 from quasicover.cli import main
 
-lazy = ["quasicover.restricted", "quasicover.gadget", "quasicover.oracle",
-        "quasicover.bench"]
-for argv in (["coverage", "--k", "1"], ["covers", "--distance", "edit", "--penalty", "unit"]):
+argv = {argv!r}
+if argv:
     sys.stdin, sys.stdout = io.StringIO("abaab\\n"), io.StringIO()
     code = main(argv)
     sys.stdout = sys.__stdout__
-    print(code, *[m for m in lazy if m in sys.modules])
+    assert code == 0, code
+print(*sorted(m[len("quasicover."):] for m in sys.modules if m.startswith("quasicover.")))
 """)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["0", "0 quasicover.restricted"]
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert proc.stdout.split() == want, argv

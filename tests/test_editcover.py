@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasicover import editcover, oracle, slots
+from quasicover import editcover, hamcover, oracle, slots
 from quasicover.bench import QTABLE_PENALTY, random_text
 from quasicover.editcover import (
     _dp_rows,
@@ -165,6 +165,35 @@ def test_lev_all_starts_build_no_lce(monkeypatch):
     assert dense(p_lev_table(t, 2), n) == want[1]
     with pytest.raises(AssertionError):
         prefix_coverage(t, "levenshtein", 2)
+
+
+def test_lev_slots_memory_bound():
+    """Levenshtein slots hold (k+1)^2 ints in a step; the largest budget
+    within 64 MiB is every k at n = 96, then k = 80, 53, 32 and 12 at
+    n = 160, 240, 400 and 1000."""
+    assert slots._slots_fit(97 ** 2, 96)
+    for n, k in ((160, 80), (240, 53), (400, 32), (1000, 12)):
+        assert slots._slots_fit((k + 1) ** 2, n) and not slots._slots_fit((k + 2) ** 2, n)
+
+
+def test_lev_factor_coverage_past_slot_bound(rng, monkeypatch):
+    """Past the slot memory bound Levenshtein factor coverage runs per start
+    under unit costs, and its rows stay those of the slots."""
+    cases = []
+    for trial in range(24):
+        n = rng.randint(0, 14)
+        s = (random_text_str(rng, n, 2), "a" * n, ("aab" * n)[:n])[trial % 3]
+        t = Text.from_str(s, "ab")
+        for k in {0, rng.randint(0, 3), rng.randint(0, n + 2)}:
+            cases.append((t, k, factor_coverage(t, "levenshtein", k)))
+
+    def forbidden(*args):
+        raise AssertionError("Levenshtein slots built past the memory bound")
+
+    monkeypatch.setattr(slots, "_SLOT_BITS", 0)
+    monkeypatch.setattr(slots, "_lev_slots", forbidden)
+    for t, k, want in cases:
+        assert factor_coverage(t, "levenshtein", k) == want, (t.to_str(), k)
 
 
 def test_pareto_examples():
@@ -634,9 +663,11 @@ def test_prefix_coverage_consistent_with_factor_rows(rng):
         t = Text.from_str(random_text_str(rng, n, 2), "ab")
         p = random_metric("ab", rng)
         k = rng.randint(0, 4)
-        for metric, pm in (("levenshtein", None), ("edit", p), ("hamming", None)):
+        for metric, pm in (("levenshtein", None), ("edit", p)):
             rows = factor_coverage(t, metric, k, pm)
             assert prefix_coverage(t, metric, k, pm) == (rows[0] if n else [])
+        rows = hamcover.factor_coverage_all(t, k)
+        assert hamcover.prefix_coverage(t, k) == (rows[0] if n else [])
     for t, k, p in wildcard_cases(rng, 12, 0, 12):
         rows = factor_coverage(t, "edit", k, p)
         assert prefix_coverage(t, "edit", k, p) == (rows[0] if len(t) else [])
@@ -646,14 +677,18 @@ def test_metric_dispatch_errors():
     t = Text.from_str("ab")
     with pytest.raises(ValueError):
         factor_coverage(t, "edit", 1)  # missing penalty matrix
-    with pytest.raises(ValueError):
-        factor_coverage(t, "unknown", 1)
+    # Hamming coverage is hamcover's alone
+    for metric in ("unknown", "hamming"):
+        for call in (lambda: factor_coverage(t, metric, 1),
+                     lambda: prefix_coverage(t, metric, 1)):
+            with pytest.raises(ValueError, match="unknown metric"):
+                call()
     # negative budgets: every metric's entry points check alike
     unit = PenaltyMatrix.unit("ab")
     for call in (lambda: factor_coverage(t, "levenshtein", -1),
                  lambda: prefix_coverage(t, "levenshtein", -1),
                  lambda: p_lev_table(t, -1),
-                 lambda: factor_coverage(t, "hamming", -1),
+                 lambda: hamcover.factor_coverage_all(t, -1),
                  lambda: factor_coverage(t, "edit", -1, unit),
                  lambda: prefix_coverage(t, "edit", -1, unit)):
         with pytest.raises(ValueError):
