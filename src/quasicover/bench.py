@@ -149,9 +149,11 @@ def bench_factor_edit(n: int = 96, repeats: int = 3) -> BenchResult:
 
 
 def bench_restricted_covers_ed(n: int = 32, repeats: int = 3) -> BenchResult:
-    """Restricted weighted-edit covers of random ternary text: O(n^2 log n)
-    big-int operations to build the packed DP rows and O(n^3) to combine
-    them, each on a row of O(n) fields: O(n^4) word operations in the limit."""
+    """Restricted weighted-edit covers of random ternary text: at most
+    O(n^2 log n) big-int operations to build the packed DP rows (each
+    insertion chain stops at its first idle doubling step) and O(n^3) to
+    combine them, each on a row of O(n) fields: O(n^4) word operations in
+    the limit."""
     return _doubling("restricted-covers-edit", n, 16.0, repeats, 10,
                      lambda t: lambda: restricted_covers_ed(t, QTABLE_PENALTY),
                      lambda size, seed: random_text(size, 3, seed))

@@ -22,10 +22,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from math import inf, log2, sqrt
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .lcpk import ExactLce
 from .textcore import WILDCARD, DTable, PenaltyMatrix, Text, _check_symbols_covered, _smear
+
+if TYPE_CHECKING:
+    from .lcpk import ExactLce
 
 
 def _lev_check(t: Text, k: int, what: str) -> int:
@@ -320,6 +322,8 @@ def _edit_coverage(t: Text, metric: str, k: int, p: PenaltyMatrix | None):
     """
     n = len(t)
     if metric == "levenshtein":
+        from .lcpk import ExactLce  # only the Levenshtein waves jump by LCE
+
         k, lce = _lev_check(t, k, "Levenshtein coverage"), ExactLce(t)
         return lambda a: _coverage_row(n, a, (_lev_ends(t, a, ap, k, lce) for ap in range(n)))
     if metric != "edit":

@@ -13,17 +13,17 @@ after the index build).
 
 Reports need only Q[0], which :func:`_report_for_candidates` reads off
 packed rows of Sellers' approximate-matching DP: on random ternary text
-under ``bench.QTABLE_PENALTY`` a report took 0.013 s at n = 40 and 0.37 s
-at n = 128 (2 vCPUs, CPython 3.11.7).  Its candidates come from
-:func:`~quasicover.textcore.restricted_candidates`; each start fills a list
-of thresholds by length, read as rows by length, then by string.
+under ``bench.QTABLE_PENALTY`` a report took 0.009 s at n = 40 and 0.25 s
+at n = 128 (best of 10 rounds, 2 vCPUs, CPython 3.11.7).  Its candidates
+come from :func:`~quasicover.textcore.restricted_candidates`; each start
+fills a list of thresholds by length, read as rows by length, then by
+string.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate, chain, islice
 from math import inf
 from operator import add
@@ -199,18 +199,35 @@ def _report_for_candidates(target: Text, candidates: Candidates,
     and is built in that layout.  A DP step is one fieldwise minimum of the
     diagonal (the previous row shifted one field) and the deletion, then
     the insertion chain, a prefix minimum with additive weights, in
-    ceil(log2 n) doubling steps: O(n^2 log n) big-int operations in all.
-    An H row is one fieldwise minimum of two row sums, and cov is a running
-    fieldwise minimum over s of F + H rows: O(n) big-int operations per
-    candidate.  A field has one guard bit above the bits of the largest
-    value formed, 2·Σdel + max ins, and the threshold, the largest field of
-    cov, is found by a binary search of fieldwise compares, bit by bit.
+    doubling steps that stop at the first step that changes no field: at
+    most ceil(log2 n) per row, so O(n^2 log n) big-int operations in the
+    worst case (a run of cheap insertions as long as the text).  An H row
+    is one fieldwise minimum of two row sums, and cov is a running
+    fieldwise minimum over s of F + H rows, written out in the loop: O(n)
+    big-int operations per candidate.  A field has one guard bit above the
+    bits of the largest value formed, 2·Σdel + max ins, and the threshold,
+    the largest field of cov, is found by a binary search of fieldwise
+    compares, bit by bit.
+
+    The stop is exact.  Write v for the row before its chain, I(y, x) for
+    the insertions of T[y, x-1] (F; R's chain runs the other way) and
+    M_L(x) for the least v[x-j] + I(x-j, x) over j < L.  The step with
+    shift L = 2^i turns M_L into M_2L.  Its sums are capped at cap, and a
+    field that would read past the row's end gets cap, but such a term
+    never wins: costs are nonnegative (zero-cost wildcards included) and
+    every row value is at most Σdel <= cap, so the fields equal M_2L.  Say
+    that step is idle, M_2L = M_L.  Take a chain of j >= 2L insertions
+    ending at x and split it at y = x - L.  By induction on j, the part
+    ending at y costs at least M_L(y).  M_L(y) + I(y, x) is a chain of L to
+    2L-1 insertions ending at x, so it costs at least M_2L(x) = M_L(x).
+    Hence M_L = M_4L = ..., and every later step is idle too.
     """
     costs = _EditCosts(target, p)
     m = len(target)
     cap = sum(costs.dele) + max(costs.ins, default=0)
     w = (cap + sum(costs.dele)).bit_length() + 1  # rows <= Σdel (empty window), addends <= cap
     rep, guard, full, pack, fmin = _packed_fields(w, m)
+    high = w - 1
 
     def top(v: int) -> int:  # the largest field: some field >= x iff a guard survives
         v, x = v | guard, 0
@@ -239,13 +256,17 @@ def _report_for_candidates(target: Text, candidates: Candidates,
     def forward(row: int, s: int) -> int:  # F_a[s] to F_a[s+1]
         v = fmin(((row << w) & full) + subf[syms[s]], row + dels[s])
         for shift, sums in chain_f:
-            v = fmin(v, ((v << shift) & full) + sums)
+            if (u := fmin(v, ((v << shift) & full) + sums)) == v:
+                break  # an idle step: every longer chain is idle too
+            v = u
         return v
 
     def backward(row: int, s: int) -> int:  # R_{s+1} to R_s
         v = fmin((row >> w) + subb[syms[s]], row + dels[s])
         for shift, sums in chain_b:
-            v = fmin(v, (v >> shift) + sums)
+            if (u := fmin(v, (v >> shift) + sums)) == v:
+                break
+            v = u
         return v
 
     h_rows = {}  # per end b: the first start with a candidate ending there, H rows
@@ -262,7 +283,12 @@ def _report_for_candidates(target: Text, candidates: Candidates,
                     h.append(fmin(ins + row, subs[syms[s]] + done))
                 h_rows[b] = start, h[::-1]
             lo, h = h_rows[b]
-            level[b - start + 1] = top(reduce(fmin, map(add, f, islice(h, start - lo, None))))
+            terms = map(add, f, islice(h, start - lo, None))
+            x = next(terms)
+            for y in terms:  # fmin, written out: one Python call less per term
+                z = ((x | guard) - y) & guard
+                x ^= (x ^ y) & (z - (z >> high))
+            level[b - start + 1] = top(x)
     return RestrictedReport(candidates.keyed(levels), min(chain.from_iterable(
         level[seen + 1:] for seen, level in zip(candidates.lo, levels)), default=None))
 

@@ -509,7 +509,7 @@ def test_cli_imports_engines_on_first_use(tmp_path):
     inst = tmp_path / "inst"
     inst.write_text("1 1 0\n0\n")
     ham = ["cli", "hamcover", "lcpk", "textcore"]
-    lev = ["cli", "editcover", "lcpk", "textcore"]
+    edit_engines = ["cli", "editcover", "textcore"]  # lcpk only for the Levenshtein waves
     edit = ["--distance", "edit", "--penalty", "unit"]
     cases = [
         ([], ["cli", "textcore"]),
@@ -519,13 +519,14 @@ def test_cli_imports_engines_on_first_use(tmp_path):
         (["seeds", "--k", "1"], ham),
         (["enhanced", "--variant", "exact-border", "--k", "1"], ham),
         (["enhanced", "--variant", "approx-border", "--k", "1"], ham),
-        (["coverage", "--k", "1", "--distance", "levenshtein"], lev),
+        (["coverage", "--k", "1", "--distance", "levenshtein"],
+         sorted(edit_engines + ["lcpk"])),
         (["coverage", "--k", "1", "--distance", "levenshtein", "--mode", "factor"],
-         sorted(lev + ["slots"])),
-        (["coverage", "--k", "1", *edit], lev),
-        (["coverage", "--k", "1", "--mode", "factor", *edit], sorted(lev + ["slots"])),
-        (["covers", *edit], sorted(lev + ["restricted"])),
-        (["seeds", *edit], sorted(lev + ["restricted"])),
+         sorted(edit_engines + ["slots"])),
+        (["coverage", "--k", "1", *edit], edit_engines),
+        (["coverage", "--k", "1", "--mode", "factor", *edit], sorted(edit_engines + ["slots"])),
+        (["covers", *edit], sorted(edit_engines + ["restricted"])),
+        (["seeds", *edit], sorted(edit_engines + ["restricted"])),
         (["gadget", "build-cover", str(inst)], ["cli", "gadget", "oracle", "textcore"]),
         (["gadget", "verify", str(inst)], ["cli", "gadget", "oracle", "textcore"]),
     ]

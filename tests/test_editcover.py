@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasicover import editcover, hamcover, oracle, slots
+from quasicover import editcover, hamcover, lcpk, oracle, slots
 from quasicover.bench import QTABLE_PENALTY, random_text
 from quasicover.editcover import (
     _dp_rows,
@@ -159,7 +159,7 @@ def test_lev_all_starts_build_no_lce(monkeypatch):
     def forbidden(*args):
         raise AssertionError("LCE wave engine called")
 
-    monkeypatch.setattr(editcover, "ExactLce", forbidden)
+    monkeypatch.setattr(lcpk, "ExactLce", forbidden)  # editcover imports it per call
     monkeypatch.setattr(editcover, "_suffix_pair_frontier", forbidden)
     assert factor_coverage(t, "levenshtein", 2) == want[0]
     assert dense(p_lev_table(t, 2), n) == want[1]

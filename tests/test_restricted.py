@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasicover import oracle
 from quasicover.editcover import _EditCosts, block_size, precompute_special
@@ -188,6 +192,35 @@ def test_packed_rows_cross_every_doubling_step(rng):
                                        restricted_candidates(t, seeds=True)):
                 assert report_items(_report_for_candidates(target, candidates, p)) == \
                     report_items(column_combine_report(target, candidates, p)), s
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 24), st.sampled_from([1, 3]), st.sampled_from([0.0, 0.2, 0.5]),
+       st.integers(0, 24), st.integers(0, 5), st.integers(0, 2 ** 32))
+def test_insertion_chains_stop_at_the_first_idle_step(n, sigma, wildcard_prob, run, which,
+                                                      seed):
+    """Each insertion chain stops at its first doubling step that changes no
+    field; reports still equal the per-column reference, which runs no
+    chain, in every key, threshold and minimum: n <= 24, unary and ternary
+    texts at wildcard rates 0, 0.2 and 0.5, some with a run of one symbol
+    spliced in, unit, random and insertion-cheap metrics (on which chains
+    over such a run change fields up to the step of shift 16), covers and
+    seeds."""
+    rng = random.Random(seed)
+    s = random_text_str(rng, n, sigma, wildcard_prob)
+    at = rng.randint(0, n)
+    s = (s[:at] + rng.choice("abc"[:sigma]) * run + s[at:])[:24]
+    t = Text.from_str(s, "abc")
+    dear = [[0 if x == y else rng.randint(20, 100) for y in range(3)] for x in range(3)]
+    p = (PenaltyMatrix.unit("abc"), random_metric("abc", rng),
+         random_metric("abc", rng, max_cost=2),
+         PenaltyMatrix("abc", dear, [1] * 3, [100] * 3),
+         PenaltyMatrix("abc", dear, [rng.randint(1, 2) for _ in range(3)],
+                       [rng.randint(20, 100) for _ in range(3)]),
+         scaled(PenaltyMatrix("abc", dear, [1] * 3, [100] * 3), 2 ** 70))[which]
+    for target, candidates in (restricted_candidates(t), restricted_candidates(t, seeds=True)):
+        assert report_items(_report_for_candidates(target, candidates, p)) == \
+            report_items(column_combine_report(target, candidates, p)), s
 
 
 def brute_candidates(s: str, seeds: bool) -> list[tuple[int, int, str]]:
