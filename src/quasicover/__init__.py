@@ -16,10 +16,8 @@ from importlib import import_module
 #: Submodule -> the public names it defines.
 _EXPORTS = {
     "textcore": (
-        "WILDCARD", "DTable", "IntervalSet", "PenaltyMatrix", "Text", "Violation",
-        "build_d_table", "edit_distance", "hamming_distance",
-        "interval_union_size", "pad_for_seed", "symbols_match",
-        "validate_penalty_matrix",
+        "WILDCARD", "IntervalSet", "PenaltyMatrix", "Text", "Violation", "pad_for_seed",
+        "symbols_match", "validate_penalty_matrix",
     ),
     "lcpk": (
         "ExactLce", "LcpKTable", "PrefKTable", "kangaroo_lcp_k", "lcp_k_all_pairs",
@@ -47,9 +45,12 @@ _EXPORTS = {
         "parse_instance", "phi", "psi", "reduction_forward_check",
         "validate_phi_density", "validate_prefix_suffix_overlaps",
     ),
+    "oracle": (
+        "DTable", "build_d_table", "edit_distance", "hamming_distance", "interval_union_size",
+    ),
 }
 
-#: Public name -> its submodule; ``oracle`` is exported as a module.
+#: Public name -> its submodule; ``oracle`` is also exported as a module.
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _HOME["oracle"] = "oracle"
 

@@ -37,19 +37,23 @@ EXIT_INPUT = 2
 EXIT_VALIDATION = 3
 
 
-def _read_first_line(path: str | None) -> str:
-    """Subject text: first line of the input stream, trailing newline stripped."""
+def _read_ascii(path: str | None, what: str = "input", whole: bool = False) -> str:
+    """The first line of file ``path`` (of stdin for None or "-"), trailing
+    newline stripped, or with ``whole`` the whole file; an unreadable or
+    non-ASCII input is an :class:`InputDataError`."""
     try:
-        if path is None or path == "-":
-            data = sys.stdin.readline()
-        else:
+        if whole or path not in (None, "-"):
             with open(path, "r", encoding="ascii") as fh:
-                data = fh.readline()
+                data = fh.read() if whole else fh.readline()
+        else:
+            data = sys.stdin.readline()
     except OSError as exc:
-        raise InputDataError(f"cannot read input: {exc}")
+        raise InputDataError(f"cannot read {what}: {exc}")
     except UnicodeDecodeError as exc:
-        raise InputDataError(f"input is not ASCII: {exc}")
-    return data.rstrip("\n")
+        raise InputDataError(f"{what} is not ASCII: {exc}")
+    if not data.isascii():  # stdin as the locale decoded it, bad bytes as surrogates
+        raise InputDataError(f"{what} is not ASCII")
+    return data if whole else data.rstrip("\n")
 
 
 def _build_text(raw: str, wildcard: str, alphabet: str | None = None) -> Text:
@@ -117,12 +121,7 @@ def _load_penalty(spec: str | None, raw_text: str, wildcard: str) -> PenaltyMatr
     if spec == "unit":
         alphabet = "".join(sorted(set(raw_text) - {wildcard}))
         return PenaltyMatrix.unit(alphabet)
-    try:
-        with open(spec, "r", encoding="ascii") as fh:
-            content = fh.read()
-    except OSError as exc:
-        raise InputDataError(f"cannot read penalty file: {exc}")
-    matrix = parse_penalty_file(content)
+    matrix = parse_penalty_file(_read_ascii(spec, "penalty file", whole=True))
     if wildcard in matrix.alphabet:
         raise InputDataError(
             f"wildcard character {wildcard!r} must not appear in the declared alphabet")
@@ -190,7 +189,7 @@ def _prepare(path, distance, penalty, wildcard):
         raise click.UsageError("--wildcard takes a single character")
     if penalty is not None and distance != "edit":
         raise click.UsageError("--penalty supports --distance edit only")
-    raw = _read_first_line(path)
+    raw = _read_ascii(path)
     matrix = None
     if distance == "edit":
         matrix = _load_penalty(penalty, raw, wildcard)
@@ -308,7 +307,7 @@ def seeds(**options):
 @_wildcard_opt
 def enhanced(input, variant, k, fmt, wildcard):
     """Best enhanced cover under Hamming distance (row: candidate, start, end, coverage)."""
-    raw = _read_first_line(input)
+    raw = _read_ascii(input)
     t = _build_text(raw, wildcard)
     from . import hamcover
     search = (hamcover.enhanced_cover_exact_border if variant == "exact-border"
@@ -329,11 +328,7 @@ cli.add_command(gadget_cmd, name="gadget")
 
 def _load_instance(path: str) -> gadget.ConsensusInstance:
     from . import gadget
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            content = fh.read()
-    except OSError as exc:
-        raise InputDataError(f"cannot read instance file: {exc}")
+    content = _read_ascii(path, "instance file", whole=True)
     try:
         return gadget.parse_instance(content)
     except ValueError as exc:

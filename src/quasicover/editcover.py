@@ -24,22 +24,11 @@ from itertools import accumulate, islice
 from math import inf, log2, sqrt
 from typing import TYPE_CHECKING, Iterator
 
-from .textcore import WILDCARD, DTable, PenaltyMatrix, Text, _check_symbols_covered, _smear
+from .textcore import PenaltyMatrix, Text, _EditCosts, _lev_check, _packed_fields, _smear
 
 if TYPE_CHECKING:
     from .lcpk import ExactLce
-
-
-def _lev_check(t: Text, k: int, what: str) -> int:
-    """Check the inputs of a Levenshtein engine and return the budget capped
-    at n: Lev(C, W) <= max(|C|, |W|) <= n, so a larger one changes nothing."""
-    if WILDCARD in t.symbols:
-        raise ValueError(
-            f"{what} requires a wildcard-free text; use the weighted edit "
-            "metric with unit costs for partial words")
-    if k < 0:
-        raise ValueError("budget must be nonnegative")
-    return min(k, len(t))
+    from .oracle import DTable
 
 
 def _suffix_pair_frontier(t: Text, a: int, ap: int, k: int,
@@ -130,26 +119,6 @@ def block_size(n: int) -> int:
     return 1 if n <= 2 else max(1, int(sqrt(n / log2(n))))
 
 
-class _EditCosts:
-    """Edit costs at every position of one text under one penalty matrix.
-
-    ``ins[j]`` and ``dele[j]`` cost inserting and deleting T[j];
-    ``sub[x][j]`` costs substituting symbol x by T[j].  The wildcard row is
-    last and all zero, so ``sub[WILDCARD]`` (index -1) reads it.
-    """
-
-    __slots__ = ("symbols", "ins", "dele", "sub")
-
-    def __init__(self, t: Text, p: PenaltyMatrix):
-        _check_symbols_covered(t, p)
-        syms = t.symbols
-        self.symbols = syms
-        self.ins = [p.ins_cost(y) for y in syms]
-        self.dele = [p.del_cost(y) for y in syms]
-        self.sub = [[p.sub_cost(x, y) for y in syms] for x in range(len(p.alphabet))]
-        self.sub.append([0] * len(syms))
-
-
 def _dp_rows(costs: _EditCosts, a: int, ap: int, height: int | None = None,
              width: int | None = None):
     """Yield rows b = a-1, a, ... of D_{a,ap} one at a time.
@@ -158,7 +127,7 @@ def _dp_rows(costs: _EditCosts, a: int, ap: int, height: int | None = None,
     the number of rows, the boundary row b = a-1 included; both default to
     the full table.  Full rows feed the special-point index's Pareto lists
     and the quadratic Q-tables, blocked rows the index's leading blocks;
-    ``textcore.build_d_table`` and ``edit_distance`` stay separate as the
+    ``oracle.build_d_table`` and ``edit_distance`` stay separate as the
     references it is tested against.
     """
     n = len(costs.symbols)
@@ -284,25 +253,6 @@ def p_ed_entry(idx: SpecialPointIndex, a: int, b: int, ap: int, k: int) -> int:
         if found is not None:
             res = max(res, found[1])
     return res
-
-
-def _packed_fields(w: int, count: int):
-    """``rep`` (1 per field), ``guard`` (each field's top bit), ``full``,
-    ``pack(values)`` and the fieldwise minimum ``fmin`` of ints of ``count``
-    fields of ``w`` bits, each value below its field's guard bit."""
-    full = (1 << w * count) - 1
-    rep = full // ((1 << w) - 1)
-    guard = rep << (w - 1)
-    spec = f"0{w}b"
-
-    def pack(values: list[int]) -> int:
-        return int("".join([format(v, spec) for v in reversed(values)]) or "0", 2)
-
-    def fmin(x: int, y: int) -> int:
-        t = ((x | guard) - y) & guard  # guard bit kept where x >= y
-        return x ^ ((x ^ y) & (t - (t >> (w - 1))))
-
-    return rep, guard, full, pack, fmin
 
 
 def _edit_coverage(t: Text, metric: str, k: int, p: PenaltyMatrix | None):

@@ -1,7 +1,8 @@
 """Brute-force reference implementations of every defined quantity.
 
 Each function here is a direct transcription of a definition with no
-algorithmic shortcuts; the fast modules are tested against these.  The
+algorithmic shortcuts; the fast modules are tested against these, from
+the Hamming and edit distances and the full D-table up.  The
 exponential searches carry explicit candidate budgets and fail loudly
 instead of hanging.
 """
@@ -11,15 +12,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Sequence
 
-from .textcore import (
-    IntervalSet,
-    PenaltyMatrix,
-    Text,
-    edit_distance,
-    hamming_distance,
-    pad_for_seed,
-    symbols_match,
-)
+from .textcore import (IntervalSet, PenaltyMatrix, Text, _check_symbols_covered, pad_for_seed,
+                       symbols_match)
 
 DEFAULT_CANDIDATE_BUDGET = 2 ** 22
 
@@ -39,6 +33,107 @@ def _require_metric_args(metric: str, p: PenaltyMatrix | None) -> None:
         raise ValueError(f"unknown metric {metric!r}")
     if metric == "edit" and p is None:
         raise ValueError("edit metric requires a penalty matrix")
+
+
+def hamming_distance(u: Text, v: Text) -> int:
+    """Number of mismatching positions; wildcards never mismatch."""
+    if len(u) != len(v):
+        raise ValueError(
+            f"Hamming distance undefined for lengths {len(u)} and {len(v)}")
+    return sum(1 for x, y in zip(u.symbols, v.symbols) if not symbols_match(x, y))
+
+
+def edit_distance(u: Text, v: Text, p: PenaltyMatrix) -> int:
+    """Minimum total cost transforming u into v under the penalty matrix.
+
+    Classic dynamic program over prefix pairs.  With unit costs this is the
+    Levenshtein distance.
+    """
+    _check_symbols_covered(u, p)
+    _check_symbols_covered(v, p)
+    m, n = len(u), len(v)
+    prev = [0] * (n + 1)
+    for j in range(1, n + 1):
+        prev[j] = prev[j - 1] + p.ins_cost(v[j - 1])
+    for i in range(1, m + 1):
+        cur = [prev[0] + p.del_cost(u[i - 1])] + [0] * n
+        ui = u[i - 1]
+        for j in range(1, n + 1):
+            vj = v[j - 1]
+            cur[j] = min(prev[j - 1] + p.sub_cost(ui, vj),
+                         cur[j - 1] + p.ins_cost(vj),
+                         prev[j] + p.del_cost(ui))
+        prev = cur
+    return prev[n]
+
+
+class DTable:
+    """Edit-distance table anchored at suffix pair (a, a').
+
+    ``entry(b, bp)`` is the edit distance between T[a, b] and T[a', bp] for
+    b in [a-1, n-1] and bp in [a'-1, n-1]; the -1 row and column hold the
+    cumulative deletion and insertion costs.
+    """
+
+    __slots__ = ("a", "ap", "n", "rows")
+
+    def __init__(self, a: int, ap: int, n: int, rows: list[list[int]]):
+        self.a = a
+        self.ap = ap
+        self.n = n
+        self.rows = rows
+
+    def entry(self, b: int, bp: int) -> int:
+        if not (self.a - 1 <= b < self.n and self.ap - 1 <= bp < self.n):
+            raise IndexError(f"D_{{{self.a},{self.ap}}}[{b},{bp}] out of range")
+        return self.rows[b - self.a + 1][bp - self.ap + 1]
+
+    def row(self, b: int) -> list[int]:
+        """Row b as costs for bp = a'-1 .. n-1."""
+        if not self.a - 1 <= b < self.n:
+            raise IndexError(f"row {b} out of range")
+        return self.rows[b - self.a + 1]
+
+
+def build_d_table(t: Text, a: int, ap: int, p: PenaltyMatrix) -> DTable:
+    """Full D-table for the suffixes T[a, n-1] and T[a', n-1]."""
+    n = len(t)
+    if not (0 <= a <= n and 0 <= ap <= n):
+        raise IndexError(f"suffix starts ({a},{ap}) out of [0,{n}]")
+    _check_symbols_covered(t, p)
+    width = n - ap + 1
+    rows = [[0] * width]
+    for j in range(1, width):
+        rows[0][j] = rows[0][j - 1] + p.ins_cost(t[ap + j - 1])
+    for i in range(1, n - a + 1):
+        ti = t[a + i - 1]
+        row = [rows[i - 1][0] + p.del_cost(ti)] + [0] * (width - 1)
+        prev = rows[i - 1]
+        for j in range(1, width):
+            tj = t[ap + j - 1]
+            row[j] = min(prev[j - 1] + p.sub_cost(ti, tj),
+                         row[j - 1] + p.ins_cost(tj),
+                         prev[j] + p.del_cost(ti))
+        rows.append(row)
+    return DTable(a, ap, n, rows)
+
+
+def interval_union_size(s: IntervalSet) -> int:
+    """Size of the union of the intervals.
+
+    Linear when intervals already come in left-endpoint order, which every
+    producer in this package guarantees; otherwise they are sorted first.
+    """
+    iv = s.intervals
+    if any(iv[t][0] > iv[t + 1][0] for t in range(len(iv) - 1)):
+        iv = sorted(iv)
+    total = 0
+    reach = -1  # rightmost covered position so far
+    for i, j in iv:
+        if j > reach:
+            total += j - max(reach, i - 1)
+            reach = j
+    return total
 
 
 def distance(u: Text, v: Text, metric: str, p: PenaltyMatrix | None = None) -> int | None:

@@ -27,10 +27,13 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from math import inf
 from operator import add
+from typing import TYPE_CHECKING
 
-from .editcover import (SpecialPointIndex, _check_index, _dp_rows, _EditCosts,
-                        _packed_fields, _split_pairs, precompute_special)
-from .textcore import Candidates, PenaltyMatrix, Text, restricted_candidates
+from .textcore import (Candidates, PenaltyMatrix, Text, _EditCosts, _packed_fields,
+                       restricted_candidates)
+
+if TYPE_CHECKING:
+    from .editcover import SpecialPointIndex
 
 
 @dataclass
@@ -57,6 +60,7 @@ def _q_tables_of_start(costs: _EditCosts, a: int, bs: list[int]) -> list[list[in
     suffix i, as tall as the largest end needs, serves them all: O(n^2) per
     pass plus O(n) per table per i.
     """
+    from .editcover import _dp_rows  # loaded on first use: a report never runs it
     n = len(costs.symbols)
     tables = [[0] * (n + 1) for _ in bs]
     height = max(bs) - a + 2
@@ -99,6 +103,7 @@ def q_table_fast(t: Text, a: int, b: int, p: PenaltyMatrix,
     finds of an entry cost amortized O(1) each, so an entry stays within
     O(sqrt(n log n)).  Output equals :func:`q_table_quadratic` exactly.
     """
+    from .editcover import _check_index, _split_pairs, precompute_special
     n = len(t)
     if idx is None:
         idx = precompute_special(t, p)

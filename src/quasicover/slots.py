@@ -11,8 +11,8 @@ length L-1 (one ``>> W``) and lower levels of length L.
 :class:`CostLevels` scales a weighted query's costs by their gcd and holds
 the rule that picks the levels over the per-start route.
 
-``editcover.factor_coverage`` imports this module on its first call, so a
-CLI start-up that serves no factor-coverage query never compiles it.
+``editcover.factor_coverage`` imports this module on its first call, so
+edit prefix coverage never compiles it; it loads only ``textcore``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from itertools import accumulate, repeat
 from math import gcd
 from typing import Iterator
 
-from .editcover import _EditCosts, _lev_check
-from .textcore import PenaltyMatrix, Text, _smear
+from .textcore import PenaltyMatrix, Text, _EditCosts, _lev_check, _smear
 
 
 def _lev_block(n: int) -> int:

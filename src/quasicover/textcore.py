@@ -5,6 +5,9 @@ optional wildcard symbol that matches every other symbol.  All costs are
 exact integers; there is deliberately no floating-point support anywhere.
 A restricted cover or seed report has a row per distinct factor, Θ(n^3)
 characters in all, so :class:`Keyed` slices each key only as it is read.
+The edit engines share the costs at every text position, the packed-field
+arithmetic of their rows and the Levenshtein input check from here; the
+plain distances and D-tables they are tested against are :mod:`.oracle`'s.
 """
 
 from __future__ import annotations
@@ -235,14 +238,6 @@ def restricted_candidates(t: Text, seeds: bool = False) -> tuple[Text, Candidate
     return (pad_for_seed(t, shift) if seeds else t), Candidates(s, shift, lo, hi)
 
 
-def hamming_distance(u: Text, v: Text) -> int:
-    """Number of mismatching positions; wildcards never mismatch."""
-    if len(u) != len(v):
-        raise ValueError(
-            f"Hamming distance undefined for lengths {len(u)} and {len(v)}")
-    return sum(1 for x, y in zip(u.symbols, v.symbols) if not symbols_match(x, y))
-
-
 class Violation(NamedTuple):
     """One failed metric axiom with the witnessing symbols.
 
@@ -374,79 +369,55 @@ def _check_symbols_covered(t: Text, p: PenaltyMatrix) -> None:
                 f"symbol id {s} not covered by penalty matrix over {p.alphabet!r}")
 
 
-def edit_distance(u: Text, v: Text, p: PenaltyMatrix) -> int:
-    """Minimum total cost transforming u into v under the penalty matrix.
-
-    Classic dynamic program over prefix pairs.  With unit costs this is the
-    Levenshtein distance.
-    """
-    _check_symbols_covered(u, p)
-    _check_symbols_covered(v, p)
-    m, n = len(u), len(v)
-    prev = [0] * (n + 1)
-    for j in range(1, n + 1):
-        prev[j] = prev[j - 1] + p.ins_cost(v[j - 1])
-    for i in range(1, m + 1):
-        cur = [prev[0] + p.del_cost(u[i - 1])] + [0] * n
-        ui = u[i - 1]
-        for j in range(1, n + 1):
-            vj = v[j - 1]
-            cur[j] = min(prev[j - 1] + p.sub_cost(ui, vj),
-                         cur[j - 1] + p.ins_cost(vj),
-                         prev[j] + p.del_cost(ui))
-        prev = cur
-    return prev[n]
+def _lev_check(t: Text, k: int, what: str) -> int:
+    """Check the inputs of a Levenshtein engine and return the budget capped
+    at n: Lev(C, W) <= max(|C|, |W|) <= n, so a larger one changes nothing."""
+    if WILDCARD in t.symbols:
+        raise ValueError(
+            f"{what} requires a wildcard-free text; use the weighted edit "
+            "metric with unit costs for partial words")
+    if k < 0:
+        raise ValueError("budget must be nonnegative")
+    return min(k, len(t))
 
 
-class DTable:
-    """Edit-distance table anchored at suffix pair (a, a').
+class _EditCosts:
+    """Edit costs at every position of one text under one penalty matrix.
 
-    ``entry(b, bp)`` is the edit distance between T[a, b] and T[a', bp] for
-    b in [a-1, n-1] and bp in [a'-1, n-1]; the -1 row and column hold the
-    cumulative deletion and insertion costs.
+    ``ins[j]`` and ``dele[j]`` cost inserting and deleting T[j];
+    ``sub[x][j]`` costs substituting symbol x by T[j].  The wildcard row is
+    last and all zero, so ``sub[WILDCARD]`` (index -1) reads it.
     """
 
-    __slots__ = ("a", "ap", "n", "rows")
+    __slots__ = ("symbols", "ins", "dele", "sub")
 
-    def __init__(self, a: int, ap: int, n: int, rows: list[list[int]]):
-        self.a = a
-        self.ap = ap
-        self.n = n
-        self.rows = rows
-
-    def entry(self, b: int, bp: int) -> int:
-        if not (self.a - 1 <= b < self.n and self.ap - 1 <= bp < self.n):
-            raise IndexError(f"D_{{{self.a},{self.ap}}}[{b},{bp}] out of range")
-        return self.rows[b - self.a + 1][bp - self.ap + 1]
-
-    def row(self, b: int) -> list[int]:
-        """Row b as costs for bp = a'-1 .. n-1."""
-        if not self.a - 1 <= b < self.n:
-            raise IndexError(f"row {b} out of range")
-        return self.rows[b - self.a + 1]
+    def __init__(self, t: Text, p: PenaltyMatrix):
+        _check_symbols_covered(t, p)
+        syms = t.symbols
+        self.symbols = syms
+        self.ins = [p.ins_cost(y) for y in syms]
+        self.dele = [p.del_cost(y) for y in syms]
+        self.sub = [[p.sub_cost(x, y) for y in syms] for x in range(len(p.alphabet))]
+        self.sub.append([0] * len(syms))
 
 
-def build_d_table(t: Text, a: int, ap: int, p: PenaltyMatrix) -> DTable:
-    """Full D-table for the suffixes T[a, n-1] and T[a', n-1]."""
-    n = len(t)
-    if not (0 <= a <= n and 0 <= ap <= n):
-        raise IndexError(f"suffix starts ({a},{ap}) out of [0,{n}]")
-    _check_symbols_covered(t, p)
-    width = n - ap + 1
-    rows = [[0] * width]
-    for j in range(1, width):
-        rows[0][j] = rows[0][j - 1] + p.ins_cost(t[ap + j - 1])
-    for i in range(1, n - a + 1):
-        ti = t[a + i - 1]
-        row = [rows[i - 1][0] + p.del_cost(ti)] + [0] * (width - 1)
-        prev = rows[i - 1]
-        for j in range(1, width):
-            tj = t[ap + j - 1]
-            row[j] = min(prev[j - 1] + p.sub_cost(ti, tj),
-                         row[j - 1] + p.ins_cost(tj),
-                         prev[j] + p.del_cost(ti))
-        rows.append(row)
-    return DTable(a, ap, n, rows)
+def _packed_fields(w: int, count: int):
+    """``rep`` (1 per field), ``guard`` (each field's top bit), ``full``,
+    ``pack(values)`` and the fieldwise minimum ``fmin`` of ints of ``count``
+    fields of ``w`` bits, each value below its field's guard bit."""
+    full = (1 << w * count) - 1
+    rep = full // ((1 << w) - 1)
+    guard = rep << (w - 1)
+    spec = f"0{w}b"
+
+    def pack(values: list[int]) -> int:
+        return int("".join([format(v, spec) for v in reversed(values)]) or "0", 2)
+
+    def fmin(x: int, y: int) -> int:
+        t = ((x | guard) - y) & guard  # guard bit kept where x >= y
+        return x ^ ((x ^ y) & (t - (t >> (w - 1))))
+
+    return rep, guard, full, pack, fmin
 
 
 @dataclass
@@ -473,21 +444,3 @@ class IntervalSet:
 
     def starts(self) -> list[int]:
         return sorted({i for i, _ in self.intervals})
-
-
-def interval_union_size(s: IntervalSet) -> int:
-    """Size of the union of the intervals.
-
-    Linear when intervals already come in left-endpoint order, which every
-    producer in this package guarantees; otherwise they are sorted first.
-    """
-    iv = s.intervals
-    if any(iv[t][0] > iv[t + 1][0] for t in range(len(iv) - 1)):
-        iv = sorted(iv)
-    total = 0
-    reach = -1  # rightmost covered position so far
-    for i, j in iv:
-        if j > reach:
-            total += j - max(reach, i - 1)
-            reach = j
-    return total

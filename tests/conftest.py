@@ -13,9 +13,8 @@ from operator import add
 import pytest
 
 import quasicover
-from quasicover.editcover import _EditCosts
 from quasicover.restricted import RestrictedReport
-from quasicover.textcore import WILDCARD, Candidates, PenaltyMatrix, Text, symbols_match
+from quasicover.textcore import WILDCARD, Candidates, PenaltyMatrix, Text, _EditCosts, symbols_match
 
 
 def run_fresh(script: str) -> subprocess.CompletedProcess:

@@ -32,6 +32,7 @@ from quasicover.hamcover import (
     prefix_coverage,
 )
 from quasicover.lcpk import ExactLce, kangaroo_lcp_k, lcp_k_all_pairs, pref_k
+from quasicover.oracle import build_d_table, edit_distance, hamming_distance
 from quasicover.restricted import (
     q_table_fast,
     q_table_quadratic,
@@ -39,13 +40,7 @@ from quasicover.restricted import (
     restricted_seeds_ed,
 )
 from quasicover.slots import p_lev_table
-from quasicover.textcore import (
-    PenaltyMatrix,
-    Text,
-    build_d_table,
-    edit_distance,
-    hamming_distance,
-)
+from quasicover.textcore import PenaltyMatrix, Text
 
 from conftest import full_unit_dp, naive_lcp_k, random_metric, random_text_str
 

@@ -415,6 +415,21 @@ def test_input_errors(capsys, monkeypatch, tmp_path):
                        ["coverage", "--distance", "levenshtein", "--mode", "factor"],
                        stdin="a?b\n")
     assert code == 2 and "wildcard-free" in err
+    # Every input must be ASCII: stdin as decoded (a POSIX locale turns a bad
+    # byte into a surrogate), and penalty and instance files, comments included.
+    for text in ("a\u00e9b\n", "a\udcffb\n"):
+        code, out, err = run(capsys, monkeypatch, ["covers", "--k", "1"], stdin=text)
+        assert (code, out) == (2, "") and "input error: input is not ASCII" in err
+    accented = tmp_path / "accented.penalty"
+    accented.write_bytes(b"# co\xc3\xbbts\nalphabet ab\nsub 0 1\nsub 1 0\nins 1 1\ndel 1 1\n")
+    code, out, err = run(capsys, monkeypatch,
+                         ["covers", "--distance", "edit", "--penalty", str(accented)],
+                         stdin="ab\n")
+    assert (code, out) == (2, "") and "input error: penalty file is not ASCII" in err
+    instance = tmp_path / "instance"
+    instance.write_bytes(b"1 1 0\n0 # \xff\n")
+    code, out, err = run(capsys, monkeypatch, ["gadget", "build-cover", str(instance)])
+    assert (code, out) == (2, "") and "input error: instance file is not ASCII" in err
 
 
 def test_penalty_file_parsing(tmp_path):
@@ -525,8 +540,8 @@ def test_cli_imports_engines_on_first_use(tmp_path):
          sorted(edit_engines + ["slots"])),
         (["coverage", "--k", "1", *edit], edit_engines),
         (["coverage", "--k", "1", "--mode", "factor", *edit], sorted(edit_engines + ["slots"])),
-        (["covers", *edit], sorted(edit_engines + ["restricted"])),
-        (["seeds", *edit], sorted(edit_engines + ["restricted"])),
+        (["covers", *edit], ["cli", "restricted", "textcore"]),
+        (["seeds", *edit], ["cli", "restricted", "textcore"]),
         (["gadget", "build-cover", str(inst)], ["cli", "gadget", "oracle", "textcore"]),
         (["gadget", "verify", str(inst)], ["cli", "gadget", "oracle", "textcore"]),
     ]
@@ -545,3 +560,21 @@ print(*sorted(m[len("quasicover."):] for m in sys.modules if m.startswith("quasi
 """)
         assert proc.returncode == 0, (argv, proc.stderr)
         assert proc.stdout.split() == want, argv
+
+
+def test_each_module_loads_only_what_it_imports():
+    """Imported first in a fresh interpreter, each edit engine loads only
+    ``textcore`` beside itself, and no module but ``gadget`` loads ``oracle``."""
+    pinned = {"editcover": ["editcover", "textcore"], "restricted": ["restricted", "textcore"],
+              "slots": ["slots", "textcore"]}
+    for module in ("textcore", "lcpk", "hamcover", "editcover", "slots", "restricted", "oracle",
+                   "gadget", "bench", "cli"):
+        proc = run_fresh(f"""
+import sys
+import quasicover.{module}
+print(*sorted(m[len("quasicover."):] for m in sys.modules if m.startswith("quasicover.")))
+""")
+        assert proc.returncode == 0, (module, proc.stderr)
+        loaded = proc.stdout.split()
+        assert loaded == pinned.get(module, loaded), module
+        assert ("oracle" in loaded) == (module in ("gadget", "oracle")), module

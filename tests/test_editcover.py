@@ -8,7 +8,6 @@ from quasicover import editcover, hamcover, lcpk, oracle, slots
 from quasicover.bench import QTABLE_PENALTY, random_text
 from quasicover.editcover import (
     _dp_rows,
-    _EditCosts,
     _lev_ends,
     block_size,
     factor_coverage,
@@ -19,15 +18,10 @@ from quasicover.editcover import (
     prefix_coverage,
 )
 from quasicover.lcpk import ExactLce
+from quasicover.oracle import build_d_table, edit_distance
 from quasicover.restricted import q_table_fast, restricted_covers_ed
 from quasicover.slots import p_lev_table
-from quasicover.textcore import (
-    PenaltyMatrix,
-    Text,
-    build_d_table,
-    edit_distance,
-    pad_for_seed,
-)
+from quasicover.textcore import PenaltyMatrix, Text, _EditCosts, pad_for_seed
 
 from conftest import free_start_rows, random_metric, random_text_str, run_fresh, scaled
 

@@ -20,7 +20,8 @@ from quasicover.hamcover import (
     prefix_coverage,
 )
 from quasicover.lcpk import lcp_k_all_pairs, pref_k
-from quasicover.textcore import Text, hamming_distance, pad_for_seed
+from quasicover.oracle import hamming_distance
+from quasicover.textcore import Text, pad_for_seed
 
 from conftest import random_text_str, row_order
 

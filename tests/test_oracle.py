@@ -4,12 +4,8 @@ import pytest
 
 import quasicover
 from quasicover import oracle
-from quasicover.textcore import (
-    IntervalSet,
-    PenaltyMatrix,
-    Text,
-    interval_union_size,
-)
+from quasicover.oracle import interval_union_size
+from quasicover.textcore import IntervalSet, PenaltyMatrix, Text
 
 from conftest import random_metric, random_text_str, run_fresh
 
@@ -129,7 +125,7 @@ def test_edit_metric_occurrences(rng):
         s = t.factor(0, rng.randint(0, n - 1))
         k = rng.randint(0, 6)
         occ = oracle.brute_occurrences(s, t, "edit", k, p)
-        from quasicover.textcore import edit_distance
+        from quasicover.oracle import edit_distance
         for (i, j) in occ:
             assert edit_distance(s, t.factor(i, j), p) <= k
         assert oracle.brute_coverage(s, t, "edit", k, p) == interval_union_size(occ)
@@ -144,10 +140,8 @@ def test_package_exports_no_module_but_oracle():
 
 #: Each public name of the package, by the submodule that defines it.
 PUBLIC_NAMES = {
-    "textcore": ["WILDCARD", "DTable", "IntervalSet", "PenaltyMatrix", "Text", "Violation",
-                 "build_d_table", "edit_distance", "hamming_distance",
-                 "interval_union_size", "pad_for_seed", "symbols_match",
-                 "validate_penalty_matrix"],
+    "textcore": ["WILDCARD", "IntervalSet", "PenaltyMatrix", "Text", "Violation",
+                 "pad_for_seed", "symbols_match", "validate_penalty_matrix"],
     "lcpk": ["ExactLce", "LcpKTable", "PrefKTable", "kangaroo_lcp_k", "lcp_k_all_pairs",
              "pref_k"],
     "hamcover": ["CoverageReport", "EnhancedCover", "border_lengths",
@@ -164,7 +158,8 @@ PUBLIC_NAMES = {
                "build_cover_instance", "build_seed_instance", "format_instance", "gamma",
                "parse_instance", "phi", "psi", "reduction_forward_check",
                "validate_phi_density", "validate_prefix_suffix_overlaps"],
-    "oracle": ["oracle"],
+    "oracle": ["DTable", "build_d_table", "edit_distance", "hamming_distance",
+               "interval_union_size", "oracle"],
 }
 
 

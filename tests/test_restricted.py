@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasicover import oracle
-from quasicover.editcover import _EditCosts, block_size, precompute_special
+from quasicover.editcover import block_size, precompute_special
 from quasicover.hamcover import k_restricted_covers, k_restricted_seeds
+from quasicover.oracle import edit_distance
 from quasicover.restricted import (
     _q_tables_of_start,
     _report_for_candidates,
@@ -15,7 +16,7 @@ from quasicover.restricted import (
     restricted_covers_ed,
     restricted_seeds_ed,
 )
-from quasicover.textcore import (PenaltyMatrix, Text, edit_distance, pad_for_seed,
+from quasicover.textcore import (PenaltyMatrix, Text, _EditCosts, pad_for_seed,
                                  restricted_candidates, validate_penalty_matrix)
 
 from conftest import (candidate_factors, column_combine_report, random_metric,
@@ -343,7 +344,7 @@ def test_crossover_unimodality(rng):
     """Along a Pareto list, cost rises and the range minimum falls, so the
     combined expression is minimized at the crossover or its predecessor."""
     from quasicover.editcover import pareto_list_from_row
-    from quasicover.textcore import build_d_table
+    from quasicover.oracle import build_d_table
 
     for _ in range(10):
         n = rng.randint(2, 9)
