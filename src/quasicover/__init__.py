@@ -16,15 +16,14 @@ from importlib import import_module
 #: Submodule -> the public names it defines.
 _EXPORTS = {
     "textcore": (
-        "WILDCARD", "IntervalSet", "PenaltyMatrix", "Text", "Violation", "pad_for_seed",
-        "symbols_match", "validate_penalty_matrix",
+        "WILDCARD", "PenaltyMatrix", "Text", "Violation", "pad_for_seed", "symbols_match",
+        "validate_penalty_matrix",
     ),
     "lcpk": (
-        "ExactLce", "LcpKTable", "PrefKTable", "kangaroo_lcp_k", "lcp_k_all_pairs",
-        "pref_k",
+        "ExactLce", "LcpKTable", "kangaroo_lcp_k", "lcp_k_all_pairs", "pref_k",
     ),
     "hamcover": (
-        "CoverageReport", "EnhancedCover", "border_lengths",
+        "EnhancedCover", "border_lengths",
         "enhanced_cover_approx_border", "enhanced_cover_exact_border",
         "factor_coverage_all", "factor_occurrences", "k_restricted_covers",
         "k_restricted_seeds", "prefix_coverage",
@@ -36,8 +35,8 @@ _EXPORTS = {
     ),
     "slots": ("LevPrefixTable", "p_lev_table"),
     "restricted": (
-        "QTable", "RestrictedReport", "q_table_fast", "q_table_quadratic",
-        "restricted_covers_ed", "restricted_seeds_ed",
+        "RestrictedReport", "q_table_fast", "q_table_quadratic", "restricted_covers_ed",
+        "restricted_seeds_ed",
     ),
     "gadget": (
         "ConsensusInstance", "GadgetEncoding", "ScanVerdict", "ReductionVerdict",

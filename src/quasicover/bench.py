@@ -83,7 +83,7 @@ def _doubling(task: str, n: int, bound: float, repeats: int, seed: int,
 def bench_prefix_sweep(n: int = 2 ** 15, repeats: int = 3) -> BenchResult:
     """Linear-time prefix coverage, excluding PREF_k construction."""
     def make(t: Text):
-        vals = list(pref_k(t, 1).values)
+        vals = pref_k(t, 1)
         return lambda: hamcover.coverage_sweep(vals, len(t), len(t))
     return _doubling("prefix-coverage-sweep", n, 3.0, repeats, 7, make)
 
@@ -159,22 +159,14 @@ def bench_restricted_covers_ed(n: int = 32, repeats: int = 3) -> BenchResult:
                      lambda size, seed: random_text(size, 3, seed))
 
 
+#: Every row of ``quasicover bench``, in order, with its n under ``--quick``.
+_ROWS = ((bench_prefix_sweep, 2 ** 12), (bench_prefix_hamming, 2 ** 12),
+         (bench_pref_k, 2 ** 12), (bench_pref_k_wildcards, 2 ** 12),
+         (bench_factor_hamming, 64), (bench_factor_lev, 16), (bench_factor_edit, 16),
+         (bench_prefix_lev, 64), (bench_restricted_covers_hamming, 64),
+         (bench_restricted_covers_ed, 16))
+
+
 def run_all(quick: bool = False) -> list[BenchResult]:
-    if quick:
-        return [
-            bench_prefix_sweep(n=2 ** 12, repeats=2),
-            bench_prefix_hamming(n=2 ** 12, repeats=2),
-            bench_pref_k(n=2 ** 12, repeats=2),
-            bench_pref_k_wildcards(n=2 ** 12, repeats=2),
-            bench_factor_hamming(n=64, repeats=2),
-            bench_factor_lev(n=16, repeats=2),
-            bench_factor_edit(n=16, repeats=2),
-            bench_prefix_lev(n=64, repeats=2),
-            bench_restricted_covers_hamming(n=64, repeats=2),
-            bench_restricted_covers_ed(n=16, repeats=2),
-        ]
-    return [bench_prefix_sweep(), bench_prefix_hamming(), bench_pref_k(),
-            bench_pref_k_wildcards(),
-            bench_factor_hamming(), bench_factor_lev(), bench_factor_edit(),
-            bench_prefix_lev(),
-            bench_restricted_covers_hamming(), bench_restricted_covers_ed()]
+    """Every row at its default size, or under ``quick`` at its quick n, best of 2."""
+    return [row(n=n, repeats=2) if quick else row() for row, n in _ROWS]

@@ -199,6 +199,14 @@ def _prepare(path, distance, penalty, wildcard):
     return t, matrix
 
 
+def _check_tsv_keys(text: str, fmt: str) -> None:
+    """Rows keyed by factors of ``text`` print it as a field: under TSV a TAB
+    in it would split the row."""
+    if fmt == "tsv" and "\t" in text:
+        raise InputDataError("the text holds a TAB, which would split the TSV rows; "
+                             "use --format json")
+
+
 @click.group()
 def cli():
     """Approximate quasiperiodicity analysis."""
@@ -261,6 +269,7 @@ def _restricted_report(command, input, distance, k, escalate, penalty, fmt, wild
     their modules per call, so wrappers installed there see every call."""
     k = _restricted_budget(command, distance, k, escalate)
     t, matrix = _prepare(input, distance, penalty, wildcard)
+    _check_tsv_keys(t.to_str(), fmt)
     seeds = command == "seeds"
     if distance == "hamming":
         from . import hamcover
@@ -308,6 +317,7 @@ def seeds(**options):
 def enhanced(input, variant, k, fmt, wildcard):
     """Best enhanced cover under Hamming distance (row: candidate, start, end, coverage)."""
     raw = _read_ascii(input)
+    _check_tsv_keys(raw, fmt)
     t = _build_text(raw, wildcard)
     from . import hamcover
     search = (hamcover.enhanced_cover_exact_border if variant == "exact-border"

@@ -246,7 +246,7 @@ def reduction_forward_check(inst: ConsensusInstance,
         cand_text = Text.from_str(cand, BINARY_ALPHABET)
         verdict.cover_coverage_ok = (
             brute_coverage(cand_text, t_text, "hamming", k) == len(cover.text))
-        starts = set(brute_occurrences(cand_text, t_text, "hamming", k).starts())
+        starts = {i for i, _ in brute_occurrences(cand_text, t_text, "hamming", k)}
         verdict.start_occ_ok = starts == {i * c for i in range(inst.m)}
         seed = build_seed_instance(inst)
         seed_cand = cand + "1" * (2 * k + 4)

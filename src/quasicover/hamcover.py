@@ -45,16 +45,7 @@ from math import inf
 from operator import sub
 
 from .lcpk import ExactLce, _lcp_k, pref_k, string_image
-from .textcore import (WILDCARD, Candidates, IntervalSet, Keyed, Text, _smear,
-                       restricted_candidates)
-
-
-@dataclass
-class CoverageReport:
-    """Coverage of one subject: a prefix length or a factor (a, b)."""
-
-    subject: int | tuple[int, int]
-    coverage: int
+from .textcore import WILDCARD, Candidates, Keyed, Text, _smear, restricted_candidates
 
 
 @dataclass
@@ -337,17 +328,14 @@ def _factor(t: Text, k: int, a: int, b: int) -> tuple[list[int], list[int]]:
     return _StartCoverage(t, k)(a, b - a + 1)
 
 
-def factor_occurrences(t: Text, k: int, a: int, b: int) -> IntervalSet:
+def factor_occurrences(t: Text, k: int, a: int, b: int) -> list[tuple[int, int]]:
     """Approximate occurrence intervals of T[a, b], in start order."""
-    occ = IntervalSet()
-    for i in _factor(t, k, a, b)[1]:
-        occ.add(i, b - a + i)
-    return occ
+    return [(i, b - a + i) for i in _factor(t, k, a, b)[1]]
 
 
-def factor_report(t: Text, k: int, a: int, b: int) -> CoverageReport:
-    """Coverage report for one factor."""
-    return CoverageReport((a, b), _factor(t, k, a, b)[0][-1])
+def factor_report(t: Text, k: int, a: int, b: int) -> int:
+    """Hamming k-coverage of the factor T[a, b]."""
+    return _factor(t, k, a, b)[0][-1]
 
 
 def _fills(alive: int, length: int, full: int) -> bool:
@@ -390,7 +378,7 @@ def _restricted_levels(target: Text, candidates: Candidates, k: int) -> Keyed:
                     valid & ~over[e], length, full))
             elif not _fills(valid & ~over[hi], longest, full):
                 break
-    return candidates.keyed(levels)
+    return Keyed(candidates, levels)
 
 
 def k_restricted_covers(t: Text, k: int) -> Keyed:
@@ -467,10 +455,10 @@ def enhanced_cover_approx_border(t: Text, k: int) -> EnhancedCover | None:
     prefer shorter candidates, then smaller start positions.  None when t
     is empty.
     """
-    pref = pref_k(t, k).values  # checks the budget, also on empty text
+    pref = pref_k(t, k)  # checks the budget, also on empty text
     n = len(t)
     # lcp_k(a, n - L) >= L, read on the reversed text: lcp_k(0, n - a - L) >= L
-    suf = pref_k(Text(t.symbols[::-1], t.alphabet, t.wildcard_char), k).values
+    suf = pref_k(Text(t.symbols[::-1], t.alphabet, t.wildcard_char), k)
     # No factor at a longer than PREF_k[a] qualifies, so row a stops there.
     run = _StartCoverage(t, k)
     rows = [run(a, pref[a])[0] for a in range(n)]

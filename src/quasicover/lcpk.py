@@ -53,20 +53,6 @@ class LcpKTable:
         return self.rows[i]
 
 
-@dataclass
-class PrefKTable:
-    """PREF_k[i] = lcp_k(0, i); PREF_k[0] is the text length."""
-
-    k: int
-    values: list[int]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
-
-
 def lcp_k_all_pairs(t: Text, k: int) -> LcpKTable:
     """Full lcp_k table via the per-diagonal mismatch-window dynamic program.
 
@@ -245,12 +231,12 @@ def kangaroo_lcp_k(t: Text, i: int, j: int, k: int,
     return _lcp_k(lce._s, lce.extension, i, j, n - max(i, j), k)
 
 
-def pref_k(t: Text, k: int) -> PrefKTable:
-    """PREF_k table, [lcp_k(0, j) for j < n], by one kangaroo query per
-    position, all on one :class:`ExactLce` built here: O(nk) jumps."""
+def pref_k(t: Text, k: int) -> list[int]:
+    """PREF_k, [lcp_k(0, j) for j < n] (PREF_k[0] is n), by one kangaroo
+    query per position, all on one :class:`ExactLce` built here: O(nk) jumps."""
     n = len(t)
     if k < 0:
         raise ValueError("mismatch budget must be nonnegative")
     lce = ExactLce(t)
     s, extension = lce._s, lce.extension
-    return PrefKTable(k, [_lcp_k(s, extension, 0, j, n - j, k) for j in range(n)])
+    return [_lcp_k(s, extension, 0, j, n - j, k) for j in range(n)]

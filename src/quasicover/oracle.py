@@ -10,9 +10,9 @@ instead of hanging.
 from __future__ import annotations
 
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .textcore import (IntervalSet, PenaltyMatrix, Text, _check_symbols_covered, pad_for_seed,
+from .textcore import (PenaltyMatrix, Text, _check_symbols_covered, pad_for_seed,
                        symbols_match)
 
 DEFAULT_CANDIDATE_BUDGET = 2 ** 22
@@ -118,13 +118,14 @@ def build_d_table(t: Text, a: int, ap: int, p: PenaltyMatrix) -> DTable:
     return DTable(a, ap, n, rows)
 
 
-def interval_union_size(s: IntervalSet) -> int:
-    """Size of the union of the intervals.
+def interval_union_size(s: Iterable[tuple[int, int]]) -> int:
+    """Size of the union of the inclusive intervals; empty ones (j < i) add
+    nothing.
 
     Linear when intervals already come in left-endpoint order, which every
     producer in this package guarantees; otherwise they are sorted first.
     """
-    iv = s.intervals
+    iv = [(i, j) for i, j in s if i <= j]
     if any(iv[t][0] > iv[t + 1][0] for t in range(len(iv) - 1)):
         iv = sorted(iv)
     total = 0
@@ -185,15 +186,12 @@ def _window_distances(s: Text, t: Text, metric: str,
 
 
 def brute_occurrences(s: Text, t: Text, metric: str, k: int,
-                      p: PenaltyMatrix | None = None) -> IntervalSet:
-    """All intervals [i, j] of t with d(s, t[i, j]) <= k, by direct evaluation."""
-    occ = IntervalSet()
+                      p: PenaltyMatrix | None = None) -> list[tuple[int, int]]:
+    """All nonempty intervals [i, j] of t with d(s, t[i, j]) <= k, in start
+    order, by direct evaluation."""
     if k < 0:
-        return occ
-    for (i, j), d in sorted(_window_distances(s, t, metric, p).items()):
-        if d <= k:
-            occ.add(i, j)
-    return occ
+        return []
+    return [w for w, d in sorted(_window_distances(s, t, metric, p).items()) if d <= k]
 
 
 def brute_coverage(s: Text, t: Text, metric: str, k: int,

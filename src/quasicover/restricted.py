@@ -29,26 +29,11 @@ from math import inf
 from operator import add
 from typing import TYPE_CHECKING
 
-from .textcore import (Candidates, PenaltyMatrix, Text, _EditCosts, _packed_fields,
+from .textcore import (Candidates, Keyed, PenaltyMatrix, Text, _EditCosts, _packed_fields,
                        restricted_candidates)
 
 if TYPE_CHECKING:
     from .editcover import SpecialPointIndex
-
-
-@dataclass
-class QTable:
-    """Minimal cover thresholds of one factor against every text suffix."""
-
-    a: int
-    b: int
-    values: list[int]
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _q_tables_of_start(costs: _EditCosts, a: int, bs: list[int]) -> list[list[int]]:
@@ -79,18 +64,18 @@ def _q_tables_of_start(costs: _EditCosts, a: int, bs: list[int]) -> list[list[in
     return tables
 
 
-def q_table_quadratic(t: Text, a: int, b: int, p: PenaltyMatrix) -> QTable:
+def q_table_quadratic(t: Text, a: int, b: int, p: PenaltyMatrix) -> list[int]:
     """Reference recurrence: try every first occurrence T[i, j].
 
     The batched routine with one end: the needed D_{a,i}[b, .] row is
     recomputed per i, O(n^3) in all; with the rows given, the double loop is
     quadratic.
     """
-    return QTable(a, b, _q_tables_of_start(_EditCosts(t, p), a, [b])[0])
+    return _q_tables_of_start(_EditCosts(t, p), a, [b])[0]
 
 
 def q_table_fast(t: Text, a: int, b: int, p: PenaltyMatrix,
-                 idx: SpecialPointIndex | None = None) -> QTable:
+                 idx: SpecialPointIndex | None = None) -> list[int]:
     """Special-point variant of the Q-table recurrence.
 
     Per entry: an optional scan of the short-occurrence block, then for each
@@ -162,7 +147,7 @@ def q_table_fast(t: Text, a: int, b: int, p: PenaltyMatrix,
         while roots and values[roots[-1]] >= best:
             parent[roots.pop()] = i
         roots.append(i)
-    return QTable(a, b, values)
+    return values
 
 
 @dataclass
@@ -294,7 +279,7 @@ def _report_for_candidates(target: Text, candidates: Candidates,
                 z = ((x | guard) - y) & guard
                 x ^= (x ^ y) & (z - (z >> high))
             level[b - start + 1] = top(x)
-    return RestrictedReport(candidates.keyed(levels), min(chain.from_iterable(
+    return RestrictedReport(Keyed(candidates, levels), min(chain.from_iterable(
         level[seen + 1:] for seen, level in zip(candidates.lo, levels)), default=None))
 
 

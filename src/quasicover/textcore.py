@@ -1,4 +1,4 @@
-"""Core string, metric and interval types shared by every analysis module.
+"""Core string and metric types shared by every analysis module.
 
 Texts are sequences of dense symbol ids over an explicit alphabet, with an
 optional wildcard symbol that matches every other symbol.  All costs are
@@ -13,7 +13,6 @@ plain distances and D-tables they are tested against are :mod:`.oracle`'s.
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping, ValuesView
-from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Iterable, Iterator, NamedTuple
 
@@ -150,10 +149,6 @@ class Candidates(NamedTuple):
     shift: int
     lo: list[int]
     hi: list[int]
-
-    def keyed(self, values: list) -> Keyed:
-        """Candidate strings to ``values[a][L]``, by length, then by string."""
-        return Keyed(self, values)
 
 
 class Keyed(Mapping):
@@ -418,29 +413,3 @@ def _packed_fields(w: int, count: int):
         return x ^ ((x ^ y) & (t - (t >> (w - 1))))
 
     return rep, guard, full, pack, fmin
-
-
-@dataclass
-class IntervalSet:
-    """Inclusive index intervals; empty intervals are dropped at insertion."""
-
-    intervals: list[tuple[int, int]]
-
-    def __init__(self, intervals: Iterable[tuple[int, int]] = ()):
-        self.intervals = [(i, j) for i, j in intervals if i <= j]
-
-    def add(self, i: int, j: int) -> None:
-        if i <= j:
-            self.intervals.append((i, j))
-
-    def __len__(self) -> int:
-        return len(self.intervals)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.intervals)
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.intervals
-
-    def starts(self) -> list[int]:
-        return sorted({i for i, _ in self.intervals})

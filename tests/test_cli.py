@@ -1,11 +1,16 @@
+import io
 import json
 import random
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quasicover import editcover, gadget, hamcover
+from quasicover import editcover, gadget, hamcover, oracle
+from quasicover.bench import QTABLE_PENALTY
 from quasicover.cli import main, parse_penalty_file
 from quasicover.cli import InputDataError
 from quasicover.hamcover import (enhanced_cover_approx_border, enhanced_cover_exact_border,
@@ -311,6 +316,69 @@ def test_restricted_rows_on_tiny_and_wildcard_texts(capsys, monkeypatch):
                 assert tsv == _rendered(want)
 
 
+def _main_json(argv: list[str], raw: str) -> tuple[int, object]:
+    """Exit code and parsed stdout (None when empty) of ``main(argv)`` on
+    stdin ``raw``; plain redirection, as hypothesis rejects per-test fixtures."""
+    out = io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(raw + "\n")
+    try:
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main([*argv, "--format", "json"])
+    finally:
+        sys.stdin = stdin
+    return code, json.loads(out.getvalue()) if out.getvalue() else None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(raw=st.text("abc?", max_size=7), k=st.integers(0, 3))
+def test_cli_rows_equal_the_oracle(tmp_path_factory, raw, k):
+    """Every command and metric the CLI accepts prints, in JSON, the rows the
+    brute-force oracle gives; every rejected combination prints nothing."""
+    weighted = tmp_path_factory.getbasetemp() / "qtable.penalty"
+    weighted.write_text(penalty_file_text(QTABLE_PENALTY))
+    distances = [(["--distance", "hamming"], "hamming", None, Text.from_str(raw))]
+    if "?" in raw:
+        for mode in ("prefix", "factor"):
+            argv = ["coverage", "--distance", "levenshtein", "--mode", mode]
+            assert _main_json(argv, raw) == (2, None)
+    else:
+        distances.append((["--distance", "levenshtein"], "levenshtein", None,
+                          Text.from_str(raw)))
+    unit = PenaltyMatrix.unit("".join(sorted(set(raw) - {"?"})))
+    for spec, p in (("unit", unit), (str(weighted), QTABLE_PENALTY)):
+        distances.append((["--distance", "edit", "--penalty", spec], "edit", p,
+                          Text.from_str(raw, p.alphabet)))
+    n = len(raw)
+    for dist, metric, p, t in distances:
+        prefix = [[ell, oracle.brute_coverage(t.prefix(ell), t, metric, k, p)]
+                  for ell in range(1, n + 1)]
+        factor = [[a, b, oracle.brute_coverage(t.factor(a, b), t, metric, k, p)]
+                  for a in range(n) for b in range(a, n)]
+        for mode, rows in (("prefix", prefix), ("factor", factor)):
+            got = _main_json(["coverage", *dist, "--k", str(k), "--mode", mode], raw)
+            assert got == (0, {"columns": _columns(["coverage", "--mode", mode]),
+                               "rows": rows}), (raw, dist, mode)
+        for cmd in ("covers", "seeds"):
+            if metric == "levenshtein":
+                assert _main_json([cmd, *dist], raw) == (1, None)
+                continue
+            levels = oracle.brute_restricted_min_k(t, metric, p, seeds=cmd == "seeds")
+            keys = sorted(levels, key=lambda s: (len(s), s))
+            if metric == "edit":
+                least = min(levels.values(), default=None)
+                runs = [([], [[key, levels[key], int(levels[key] == least)] for key in keys])]
+                for flag in (["--k", str(k)], ["--escalate"]):
+                    assert _main_json([cmd, *dist, *flag], raw) == (1, None)
+            else:
+                runs = [(["--k", str(k)], [[key, levels[key] if levels[key] <= k else "none"]
+                                           for key in keys]),
+                        (["--escalate"], [[key, levels[key]] for key in keys])]
+            for flag, rows in runs:
+                got = _main_json([cmd, *dist, *flag], raw)
+                assert got == (0, {"columns": _columns([cmd, *dist]), "rows": rows}), \
+                    (raw, cmd, dist, flag)
+
+
 class _CountingSink:
     """A text stream that keeps nothing but the number of bytes written."""
 
@@ -430,6 +498,17 @@ def test_input_errors(capsys, monkeypatch, tmp_path):
     instance.write_bytes(b"1 1 0\n0 # \xff\n")
     code, out, err = run(capsys, monkeypatch, ["gadget", "build-cover", str(instance)])
     assert (code, out) == (2, "") and "input error: instance file is not ASCII" in err
+    # Rows keyed by factors would print a TAB of the text, or a TAB wildcard,
+    # as a field separator: TSV refuses such a line, JSON escapes it.
+    for args in (["covers"], ["seeds", "--k", "1"], ["enhanced", "--variant", "exact-border"],
+                 ["covers", "--distance", "edit", "--penalty", "unit"],
+                 ["covers", "--wildcard", "\t"]):
+        code, out, err = run(capsys, monkeypatch, args, stdin="a\tb\n")
+        assert (code, out) == (2, "") and "use --format json" in err, args
+    code, out, _ = run(capsys, monkeypatch, ["covers", "--format", "json"], stdin="a\tb\n")
+    assert code == 0 and ["a\t", "none"] in json.loads(out)["rows"]
+    code, out, _ = run(capsys, monkeypatch, ["coverage"], stdin="a\tb\n")
+    assert (code, out) == (0, "1\t1\n2\t2\n3\t3\n")
 
 
 def test_penalty_file_parsing(tmp_path):

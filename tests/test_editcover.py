@@ -328,16 +328,22 @@ def test_p_ed_matches_brute_and_lev(rng):
         p = PenaltyMatrix.unit("ab") if unit else random_metric("ab", rng)
         idx = precompute_special(t, p)
         kmax = 2 * p.max_operation_cost()
-        for k in {0, 1, rng.randint(0, kmax), kmax}:
-            lev = p_lev_table(t, k) if unit else None
-            for a in range(n):
-                for b in range(a, n):
-                    for ap in range(n):
+        budgets = {0, 1, rng.randint(0, kmax), kmax}
+        levs = {k: p_lev_table(t, k) for k in budgets} if unit else {}
+        for a in range(n):
+            for b in range(a, n):
+                c = t.factor(a, b)
+                for ap in range(n):
+                    # brute_p_entry for every budget from one pass over the ends
+                    ends = range(ap - 1, n)
+                    dists = [edit_distance(c, t.factor(ap, bp), p) for bp in ends]
+                    for k in budgets:
                         got = p_ed_entry(idx, a, b, ap, k)
-                        assert got == brute_p_entry(t, a, b, ap, k, p)
-                        if lev is not None:
-                            assert got == lev.get(a, b, ap)
-                    assert p_ed_entry(idx, a, b, a, 0) == b
+                        assert got == max((bp for bp, d in zip(ends, dists) if d <= k),
+                                          default=-1)
+                        if unit:
+                            assert got == levs[k].get(a, b, ap)
+                assert p_ed_entry(idx, a, b, a, 0) == b
 
 
 def test_p_table_maximality(rng):

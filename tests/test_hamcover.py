@@ -82,7 +82,7 @@ def test_per_start_routine_matches_references_at_word_boundaries(rng, monkeypatc
                  random_text_str(rng, n, 2, wildcard_prob=0.3)]
         for s, k in product(texts, range(4)):
             t = Text.from_str(s)
-            assert prefix_coverage(t, k) == coverage_sweep(pref_k(t, k).values, n, n), (s, k)
+            assert prefix_coverage(t, k) == coverage_sweep(pref_k(t, k), n, n), (s, k)
             table = lcp_k_all_pairs(t, k)
             rows = factor_coverage_all(t, k)
             for a in range(n):
@@ -90,7 +90,7 @@ def test_per_start_routine_matches_references_at_word_boundaries(rng, monkeypatc
             for a in range(0, n, 9):
                 for b in {a, min(a + 63, n - 1), min(a + 64, n - 1), n - 1}:
                     length = b - a + 1
-                    assert factor_report(t, k, a, b).coverage == rows[a][b - a]
+                    assert factor_report(t, k, a, b) == rows[a][b - a]
                     want = [(i, i + length - 1) for i, v in enumerate(table.row(a))
                             if v >= length]
                     assert list(factor_occurrences(t, k, a, b)) == want, (s, k, a, b)
@@ -133,7 +133,7 @@ def test_sweep_invariants_instrumented(rng):
         n = rng.randint(1, 16)
         t = Text.from_str(random_text_str(rng, n, 2))
         k = rng.randint(0, 3)
-        state = SweepState(list(pref_k(t, k).values), n)
+        state = SweepState(pref_k(t, k), n)
         for ell in range(1, n + 1):
             state.steps(ell, ell)
             want = oracle.brute_coverage(t.prefix(ell), t, "hamming", k)
@@ -320,10 +320,8 @@ def test_coverage_sweep_matches_definition(data):
 
 def test_factor_report():
     t = Text.from_str("abaab")
-    rep = factor_report(t, 1, 0, 1)
-    assert rep.subject == (0, 1)
-    assert rep.coverage == 5
-    assert list(factor_occurrences(t, 1, 0, 1)) == [(0, 1), (2, 3), (3, 4)]
+    assert factor_report(t, 1, 0, 1) == 5
+    assert factor_occurrences(t, 1, 0, 1) == [(0, 1), (2, 3), (3, 4)]
     # only 0 <= a <= b < n names a factor; no row index wraps around
     for a, b in ((3, 1), (-2, 1), (0, 5), (-1, -1)):
         for call in (factor_report, factor_occurrences):

@@ -39,13 +39,13 @@ def test_table_indices_out_of_range():
 
 def test_pref_k_examples():
     t = Text.from_str("aabaa")
-    assert pref_k(t, 0).values == [5, 1, 0, 2, 1]
+    assert pref_k(t, 0) == [5, 1, 0, 2, 1]
     # one budgeted mismatch extends each entry past its first mismatch only
     # until the second one; values recomputed with the naive scan
-    assert pref_k(t, 1).values == [5, 2, 2, 2, 1]
+    assert pref_k(t, 1) == [5, 2, 2, 2, 1]
     n = 7
     t = Text.from_str("abbabab")
-    assert pref_k(t, n).values == [n - i for i in range(n)]
+    assert pref_k(t, n) == [n - i for i in range(n)]
 
 
 def test_kangaroo_unlimited_budget_and_self():
@@ -122,7 +122,7 @@ def test_long_extensions_match_plain_loop(rng):
                 assert lce.exact(i, j) == _plain_lce(t, i, j, int.__eq__)
                 assert lce.extension(i, j) == _plain_lce(t, i, j, symbols_match)
             for k in (0, 1, 2):
-                assert pref_k(t, k).values == [naive_lcp_k(t, 0, i, k)
+                assert pref_k(t, k) == [naive_lcp_k(t, 0, i, k)
                                                     for i in range(n)]
 
 
@@ -148,7 +148,7 @@ def _check_against_naive(t: Text):
     lce = ExactLce(t)
     for k in range(5):
         want = [naive_lcp_k(t, 0, i, k) for i in range(n)]
-        assert pref_k(t, k).values == want
+        assert pref_k(t, k) == want
         assert [kangaroo_lcp_k(t, 0, i, k, lce) for i in range(n)] == want
 
 
@@ -208,7 +208,7 @@ def test_wildcards_never_mismatch():
     table = lcp_k_all_pairs(t, 0)
     # suffix 1 = "??b", suffix 2 = "?b": wildcards pair with anything
     assert table.entry(1, 2) == 2
-    assert pref_k(t, 0).values[1] == 3
+    assert pref_k(t, 0)[1] == 3
 
 
 def test_position_bounds():
@@ -227,5 +227,5 @@ def test_position_bounds():
 
 def test_empty_text():
     t = Text.from_str("")
-    assert pref_k(t, 0).values == []
+    assert pref_k(t, 0) == []
     assert lcp_k_all_pairs(t, 1).rows == []

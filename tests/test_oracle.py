@@ -5,7 +5,7 @@ import pytest
 import quasicover
 from quasicover import oracle
 from quasicover.oracle import interval_union_size
-from quasicover.textcore import IntervalSet, PenaltyMatrix, Text
+from quasicover.textcore import PenaltyMatrix, Text
 
 from conftest import random_metric, random_text_str, run_fresh
 
@@ -140,11 +140,10 @@ def test_package_exports_no_module_but_oracle():
 
 #: Each public name of the package, by the submodule that defines it.
 PUBLIC_NAMES = {
-    "textcore": ["WILDCARD", "IntervalSet", "PenaltyMatrix", "Text", "Violation",
-                 "pad_for_seed", "symbols_match", "validate_penalty_matrix"],
-    "lcpk": ["ExactLce", "LcpKTable", "PrefKTable", "kangaroo_lcp_k", "lcp_k_all_pairs",
-             "pref_k"],
-    "hamcover": ["CoverageReport", "EnhancedCover", "border_lengths",
+    "textcore": ["WILDCARD", "PenaltyMatrix", "Text", "Violation", "pad_for_seed",
+                 "symbols_match", "validate_penalty_matrix"],
+    "lcpk": ["ExactLce", "LcpKTable", "kangaroo_lcp_k", "lcp_k_all_pairs", "pref_k"],
+    "hamcover": ["EnhancedCover", "border_lengths",
                  "enhanced_cover_approx_border", "enhanced_cover_exact_border",
                  "factor_coverage_all", "factor_occurrences", "k_restricted_covers",
                  "k_restricted_seeds", "prefix_coverage"],
@@ -152,7 +151,7 @@ PUBLIC_NAMES = {
                   "p_ed_entry", "pareto_list_build", "pareto_list_from_row",
                   "precompute_special"],
     "slots": ["LevPrefixTable", "p_lev_table"],
-    "restricted": ["QTable", "RestrictedReport", "q_table_fast", "q_table_quadratic",
+    "restricted": ["RestrictedReport", "q_table_fast", "q_table_quadratic",
                    "restricted_covers_ed", "restricted_seeds_ed"],
     "gadget": ["ConsensusInstance", "GadgetEncoding", "ScanVerdict", "ReductionVerdict",
                "build_cover_instance", "build_seed_instance", "format_instance", "gamma",

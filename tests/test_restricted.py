@@ -16,7 +16,7 @@ from quasicover.restricted import (
     restricted_covers_ed,
     restricted_seeds_ed,
 )
-from quasicover.textcore import (PenaltyMatrix, Text, _EditCosts, pad_for_seed,
+from quasicover.textcore import (Keyed, PenaltyMatrix, Text, _EditCosts, pad_for_seed,
                                  restricted_candidates, validate_penalty_matrix)
 
 from conftest import (candidate_factors, column_combine_report, random_metric,
@@ -42,8 +42,8 @@ def brute_q_entry(t: Text, a: int, b: int, p: PenaltyMatrix, i: int) -> int:
 def test_q_table_worked_example():
     t = Text.from_str("abab")
     p = PenaltyMatrix.unit("ab")
-    assert q_table_quadratic(t, 0, 1, p).values == [0, 1, 0, 1, 0]
-    assert q_table_fast(t, 0, 1, p).values == [0, 1, 0, 1, 0]
+    assert q_table_quadratic(t, 0, 1, p) == [0, 1, 0, 1, 0]
+    assert q_table_fast(t, 0, 1, p) == [0, 1, 0, 1, 0]
 
 
 def test_q_table_boundaries(rng):
@@ -65,8 +65,7 @@ def test_fast_equals_quadratic_all_factors(rng):
         idx = precompute_special(t, p)
         for a in range(n):
             for b in range(a, n):
-                assert q_table_fast(t, a, b, p, idx).values == \
-                    q_table_quadratic(t, a, b, p).values
+                assert q_table_fast(t, a, b, p, idx) == q_table_quadratic(t, a, b, p)
 
 
 def test_fast_equals_quadratic_block_size_three(rng):
@@ -80,8 +79,7 @@ def test_fast_equals_quadratic_block_size_three(rng):
         idx = precompute_special(t, p)
         # b - a < M - 1 takes the block-scan path as well
         for a, b in ((0, 1), (n - 2, n - 1), (5, 5), (3, 14), (20, 42), (0, n - 2)):
-            assert q_table_fast(t, a, b, p, idx).values == \
-                q_table_quadratic(t, a, b, p).values
+            assert q_table_fast(t, a, b, p, idx) == q_table_quadratic(t, a, b, p)
 
 
 def test_batched_tables_equal_fast_on_every_entry(rng):
@@ -103,7 +101,7 @@ def test_batched_tables_equal_fast_on_every_entry(rng):
                 ends.setdefault(a, []).append(b)
             for a, bs in ends.items():
                 for b, values in zip(bs, _q_tables_of_start(costs, a, bs)):
-                    assert values == q_table_fast(target, a, b, p, idx).values
+                    assert values == q_table_fast(target, a, b, p, idx)
 
 
 def test_report_thresholds_equal_quadratic_q_tables(rng):
@@ -271,8 +269,8 @@ def test_restricted_candidates_match_brute_enumeration(rng):
                 [(a + width, b + width, c) for a, b, c in brute]
             keys = [c for _, _, c in brute]
             order = sorted(set(keys), key=lambda c: (len(c), c))
-            keyed = candidates.keyed([[(a, length) for length in range(n + 1)]
-                                      for a in range(n)])
+            keyed = Keyed(candidates, [[(a, length) for length in range(n + 1)]
+                                       for a in range(n)])
             assert list(keyed) == order
             assert all((s.find(key), len(key)) == at for key, at in keyed.items())
             assert list(ham(t, n)) == order
@@ -360,7 +358,7 @@ def test_crossover_unimodality(rng):
                 continue
             dists = [d for d, _ in entries]
             assert dists == sorted(dists) and len(set(dists)) == len(dists)
-            minq = [min(q.values[i + 1:j + 2]) for _, j in entries]
+            minq = [min(q[i + 1:j + 2]) for _, j in entries]
             assert all(minq[x] >= minq[x + 1] for x in range(len(minq) - 1))
             values = [max(d + 0, mq) for (d, _), mq in zip(entries, minq)]
             # crossover index: first entry whose min-term dips below the cost

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasicover.oracle import build_d_table, edit_distance, hamming_distance, interval_union_size
-from quasicover.textcore import (WILDCARD, IntervalSet, PenaltyMatrix, Text, pad_for_seed,
+from quasicover.textcore import (WILDCARD, PenaltyMatrix, Text, pad_for_seed,
                                  validate_penalty_matrix)
 
 from conftest import random_metric, random_text_str
@@ -204,21 +204,19 @@ def test_build_d_table_range_errors():
 
 
 def test_interval_union_examples():
-    assert interval_union_size(IntervalSet([(0, 1), (3, 4)])) == 4
-    assert interval_union_size(IntervalSet([(0, 2), (1, 3)])) == 4
-    s = IntervalSet([(2, 1)])
-    assert len(s) == 0
-    assert interval_union_size(s) == 0
+    assert interval_union_size([(0, 1), (3, 4)]) == 4
+    assert interval_union_size([(0, 2), (1, 3)]) == 4
+    assert interval_union_size([(2, 1)]) == 0
+    assert interval_union_size([(5, 2), (3, 3)]) == 1
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=12))
 def test_interval_union_matches_position_set(pairs):
-    s = IntervalSet(pairs)
     explicit = set()
     for i, j in pairs:
         explicit.update(range(i, j + 1))
-    assert interval_union_size(s) == len(explicit)
+    assert interval_union_size(pairs) == len(explicit)
 
 
 def test_pad_for_seed():
