@@ -16,6 +16,7 @@ from math import log2
 
 from . import editcover, hamcover
 from .lcpk import pref_k
+from .reference import coverage_sweep
 from .restricted import restricted_covers_ed
 from .textcore import PenaltyMatrix, Text
 
@@ -84,7 +85,7 @@ def bench_prefix_sweep(n: int = 2 ** 15, repeats: int = 3) -> BenchResult:
     """Linear-time prefix coverage, excluding PREF_k construction."""
     def make(t: Text):
         vals = pref_k(t, 1)
-        return lambda: hamcover.coverage_sweep(vals, len(t), len(t))
+        return lambda: coverage_sweep(vals, len(t), len(t))
     return _doubling("prefix-coverage-sweep", n, 3.0, repeats, 7, make)
 
 

@@ -39,7 +39,7 @@ EXIT_VALIDATION = 3
 
 def _read_ascii(path: str | None, what: str = "input", whole: bool = False) -> str:
     """The first line of file ``path`` (of stdin for None or "-"), trailing
-    newline stripped, or with ``whole`` the whole file; an unreadable or
+    LF or CRLF stripped, or with ``whole`` the whole file; an unreadable or
     non-ASCII input is an :class:`InputDataError`."""
     try:
         if whole or path not in (None, "-"):
@@ -53,7 +53,8 @@ def _read_ascii(path: str | None, what: str = "input", whole: bool = False) -> s
         raise InputDataError(f"{what} is not ASCII: {exc}")
     if not data.isascii():  # stdin as the locale decoded it, bad bytes as surrogates
         raise InputDataError(f"{what} is not ASCII")
-    return data if whole else data.rstrip("\n")
+    # text-mode open turns a file's CRLF into LF; stdin keeps it
+    return data if whole else data.removesuffix("\r\n").rstrip("\n")
 
 
 def _build_text(raw: str, wildcard: str, alphabet: str | None = None) -> Text:

@@ -10,25 +10,16 @@ per-start routes stay here: LCE-driven furthest-reach waves give the
 Levenshtein streams of one start, which a per-start routine unions, and
 weighted costs run the edit DP against all windows at once, one int of
 saturating fields per window length within budget (Ukkonen's cut-off).
-
-The paper's special-point index (Pareto lists at multiples of
-M = floor(sqrt(n / log2 n)), built on demand, plus small DP blocks) answers
-single entries in O(sqrt(n log n)) and drives ``restricted.q_table_fast``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
-from itertools import accumulate, islice
-from math import inf, log2, sqrt
 from typing import TYPE_CHECKING, Iterator
 
 from .textcore import PenaltyMatrix, Text, _EditCosts, _lev_check, _packed_fields, _smear
 
 if TYPE_CHECKING:
     from .lcpk import ExactLce
-    from .oracle import DTable
 
 
 def _suffix_pair_frontier(t: Text, a: int, ap: int, k: int,
@@ -74,185 +65,6 @@ def _lev_ends(t: Text, a: int, ap: int, k: int, lce: ExactLce) -> Iterator[int]:
             if d < -k:
                 return
         yield ap + i + d - 1
-
-
-@dataclass(frozen=True)
-class ParetoList:
-    """Non-dominated (distance, end) pairs of one D-table row, both ascending."""
-
-    dists: tuple[int, ...]
-    ends: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.dists)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return list(zip(self.dists, self.ends))
-
-    def pred(self, x: int) -> tuple[int, int] | None:
-        """Maximal pair with distance <= x, or None (the infinity sentinel)."""
-        idx = bisect_right(self.dists, x) - 1
-        return None if idx < 0 else (self.dists[idx], self.ends[idx])
-
-
-def pareto_list_build(costs: list[int], first_end: int) -> ParetoList:
-    """Maximal (cost, end) pairs of one row, by a right-to-left scan.
-
-    ``costs[t]`` is the distance for end position ``first_end + t``; a pair
-    survives iff its cost is strictly below every later cost.
-    """
-    dists, ends, best = [], [], inf
-    for offset in range(len(costs) - 1, -1, -1):
-        if costs[offset] < best:
-            best = costs[offset]
-            dists.append(best)
-            ends.append(first_end + offset)
-    return ParetoList(tuple(reversed(dists)), tuple(reversed(ends)))
-
-
-def pareto_list_from_row(dt: DTable, b: int) -> ParetoList:
-    return pareto_list_build(dt.row(b), dt.ap - 1)
-
-
-def block_size(n: int) -> int:
-    """M = floor(sqrt(n / log2 n)), clamped to at least 1."""
-    return 1 if n <= 2 else max(1, int(sqrt(n / log2(n))))
-
-
-def _dp_rows(costs: _EditCosts, a: int, ap: int, height: int | None = None,
-             width: int | None = None):
-    """Yield rows b = a-1, a, ... of D_{a,ap} one at a time.
-
-    Each row holds the costs for bp = ap-1 .. ap+width-2.  ``height`` caps
-    the number of rows, the boundary row b = a-1 included; both default to
-    the full table.  Full rows feed the special-point index's Pareto lists
-    and the quadratic Q-tables, blocked rows the index's leading blocks;
-    ``oracle.build_d_table`` and ``edit_distance`` stay separate as the
-    references it is tested against.
-    """
-    n = len(costs.symbols)
-    height = n - a + 1 if height is None else height
-    width = n - ap + 1 if width is None else width
-    ins = costs.ins[ap:ap + width - 1]
-    row = list(accumulate(ins, initial=0))  # row b = a-1: insertion-chain sums
-    yield row
-    for b in range(a, a + height - 1):
-        dl = costs.dele[b]
-        sub = costs.sub[costs.symbols[b]][ap:ap + width - 1]
-        left = row[0] + dl
-        new = [left]
-        append = new.append
-        for diag, up, sc, ic in zip(row, islice(row, 1, None), sub, ins):
-            left += ic
-            diag += sc
-            if diag < left:
-                left = diag
-            up += dl
-            if up < left:
-                left = up
-            append(left)
-        row = new
-        yield row
-
-
-class SpecialPointIndex:
-    """Precomputed data for sub-quartic weighted-edit prefix queries.
-
-    Holds (a) the M x M leading block of every D-table, boundary row and
-    column included, built up front, and (b) Pareto lists of the D-table
-    rows whose suffix pair touches a special point (a multiple of M), built
-    on first use: list (c, c') grows, row by row, only as far as the largest
-    row b asked of it.  ``lists`` maps each pair to the rows built so far.
-    The lists built are a subset of those the paper precomputes, so its
-    worst-case bound holds unchanged.  Not safe to share between threads.
-    """
-
-    def __init__(self, text: Text, penalty: PenaltyMatrix, m: int,
-                 blocks: list[list[list[list[int]]]], costs: _EditCosts):
-        self.text, self.penalty, self.M = text, penalty, m
-        self.blocks, self._costs = blocks, costs
-        self.lists: dict[tuple[int, int], list[ParetoList]] = {}
-        self._pending: dict[tuple[int, int], Iterator[list[int]]] = {}
-
-    def block_entry(self, a: int, ap: int, b: int, bp: int) -> int:
-        """D_{a,ap}[b, bp] for -1 <= b-a, bp-ap < M-1."""
-        return self.blocks[a][ap][b - a + 1][bp - ap + 1]
-
-    def pareto(self, c: int, cp: int, b: int) -> ParetoList | None:
-        """L_{c,cp}[b], or None when the row or the list does not exist.
-
-        Lists exist for 0 <= c, c' <= n with c or c' a multiple of M; sides
-        equal to n hold their boundary content (the empty-suffix column or
-        row), since splits ed(X, eps) + ed(eps, Y) land exactly there.
-        """
-        i = b - c + 1
-        if i < 0:
-            return None
-        rows = self.lists.get((c, cp))
-        if rows is None:
-            n, m = len(self.text), self.M
-            if not (0 <= c <= n and 0 <= cp <= n) or (c % m and cp % m):
-                return None
-            rows = self.lists[(c, cp)] = []
-            self._pending[(c, cp)] = _dp_rows(self._costs, c, cp)
-        if i >= len(rows):
-            rows.extend(pareto_list_build(row, cp - 1)
-                        for row in islice(self._pending[(c, cp)], i + 1 - len(rows)))
-        return rows[i]
-
-
-def precompute_special(t: Text, p: PenaltyMatrix) -> SpecialPointIndex:
-    """Build the special-point index: O(n^2 M^2) block work up front.
-
-    Pareto lists are built on first use by :meth:`SpecialPointIndex.pareto`;
-    at most O(n^4 / M) list work when every list is asked for in full.
-    """
-    n = len(t)
-    m = block_size(n)
-    costs = _EditCosts(t, p)
-    blocks = [[list(_dp_rows(costs, a, ap, min(m, n - a + 1), min(m, n - ap + 1)))
-               for ap in range(n + 1)] for a in range(n + 1)]
-    return SpecialPointIndex(t, p, m, blocks, costs)
-
-
-def _check_index(idx: SpecialPointIndex, t: Text, p: PenaltyMatrix) -> None:
-    if idx.text != t or idx.penalty != p:
-        raise ValueError("special-point index was built for a different text or penalty matrix")
-
-
-def _split_pairs(m: int, a: int, ap: int) -> list[tuple[int, int]]:
-    """The 2M special split pairs (c, c') of an alignment from (a, ap).
-
-    c is the first special point >= a with c' free in [ap, ap+M), or c' the
-    first special point >= ap with c free in [a, a+M); an alignment that
-    leaves the leading M x M block passes through one of them.
-    """
-    s, sp = a + (-a) % m, ap + (-ap) % m
-    return [(s, cp) for cp in range(ap, ap + m)] + [(c, sp) for c in range(a, a + m)]
-
-
-def p_ed_entry(idx: SpecialPointIndex, a: int, b: int, ap: int, k: int) -> int:
-    """P_k[a, b, ap] under the weighted edit metric, via the index.
-
-    Short factors scan their small block directly; every longer target is
-    split at a special point, where the stored Pareto list answers a
-    predecessor query on the remaining budget.
-    """
-    n, m, res = len(idx.text), idx.M, -1
-    if b - a < m - 1:
-        block_row = idx.blocks[a][ap][b - a + 1]
-        for bp in range(ap - 1, min(ap + m - 1, n)):
-            if block_row[bp - ap + 1] <= k:
-                res = bp
-    for c, cp in _split_pairs(m, a, ap):
-        plist = idx.pareto(c, cp, b)
-        if plist is None:
-            continue
-        head = idx.blocks[a][ap][c - a][cp - ap]  # D_{a,ap}[c-1, cp-1]
-        found = plist.pred(k - head)
-        if found is not None:
-            res = max(res, found[1])
-    return res
 
 
 def _edit_coverage(t: Text, metric: str, k: int, p: PenaltyMatrix | None):
@@ -388,3 +200,12 @@ def prefix_coverage(t: Text, metric: str, k: int,
     length ell.  Both metrics run their per-start routine at a = 0.
     """
     return _edit_coverage(t, metric, k, p)(0)
+
+
+def __getattr__(name: str):
+    # The benchmark's tracer reads these references here.  This stays until
+    # the benchmark change of ROADMAP item 6 drops the metrics they feed.
+    if name in ("SpecialPointIndex", "p_ed_entry", "precompute_special"):
+        from . import reference
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

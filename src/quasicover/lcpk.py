@@ -1,81 +1,28 @@
 """k-mismatch longest-common-prefix machinery.
 
-Three routes to lcp_k values, all wildcard-aware (a wildcard never counts
-as a mismatch):
+lcp_k values are wildcard-aware (a wildcard never counts as a mismatch) and
+come from one kangaroo jump loop, at most k+1 longest-common-extension
+jumps per query.  :func:`pref_k` answers lcp_k(0, j) for every j with n
+such queries: O(nk) jumps, and Theta(n^2) compares on unary text.
 
-* :func:`lcp_k_all_pairs` fills the full n x n table in O(n^2) per budget
-  by sliding a window of mismatch positions along each diagonal;
-* :func:`kangaroo_lcp_k` answers a single query with at most k+1
-  longest-common-extension jumps;
-* :func:`pref_k` answers lcp_k(0, j) for every j with n such queries:
-  O(nk) jumps, and Theta(n^2) compares on unary text.
-
-The last two share one jump loop.  A jump compares up to 8 symbols
-inline, so a short jump costs no function call; in counts on random binary
-and on noisy periodic text with 1% wildcards (n = 20000-32768, k = 2),
-98.2-99.99% of jumps ended within those 8.  A run still matching after
-them is finished by :meth:`ExactLce.extension`, a direct comparison that
-gallops over slices: O(L) C-level symbol compares for an answer L, but one
-interpreter step per wildcard it crosses.
+A jump compares up to 8 symbols inline, so a short jump costs no function
+call; in counts on random binary and on noisy periodic text with 1%
+wildcards (n = 20000-32768, k = 2), 98.2-99.99% of jumps ended within
+those 8.  A run still matching after them is finished by
+:meth:`ExactLce.extension`, a direct comparison that gallops over slices:
+O(L) C-level symbol compares for an answer L, but one interpreter step per
+wildcard it crosses.
 
 The coverage engines of ``hamcover`` do not read whole rows or tables.
 They run a bit-parallel mask pass per start and ask the jump loop only
-for the few starts that survive it.  So :func:`lcp_k_all_pairs` and
-:func:`pref_k` are references for the tests and for the enhanced cover
-with an approximate border, which reads PREF_k of the text and of its
-reverse.
+for the few starts that survive it.  :func:`pref_k` serves the enhanced
+cover with an approximate border, which reads PREF_k of the text and of
+its reverse.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-
-from .textcore import Text, symbols_match
-
-
-@dataclass
-class LcpKTable:
-    """All-pairs lcp_k values for one text and one mismatch budget."""
-
-    n: int
-    k: int
-    rows: list[list[int]]
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"lcp_k({i},{j}) out of range for n={self.n}")
-        return self.rows[i][j]
-
-    def row(self, i: int) -> list[int]:
-        if not 0 <= i < self.n:
-            raise IndexError(f"lcp_k row {i} out of range for n={self.n}")
-        return self.rows[i]
-
-
-def lcp_k_all_pairs(t: Text, k: int) -> LcpKTable:
-    """Full lcp_k table via the per-diagonal mismatch-window dynamic program.
-
-    Walking each diagonal right to left while keeping the k+1 nearest
-    mismatch positions makes every entry O(1) amortized.
-    """
-    n = len(t)
-    if k < 0:
-        raise ValueError("mismatch budget must be nonnegative")
-    sym = t.symbols
-    rows = [[0] * n for _ in range(n)]
-    for d in range(n):
-        window: deque[int] = deque(maxlen=k + 1)
-        for i in range(n - 1 - d, -1, -1):
-            j = i + d
-            if not symbols_match(sym[i], sym[j]):
-                window.appendleft(i)
-            if len(window) == k + 1:
-                val = window[-1] - i
-            else:
-                val = n - j
-            rows[i][j] = rows[j][i] = val
-    return LcpKTable(n, k, rows)
+from .textcore import Text
 
 
 def string_image(t: Text) -> str:
@@ -211,26 +158,6 @@ def _lcp_k(s: str, extension, i: int, j: int, limit: int, k: int) -> int:
         q += 1
 
 
-def kangaroo_lcp_k(t: Text, i: int, j: int, k: int,
-                   lce: ExactLce | None = None) -> int:
-    """lcp_k(i, j) with at most k+1 extension jumps.
-
-    Pass a prebuilt :class:`ExactLce` of the same text (or of an equal one)
-    to share its string image over many single queries; without one it is
-    built on the fly.  :func:`pref_k` builds its own for its n queries.
-    """
-    n = len(t)
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise IndexError(f"positions ({i},{j}) out of [0,{n}]")
-    if k < 0:
-        raise ValueError("mismatch budget must be nonnegative")
-    if lce is None:
-        lce = ExactLce(t)
-    elif lce.text is not t and lce.text != t:
-        raise ValueError("ExactLce was built for another text")
-    return _lcp_k(lce._s, lce.extension, i, j, n - max(i, j), k)
-
-
 def pref_k(t: Text, k: int) -> list[int]:
     """PREF_k, [lcp_k(0, j) for j < n] (PREF_k[0] is n), by one kangaroo
     query per position, all on one :class:`ExactLce` built here: O(nk) jumps."""
@@ -240,3 +167,12 @@ def pref_k(t: Text, k: int) -> list[int]:
     lce = ExactLce(t)
     s, extension = lce._s, lce.extension
     return [_lcp_k(s, extension, 0, j, n - j, k) for j in range(n)]
+
+
+def __getattr__(name: str):
+    # The benchmark's tracer reads this reference here.  This stays until
+    # the benchmark change of ROADMAP item 6 drops the metrics it feeds.
+    if name == "lcp_k_all_pairs":
+        from . import reference
+        return reference.lcp_k_all_pairs
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,7 @@ from itertools import accumulate, repeat
 from math import gcd
 from typing import Iterator
 
-from .textcore import PenaltyMatrix, Text, _EditCosts, _lev_check, _smear
+from .textcore import PenaltyMatrix, Text, _EditCosts, _smear
 
 
 def _lev_block(n: int) -> int:
@@ -203,30 +203,3 @@ def _coverage_rows(n: int, lo: int, levels: Iterator[list[int]]) -> list[list[in
         deque(map(list.append, rows, map(int.bit_count, map(int.from_bytes, map(
             buf.__getitem__, cuts[:n + 1 - length]), repeat("little")))), 0)
     return rows
-
-
-class LevPrefixTable:
-    """P_k under the Levenshtein distance for all (a, b, a'), k capped at n.
-
-    ``get(a, b, ap)`` is the largest b' >= ap-1 with Lev(T[a,b], T[ap,b'])
-    <= k, or -1: ap+b-a+d for the highest :func:`_lev_slots` slot d of length
-    b-a+1 holding bit ap of start a, one bit read per slot of bytes.
-    """
-
-    def __init__(self, n: int, k: int, slots: list[list[bytes]]):
-        self.n, self.k, self._slots = n, k, slots
-
-    def get(self, a: int, b: int, ap: int) -> int:
-        if not (0 <= a <= b < self.n and 0 <= ap < self.n):
-            raise IndexError(f"P_k[{a},{b},{ap}] out of range")
-        byte, bit = divmod(a * 8 * _lev_block(self.n) + ap, 8)
-        held = sum(buf[byte] >> bit & 1 for buf in self._slots[b - a])  # slot d+1 within d
-        return ap + b - a + held - 1 - self.k if held else -1
-
-
-def p_lev_table(t: Text, k: int) -> LevPrefixTable:
-    """P_k under Levenshtein for all (a, b, a'): the :func:`_lev_slots` of
-    each length as bytes, O(k^2 n) ops on O(n^2)-bit ints, O(k n^3) bits."""
-    k, n = _lev_check(t, k, "the Levenshtein P_k table"), len(t)
-    return LevPrefixTable(n, k, [[x.to_bytes((n - i) * _lev_block(n), "little") for x in slots]
-                                 for i, slots in enumerate(_lev_slots(t, k))])

@@ -11,12 +11,7 @@ import warnings
 from itertools import product
 
 from quasicover import bench, oracle
-from quasicover.editcover import (
-    _suffix_pair_frontier,
-    factor_coverage,
-    p_ed_entry,
-    precompute_special,
-)
+from quasicover.editcover import _suffix_pair_frontier
 from quasicover.gadget import (
     ConsensusInstance,
     build_cover_instance,
@@ -31,15 +26,18 @@ from quasicover.hamcover import (
     k_restricted_covers,
     prefix_coverage,
 )
-from quasicover.lcpk import ExactLce, kangaroo_lcp_k, lcp_k_all_pairs, pref_k
+from quasicover.lcpk import ExactLce
 from quasicover.oracle import build_d_table, edit_distance, hamming_distance
-from quasicover.restricted import (
+from quasicover.reference import (
+    kangaroo_lcp_k,
+    lcp_k_all_pairs,
+    p_ed_entry,
+    p_lev_table,
+    precompute_special,
     q_table_fast,
     q_table_quadratic,
-    restricted_covers_ed,
-    restricted_seeds_ed,
 )
-from quasicover.slots import p_lev_table
+from quasicover.restricted import restricted_covers_ed, restricted_seeds_ed
 from quasicover.textcore import PenaltyMatrix, Text
 
 from conftest import full_unit_dp, naive_lcp_k, random_metric, random_text_str

@@ -171,6 +171,18 @@ def test_byte_determinism(capsys, monkeypatch):
     assert len(outs) == 1
 
 
+def test_crlf_line_reads_as_lf(capsys, monkeypatch, tmp_path):
+    """A CRLF line on stdin gives the rows of the same line ended by LF, as
+    a file holding the CRLF line does."""
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(b"abab\r\n")
+    args = ["covers", "--format", "json"]
+    outs = [run(capsys, monkeypatch, args, stdin)[1] for stdin in ("abab\r\n", "abab\n")]
+    outs.append(run(capsys, monkeypatch, args + [str(path)])[1])
+    assert outs == [outs[0]] * 3
+    assert json.loads(outs[0])["rows"][:3] == [["a", "none"], ["b", "none"], ["ab", 0]]
+
+
 def test_covers_hamming_example(capsys, monkeypatch):
     code, out, _ = run(capsys, monkeypatch,
                        ["covers", "--distance", "hamming", "--k", "1"],
@@ -643,11 +655,13 @@ print(*sorted(m[len("quasicover."):] for m in sys.modules if m.startswith("quasi
 
 def test_each_module_loads_only_what_it_imports():
     """Imported first in a fresh interpreter, each edit engine loads only
-    ``textcore`` beside itself, and no module but ``gadget`` loads ``oracle``."""
+    ``textcore`` beside itself, no module but ``gadget`` loads ``oracle``, and
+    none but ``bench`` loads ``reference``."""
     pinned = {"editcover": ["editcover", "textcore"], "restricted": ["restricted", "textcore"],
-              "slots": ["slots", "textcore"]}
-    for module in ("textcore", "lcpk", "hamcover", "editcover", "slots", "restricted", "oracle",
-                   "gadget", "bench", "cli"):
+              "slots": ["slots", "textcore"],
+              "reference": ["hamcover", "lcpk", "reference", "slots", "textcore"]}
+    for module in ("textcore", "lcpk", "hamcover", "editcover", "slots", "restricted", "reference",
+                   "oracle", "gadget", "bench", "cli"):
         proc = run_fresh(f"""
 import sys
 import quasicover.{module}
@@ -657,3 +671,16 @@ print(*sorted(m[len("quasicover."):] for m in sys.modules if m.startswith("quasi
         loaded = proc.stdout.split()
         assert loaded == pinned.get(module, loaded), module
         assert ("oracle" in loaded) == (module in ("gadget", "oracle")), module
+        assert ("reference" in loaded) == (module in ("bench", "reference")), module
+
+
+def test_tracer_names_resolve_on_their_old_modules():
+    """The six references that ``perfbench/tracing.py`` reads on their old
+    modules are the ``reference`` objects; no other moved name resolves."""
+    from quasicover import editcover, hamcover, lcpk, reference, restricted
+    for module, name in ((editcover, "precompute_special"), (editcover, "SpecialPointIndex"),
+                         (editcover, "p_ed_entry"), (restricted, "q_table_fast"),
+                         (lcpk, "lcp_k_all_pairs"), (hamcover, "coverage_sweep")):
+        assert getattr(module, name) is getattr(reference, name), (module, name)
+    with pytest.raises(AttributeError):
+        editcover.ParetoList

@@ -6,21 +6,20 @@ from hypothesis import strategies as st
 
 from quasicover import editcover, hamcover, lcpk, oracle, slots
 from quasicover.bench import QTABLE_PENALTY, random_text
-from quasicover.editcover import (
+from quasicover.editcover import _lev_ends, factor_coverage, prefix_coverage
+from quasicover.lcpk import ExactLce
+from quasicover.oracle import build_d_table, edit_distance
+from quasicover.reference import (
     _dp_rows,
-    _lev_ends,
     block_size,
-    factor_coverage,
     p_ed_entry,
+    p_lev_table,
     pareto_list_build,
     pareto_list_from_row,
     precompute_special,
-    prefix_coverage,
+    q_table_fast,
 )
-from quasicover.lcpk import ExactLce
-from quasicover.oracle import build_d_table, edit_distance
-from quasicover.restricted import q_table_fast, restricted_covers_ed
-from quasicover.slots import p_lev_table
+from quasicover.restricted import restricted_covers_ed
 from quasicover.textcore import PenaltyMatrix, Text, _EditCosts, pad_for_seed
 
 from conftest import free_start_rows, random_metric, random_text_str, run_fresh, scaled

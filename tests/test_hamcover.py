@@ -9,7 +9,6 @@ from quasicover.hamcover import (
     EnhancedCover,
     SweepState,
     border_lengths,
-    coverage_sweep,
     enhanced_cover_approx_border,
     enhanced_cover_exact_border,
     factor_coverage_all,
@@ -19,8 +18,9 @@ from quasicover.hamcover import (
     k_restricted_seeds,
     prefix_coverage,
 )
-from quasicover.lcpk import lcp_k_all_pairs, pref_k
+from quasicover.lcpk import pref_k
 from quasicover.oracle import hamming_distance
+from quasicover.reference import coverage_sweep, lcp_k_all_pairs
 from quasicover.textcore import Text, pad_for_seed
 
 from conftest import random_text_str, row_order
@@ -100,12 +100,12 @@ def test_per_start_routine_matches_references_at_word_boundaries(rng, monkeypatc
 
 def reference_approx_border(t: Text, k: int):
     """The approximate-border enhanced cover from the full lcp_k table and
-    one coverage sweep per start."""
+    one coverage sweep per start; a border is proper."""
     table = lcp_k_all_pairs(t, k)
     n = len(t)
     rows = [coverage_sweep(table.row(a), n, n - a) for a in range(n)]
     best = None
-    for length in range(1, n + 1):
+    for length in range(1, n):
         for a in range(n - length + 1):
             if table.entry(0, a) >= length and table.entry(a, n - length) >= length:
                 c = rows[a][length - 1]
@@ -133,7 +133,7 @@ def test_sweep_invariants_instrumented(rng):
         n = rng.randint(1, 16)
         t = Text.from_str(random_text_str(rng, n, 2))
         k = rng.randint(0, 3)
-        state = SweepState(pref_k(t, k), n)
+        state = SweepState(pref_k(t, k), n, range(n))
         for ell in range(1, n + 1):
             state.steps(ell, ell)
             want = oracle.brute_coverage(t.prefix(ell), t, "hamming", k)
@@ -313,7 +313,7 @@ def test_coverage_sweep_matches_definition(data):
     want = [len({p for i, v in enumerate(vals) if v >= ell
                  for p in range(i, min(i + ell, n))}) for ell in range(1, m + 1)]
     assert coverage_sweep(vals, n, m) == want
-    state = SweepState(vals, n)
+    state = SweepState(vals, n, range(n))
     assert state.steps(1, m) == want
     assert state.pairs_processed <= max(0, 2 * n - 1)
 
@@ -379,6 +379,10 @@ def test_enhanced_approx_border():
     best = enhanced_cover_approx_border(Text.from_str("abaab"), 1)
     assert best.coverage == 5
     assert (best.candidate, best.start) == ("a", 0)
+    # at k = 0 an approximate border is an exact one, and T itself is none
+    t = Text.from_str("aabaa")
+    assert enhanced_cover_approx_border(t, 0) == enhanced_cover_exact_border(t, 0) \
+        == EnhancedCover("a", 0, 0, 4)
 
 
 def test_enhanced_approx_border_against_brute(rng):
@@ -387,9 +391,9 @@ def test_enhanced_approx_border_against_brute(rng):
         t = Text.from_str(random_text_str(rng, n, 2))
         k = rng.randint(0, 2)
         best = enhanced_cover_approx_border(t, k)
-        # brute force over all factors that are k-approximate borders
+        # brute force over all proper factors that are k-approximate borders
         want = None
-        for length in range(1, n + 1):
+        for length in range(1, n):
             for a in range(n - length + 1):
                 c = t.factor(a, a + length - 1)
                 if hamming_distance(c, t.prefix(length)) > k:
@@ -399,6 +403,9 @@ def test_enhanced_approx_border_against_brute(rng):
                 cov = oracle.brute_coverage(c, t, "hamming", k)
                 if want is None or cov > want:
                     want = cov
+        if want is None:  # no proper factor qualifies, as always at n = 1
+            assert best is None
+            continue
         assert best.coverage == want
         # returned candidate is itself a valid k-approximate border
         c = Text.from_str(best.candidate, t.alphabet)

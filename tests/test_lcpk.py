@@ -1,10 +1,9 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasicover.lcpk import _WHOLE_SEGMENT, ExactLce, kangaroo_lcp_k, lcp_k_all_pairs, pref_k
+from quasicover.lcpk import _WHOLE_SEGMENT, ExactLce, pref_k
+from quasicover.reference import kangaroo_lcp_k, lcp_k_all_pairs
 from quasicover.textcore import Text, symbols_match
 
 from conftest import naive_lcp_k, random_text_str

@@ -5,7 +5,7 @@ import pytest
 import quasicover
 from quasicover import oracle
 from quasicover.oracle import interval_union_size
-from quasicover.textcore import PenaltyMatrix, Text
+from quasicover.textcore import Text
 
 from conftest import random_metric, random_text_str, run_fresh
 
@@ -142,17 +142,17 @@ def test_package_exports_no_module_but_oracle():
 PUBLIC_NAMES = {
     "textcore": ["WILDCARD", "PenaltyMatrix", "Text", "Violation", "pad_for_seed",
                  "symbols_match", "validate_penalty_matrix"],
-    "lcpk": ["ExactLce", "LcpKTable", "kangaroo_lcp_k", "lcp_k_all_pairs", "pref_k"],
+    "lcpk": ["ExactLce", "pref_k"],
     "hamcover": ["EnhancedCover", "border_lengths",
                  "enhanced_cover_approx_border", "enhanced_cover_exact_border",
                  "factor_coverage_all", "factor_occurrences", "k_restricted_covers",
                  "k_restricted_seeds", "prefix_coverage"],
-    "editcover": ["ParetoList", "SpecialPointIndex", "block_size", "factor_coverage",
-                  "p_ed_entry", "pareto_list_build", "pareto_list_from_row",
-                  "precompute_special"],
-    "slots": ["LevPrefixTable", "p_lev_table"],
-    "restricted": ["RestrictedReport", "q_table_fast", "q_table_quadratic",
-                   "restricted_covers_ed", "restricted_seeds_ed"],
+    "editcover": ["factor_coverage"],
+    "restricted": ["RestrictedReport", "restricted_covers_ed", "restricted_seeds_ed"],
+    "reference": ["LcpKTable", "LevPrefixTable", "ParetoList", "SpecialPointIndex", "block_size",
+                  "kangaroo_lcp_k", "lcp_k_all_pairs", "p_ed_entry", "p_lev_table",
+                  "pareto_list_build", "pareto_list_from_row", "precompute_special",
+                  "q_table_fast", "q_table_quadratic"],
     "gadget": ["ConsensusInstance", "GadgetEncoding", "ScanVerdict", "ReductionVerdict",
                "build_cover_instance", "build_seed_instance", "format_instance", "gamma",
                "parse_instance", "phi", "psi", "reduction_forward_check",

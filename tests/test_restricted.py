@@ -5,17 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasicover import oracle
-from quasicover.editcover import block_size, precompute_special
 from quasicover.hamcover import k_restricted_covers, k_restricted_seeds
 from quasicover.oracle import edit_distance
-from quasicover.restricted import (
+from quasicover.reference import (
     _q_tables_of_start,
-    _report_for_candidates,
+    block_size,
+    precompute_special,
     q_table_fast,
     q_table_quadratic,
-    restricted_covers_ed,
-    restricted_seeds_ed,
 )
+from quasicover.restricted import _report_for_candidates, restricted_covers_ed, restricted_seeds_ed
 from quasicover.textcore import (Keyed, PenaltyMatrix, Text, _EditCosts, pad_for_seed,
                                  restricted_candidates, validate_penalty_matrix)
 
@@ -341,7 +340,7 @@ def test_q_tables_match_tiling_oracle(rng):
 def test_crossover_unimodality(rng):
     """Along a Pareto list, cost rises and the range minimum falls, so the
     combined expression is minimized at the crossover or its predecessor."""
-    from quasicover.editcover import pareto_list_from_row
+    from quasicover.reference import pareto_list_from_row
     from quasicover.oracle import build_d_table
 
     for _ in range(10):

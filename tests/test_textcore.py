@@ -1,6 +1,3 @@
-import random
-from itertools import product
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
